@@ -1,282 +1,119 @@
-"""Hot single-qubit circuit kernels: numba-jitted loops with a numpy fallback.
+"""Single-qubit circuit kernel: one gate table, one adjoint sweep.
 
-Training evaluates every basis-class circuit together with its full parameter
-Jacobian thousands of times, so the forward-mode sweep through the 2x2 states
-is the dominant cost of the package. Two interchangeable implementations are
-provided:
+Both Ansatz kinds are sequences of Rz/Ry rotations whose angles are linear
+in the flat parameters. ``gate_table`` describes a batch of B circuits as an
+axis flag per gate, shape (G,), and a map ``A`` of shape (B, G, P) from the
+P parameters to the gate angles, ``theta = A @ values``. It is the only code
+that knows each kind's layer layout:
 
-* loop kernels compiled with ``numba.njit`` (default when numba imports),
-* a vectorized pure-numpy path broadcasting over (batch, parameter) axes.
+* compressed: ``nf`` gates per layer; gate ``fi`` is an Ry when
+  ``fi % 3 == 1`` and an Rz otherwise, at angle ``b + w_fi * x_fi``;
+* quat: ``Rz(2 (w.x + b))`` then ``Ry(2 phi)`` per layer.
 
-Set ``BOSEHUB_BACKEND=numpy`` or ``BOSEHUB_BACKEND=numba`` to force one;
-anything else (or unset) auto-selects. ``benchmarks/bench_kernels.py``
-compares the two. Both return bit-comparable results up to float round-off.
+``_sweep`` runs the gates forward on |0>. With gradients it stores the state
+after every gate, then runs backward carrying the <0| and <1| rows of the
+gates still to come. That gives dP(0)/dtheta_g and d<sigma_x>/dtheta_g for
+every gate at O(G) cost per row (adjoint differentiation, Jones & Gacon,
+arXiv:2009.02823); contracting with ``A`` gives the parameter Jacobians.
 
-Kernel contract: ``(p0, sx, dp0, dsx) = <kernel>(values, features, want_grad)``
-where ``p0`` is P(0)=|amp0|^2 per batch row, ``sx`` the sigma_x expectation
-on the same final state, and ``dp0``/``dsx`` their exact derivatives with
-respect to every flat parameter (forward-mode accumulation).
+Kernel contract: ``(p0, sx, dp0, dsx) = circuit_batch(kind, values,
+features, want_grad)`` where ``p0`` is P(0)=|amp0|^2 per batch row, ``sx``
+the sigma_x expectation on the same final state, and ``dp0``/``dsx`` their
+exact derivatives with respect to every flat parameter (zeros without
+``want_grad``).
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_CHOICE = os.environ.get("BOSEHUB_BACKEND", "auto").strip().lower()
-
-
-# ---------------------------------------------------------------------------
-# loop-style kernels (the numba lane; written in njit-compatible Python)
-# ---------------------------------------------------------------------------
-
-def _compressed_loop(values, X, want_grad):
-    B, nf = X.shape
-    P = values.size
-    per = nf + 1
-    L = P // per
-    p0 = np.empty(B)
-    sx = np.empty(B)
-    dp0 = np.zeros((B, P))
-    dsx = np.zeros((B, P))
-    J = np.zeros((P, 2), np.complex128)
-    for bi in range(B):
-        s0 = 1.0 + 0.0j
-        s1 = 0.0 + 0.0j
-        if want_grad:
-            for k in range(P):
-                J[k, 0] = 0.0
-                J[k, 1] = 0.0
-        for layer in range(L):
-            base = layer * per
-            bias = values[base + nf]
-            for fi in range(nf):
-                xv = X[bi, fi]
-                theta = bias + values[base + fi] * xv
-                if fi % 3 == 1:
-                    c = np.cos(0.5 * theta)
-                    sn = np.sin(0.5 * theta)
-                    if want_grad:
-                        d0 = 0.5 * (-sn * s0 - c * s1)
-                        d1 = 0.5 * (c * s0 - sn * s1)
-                        for k in range(P):
-                            j0 = c * J[k, 0] - sn * J[k, 1]
-                            j1 = sn * J[k, 0] + c * J[k, 1]
-                            J[k, 0] = j0
-                            J[k, 1] = j1
-                        J[base + fi, 0] += xv * d0
-                        J[base + fi, 1] += xv * d1
-                        J[base + nf, 0] += d0
-                        J[base + nf, 1] += d1
-                    t0 = c * s0 - sn * s1
-                    t1 = sn * s0 + c * s1
-                    s0 = t0
-                    s1 = t1
-                else:
-                    ph = np.exp(-0.5j * theta)
-                    phc = np.conj(ph)
-                    if want_grad:
-                        d0 = -0.5j * ph * s0
-                        d1 = 0.5j * phc * s1
-                        for k in range(P):
-                            J[k, 0] *= ph
-                            J[k, 1] *= phc
-                        J[base + fi, 0] += xv * d0
-                        J[base + fi, 1] += xv * d1
-                        J[base + nf, 0] += d0
-                        J[base + nf, 1] += d1
-                    s0 *= ph
-                    s1 *= phc
-        p0[bi] = (s0 * np.conj(s0)).real
-        sx[bi] = 2.0 * (np.conj(s0) * s1).real
-        if want_grad:
-            for k in range(P):
-                dp0[bi, k] = 2.0 * (np.conj(s0) * J[k, 0]).real
-                dsx[bi, k] = 2.0 * (np.conj(J[k, 0]) * s1 + np.conj(s0) * J[k, 1]).real
-    return p0, sx, dp0, dsx
-
-
-def _quat_loop(values, X, want_grad):
-    B, nf = X.shape
-    P = values.size
-    per = nf + 2
-    L = P // per
-    p0 = np.empty(B)
-    sx = np.empty(B)
-    dp0 = np.zeros((B, P))
-    dsx = np.zeros((B, P))
-    J = np.zeros((P, 2), np.complex128)
-    for bi in range(B):
-        s0 = 1.0 + 0.0j
-        s1 = 0.0 + 0.0j
-        if want_grad:
-            for k in range(P):
-                J[k, 0] = 0.0
-                J[k, 1] = 0.0
-        for layer in range(L):
-            base = layer * per
-            y = values[base + nf]
-            for u in range(nf):
-                y += values[base + u] * X[bi, u]
-            # Rz(2y), then Ry(2*phi)
-            ph = np.exp(-1.0j * y)
-            phc = np.conj(ph)
-            if want_grad:
-                d0 = -0.5j * ph * s0
-                d1 = 0.5j * phc * s1
-                for k in range(P):
-                    J[k, 0] *= ph
-                    J[k, 1] *= phc
-                for u in range(nf):
-                    cu = 2.0 * X[bi, u]
-                    J[base + u, 0] += cu * d0
-                    J[base + u, 1] += cu * d1
-                J[base + nf, 0] += 2.0 * d0
-                J[base + nf, 1] += 2.0 * d1
-            s0 *= ph
-            s1 *= phc
-            angle = values[base + nf + 1]
-            c = np.cos(angle)
-            sn = np.sin(angle)
-            if want_grad:
-                d0 = 0.5 * (-sn * s0 - c * s1)
-                d1 = 0.5 * (c * s0 - sn * s1)
-                for k in range(P):
-                    j0 = c * J[k, 0] - sn * J[k, 1]
-                    j1 = sn * J[k, 0] + c * J[k, 1]
-                    J[k, 0] = j0
-                    J[k, 1] = j1
-                J[base + nf + 1, 0] += 2.0 * d0
-                J[base + nf + 1, 1] += 2.0 * d1
-            t0 = c * s0 - sn * s1
-            t1 = sn * s0 + c * s1
-            s0 = t0
-            s1 = t1
-        p0[bi] = (s0 * np.conj(s0)).real
-        sx[bi] = 2.0 * (np.conj(s0) * s1).real
-        if want_grad:
-            for k in range(P):
-                dp0[bi, k] = 2.0 * (np.conj(s0) * J[k, 0]).real
-                dsx[bi, k] = 2.0 * (np.conj(J[k, 0]) * s1 + np.conj(s0) * J[k, 1]).real
-    return p0, sx, dp0, dsx
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy fallback
-# ---------------------------------------------------------------------------
-
-def _rz_np(s, J, theta, columns, coeffs, want_grad):
-    ph = np.exp(-0.5j * theta)
-    phc = np.conj(ph)
-    if want_grad:
-        d0 = -0.5j * ph * s[:, 0]
-        d1 = 0.5j * phc * s[:, 1]
-        J[:, :, 0] *= ph[:, None]
-        J[:, :, 1] *= phc[:, None]
-        for col, coef in zip(columns, coeffs):
-            J[:, col, 0] += coef * d0
-            J[:, col, 1] += coef * d1
-    s[:, 0] *= ph
-    s[:, 1] *= phc
-
-
-def _compressed_numpy(values, X, want_grad):
-    B, nf = X.shape
-    P = values.size
-    per = nf + 1
-    L = P // per
-    s = np.zeros((B, 2), np.complex128)
-    s[:, 0] = 1.0
-    J = np.zeros((B, P, 2), np.complex128)
-    ones = np.ones(B)
-    for layer in range(L):
-        base = layer * per
-        bias = values[base + nf]
-        for fi in range(nf):
-            theta = bias + values[base + fi] * X[:, fi]
-            cols = (base + fi, base + nf)
-            coefs = (X[:, fi], ones)
-            if fi % 3 == 1:
-                _apply_ry_np(s, J, theta, cols, coefs, want_grad)
-            else:
-                _rz_np(s, J, theta, cols, coefs, want_grad)
-    return _readout_np(s, J, want_grad, B, P)
-
-
-def _quat_numpy(values, X, want_grad):
-    B, nf = X.shape
-    P = values.size
-    per = nf + 2
-    L = P // per
-    s = np.zeros((B, 2), np.complex128)
-    s[:, 0] = 1.0
-    J = np.zeros((B, P, 2), np.complex128)
-    twos = np.full(B, 2.0)
-    for layer in range(L):
-        base = layer * per
-        y = X @ values[base:base + nf] + values[base + nf]
-        cols = tuple(range(base, base + nf + 1))
-        coefs = tuple(2.0 * X[:, u] for u in range(nf)) + (twos,)
-        _rz_np(s, J, 2.0 * y, cols, coefs, want_grad)
-        angle = np.full(B, 2.0 * values[base + nf + 1])
-        _apply_ry_np(s, J, angle, (base + nf + 1,), (twos,), want_grad)
-    return _readout_np(s, J, want_grad, B, P)
-
-
-def _apply_ry_np(s, J, theta, columns, coeffs, want_grad):
-    c = np.cos(0.5 * theta)
-    sn = np.sin(0.5 * theta)
-    if want_grad:
-        d0 = 0.5 * (-sn * s[:, 0] - c * s[:, 1])
-        d1 = 0.5 * (c * s[:, 0] - sn * s[:, 1])
-        j0 = c[:, None] * J[:, :, 0] - sn[:, None] * J[:, :, 1]
-        j1 = sn[:, None] * J[:, :, 0] + c[:, None] * J[:, :, 1]
-        J[:, :, 0] = j0
-        J[:, :, 1] = j1
-        for col, coef in zip(columns, coeffs):
-            J[:, col, 0] += coef * d0
-            J[:, col, 1] += coef * d1
-    t0 = c * s[:, 0] - sn * s[:, 1]
-    t1 = sn * s[:, 0] + c * s[:, 1]
-    s[:, 0] = t0
-    s[:, 1] = t1
-
-
-def _readout_np(s, J, want_grad, B, P):
-    p0 = np.abs(s[:, 0]) ** 2
-    sx = 2.0 * np.real(np.conj(s[:, 0]) * s[:, 1])
-    if not want_grad:
-        return p0, sx, np.zeros((B, P)), np.zeros((B, P))
-    dp0 = 2.0 * np.real(np.conj(s[:, 0])[:, None] * J[:, :, 0])
-    dsx = 2.0 * np.real(np.conj(J[:, :, 0]) * s[:, 1][:, None]
-                        + np.conj(s[:, 0])[:, None] * J[:, :, 1])
-    return p0, sx, dp0, dsx
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-if _ENV_CHOICE == "numpy":
-    BACKEND = "numpy"
-else:
-    try:
-        from numba import njit
-
-        _compressed_loop = njit(cache=True)(_compressed_loop)
-        _quat_loop = njit(cache=True)(_quat_loop)
-        BACKEND = "numba"
-    except ImportError:
-        if _ENV_CHOICE == "numba":
-            raise ImportError(
-                "BOSEHUB_BACKEND=numba requested but numba is not installed"
-            )
-        BACKEND = "numpy"
 
 
 def backend() -> str:
-    """Active kernel backend, "numba" or "numpy"."""
-    return BACKEND
+    """Kernel implementation; there is one, vectorized numpy."""
+    return "numpy"
+
+
+def gate_table(kind: str, n_params: int, X: np.ndarray):
+    """Axis flags (G,), True for Ry, and the angle map A (B, G, P)."""
+    B, nf = X.shape
+    if kind == "compressed":
+        if nf % 3 != 0:
+            raise ValueError(
+                f"compressed circuits need a feature count divisible by 3, "
+                f"got {nf}")
+        per = nf + 1
+        block = np.zeros((B, nf, per))
+        block[:, np.arange(nf), np.arange(nf)] = X
+        block[:, :, nf] = 1.0
+        layer_axes = np.arange(nf) % 3 == 1
+    elif kind == "quat":
+        per = nf + 2
+        block = np.zeros((B, 2, per))
+        block[:, 0, :nf] = 2.0 * X
+        block[:, 0, nf] = 2.0
+        block[:, 1, nf + 1] = 2.0
+        layer_axes = np.array([False, True])
+    else:
+        raise ValueError(f"unknown circuit kind {kind!r}")
+    if n_params % per != 0:
+        raise ValueError(
+            f"{kind} layers of {nf} features hold {per} values each, "
+            f"got {n_params}")
+    layers = n_params // per
+    A = np.zeros((B, layers, layer_axes.size, layers, per))
+    diag = np.arange(layers)
+    A[:, diag, :, diag, :] = block
+    return (np.tile(layer_axes, layers),
+            A.reshape(B, layers * layer_axes.size, n_params))
+
+
+def _sweep(axes: np.ndarray, theta: np.ndarray, want_grad: bool):
+    """Apply the gates at angles ``theta`` (B, G) to |0>.
+
+    Returns ``(p0, sx, dtheta)`` where ``dtheta`` (B, 2, G) stacks
+    dP(0)/dtheta_g and d<sigma_x>/dtheta_g, or is None without ``want_grad``.
+    """
+    B, G = theta.shape
+    half = 0.5 * theta.T
+    c, s = np.cos(half), np.sin(half)
+    ry = axes[:, None]
+    # gate-major (G, B, 2, 2): Ry real, Rz = diag(e^{-i t/2}, e^{i t/2})
+    U = np.empty((G, B, 2, 2), np.complex128)
+    U[..., 0, 0] = np.where(ry, c, c - 1j * s)
+    U[..., 1, 1] = np.where(ry, c, c + 1j * s)
+    U[..., 0, 1] = np.where(ry, -s, 0.0)
+    U[..., 1, 0] = np.where(ry, s, 0.0)
+    psi = np.zeros((B, 2, 1), np.complex128)
+    psi[:, 0] = 1.0
+    states = np.empty((G, B, 2, 1), np.complex128) if want_grad else None
+    for g in range(G):
+        psi = U[g] @ psi
+        if want_grad:
+            states[g] = psi
+    a0, a1 = psi[:, 0, 0], psi[:, 1, 0]
+    p0 = np.abs(a0) ** 2
+    sx = 2.0 * np.real(np.conj(a0) * a1)
+    if not want_grad:
+        return p0, sx, None
+    # rows[g, b, k] = <k| U_G ... U_{g+1}, carried back as column vectors
+    # (numpy's batched mat-vec is about 3x cheaper than its 2x2 mat-mat)
+    Ut = np.ascontiguousarray(U.swapaxes(-1, -2))[:, :, None]
+    rows = np.empty((G, B, 2, 2, 1), np.complex128)
+    r = np.broadcast_to(np.eye(2, dtype=np.complex128)[:, :, None],
+                        (B, 2, 2, 1))
+    for g in range(G - 1, -1, -1):
+        rows[g] = r
+        r = Ut[g] @ r
+    # d psi / d theta_g = rows_g (-i/2 sigma_g) psi_g with sigma_g = Y or Z
+    st0, st1 = states[..., 0, 0], states[..., 1, 0]
+    gen0 = np.where(ry, -0.5 * st1, -0.5j * st0)
+    gen1 = np.where(ry, 0.5 * st0, 0.5j * st1)
+    rows = rows[..., 0]
+    d0 = rows[..., 0, 0] * gen0 + rows[..., 0, 1] * gen1
+    d1 = rows[..., 1, 0] * gen0 + rows[..., 1, 1] * gen1
+    dtheta = np.empty((B, 2, G))
+    dtheta[:, 0] = (2.0 * np.real(np.conj(a0) * d0)).T
+    dtheta[:, 1] = (2.0 * np.real(np.conj(a1) * d0 + np.conj(a0) * d1)).T
+    return p0, sx, dtheta
 
 
 def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
@@ -285,12 +122,12 @@ def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
 
     Returns ``(p0, sx, dp0, dsx)`` with shapes (B,), (B,), (B,P), (B,P).
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    X = np.ascontiguousarray(np.atleast_2d(features), dtype=np.float64)
-    if kind == "compressed":
-        fn = _compressed_loop if BACKEND == "numba" else _compressed_numpy
-    elif kind == "quat":
-        fn = _quat_loop if BACKEND == "numba" else _quat_numpy
-    else:
-        raise ValueError(f"unknown circuit kind {kind!r}")
-    return fn(values, X, want_grad)
+    values = np.asarray(values, dtype=np.float64).ravel()
+    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    axes, A = gate_table(kind, values.size, X)
+    p0, sx, dtheta = _sweep(axes, A @ values, want_grad)
+    if dtheta is None:
+        shape = (X.shape[0], values.size)
+        return p0, sx, np.zeros(shape), np.zeros(shape)
+    jac = dtheta @ A  # einsum('bkg,bgp->bkp', dtheta, A)
+    return p0, sx, jac[:, 0], jac[:, 1]

@@ -71,6 +71,7 @@ class CircuitParams:
     def __post_init__(self):
         if self.kind not in PARAMS_PER_LAYER:
             raise ValueError(f"unknown circuit kind {self.kind!r}")
+        _check_layers(self.layers)
         object.__setattr__(
             self, "values", np.asarray(self.values, dtype=float).ravel()
         )
@@ -189,7 +190,7 @@ def complex_weight_of(params: CircuitParams, features) -> complex:
 
 
 def gradient(params: CircuitParams, features) -> np.ndarray:
-    """Exact dP(0)/dtheta for every flat parameter (forward-mode)."""
+    """Exact dP(0)/dtheta for every flat parameter (adjoint sweep)."""
     x = _check_features(params, features)
     _, _, dp0, _ = _kernels.circuit_batch(params.kind, params.values,
                                           x[None, :], want_grad=True)
@@ -245,6 +246,7 @@ def sample(params: CircuitParams, features, shots: int, rng) -> ShotResult:
 def init_params(kind: str, layers: int, rng, scale: float = 0.1,
                 n_features: int = 6) -> CircuitParams:
     """Uniform initialization in [-scale, scale]."""
+    _check_layers(layers)
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     count = layers * PARAMS_PER_LAYER[kind](n_features)
     return CircuitParams(kind, layers, rng.uniform(-scale, scale, count),
@@ -290,9 +292,12 @@ def _check_features(params: CircuitParams, features) -> np.ndarray:
         raise ValueError(
             f"expected {params.n_features} features, got {x.size}"
         )
-    if params.kind == "compressed" and x.size % 3 != 0:
-        raise ValueError("compressed circuits need a multiple of 3 features")
     return x
+
+
+def _check_layers(layers: int) -> None:
+    if layers < 0:
+        raise ValueError(f"layer count must be >= 0, got {layers}")
 
 
 def _check_matrix(params: CircuitParams, features_matrix) -> np.ndarray:

@@ -265,6 +265,13 @@ def test_params_validation():
         qc.CircuitParams("quat", 1, np.array([np.nan] * 8))
 
 
+def test_negative_layer_count_rejected():
+    with pytest.raises(ValueError, match="layer count must be >= 0, got -1"):
+        qc.init_params("quat", -1, 0)
+    with pytest.raises(ValueError, match="layer count must be >= 0, got -2"):
+        qc.CircuitParams("compressed", -2, np.zeros(0))
+
+
 def test_feature_arity_checked():
     params = qc.init_params("compressed", 2, 0)
     with pytest.raises(ValueError):

@@ -80,6 +80,26 @@ def test_train_writes_artifacts_and_is_deterministic(tmp_path, capsys):
             summary.read_bytes()) == first
 
 
+def test_train_compressed_rejects_feature_count(tmp_path, capsys):
+    # 4 sites give 4 occupation features, which the compressed circuit
+    # cannot group into Euler triples
+    out = tmp_path / "artifacts"
+    code, _, err = run(capsys, "train", "--ansatz", "compressed", "--sites",
+                       "4", "--bosons", "3", "--U", "2", "--out-dir", str(out))
+    assert code == 1
+    assert "feature count divisible by 3, got 4" in err
+    assert not out.exists()
+
+
+def test_train_rejects_negative_layers(tmp_path, capsys):
+    out = tmp_path / "artifacts"
+    code, _, err = run(capsys, "train", "--ansatz", "quat", "--layers", "-1",
+                       "--U", "2", "--out-dir", str(out))
+    assert code == 1
+    assert "layer count must be >= 0, got -1" in err
+    assert not out.exists()
+
+
 def test_train_nn(tmp_path, capsys):
     code, stdout, _ = run(capsys, "train", "--ansatz", "nn", "--U", "2",
                           "--steps", "200", "--out-dir", str(tmp_path))

@@ -1,26 +1,61 @@
-"""Backend equivalence: the numba lane and the numpy fallback must agree."""
+"""The gate-table kernel against the scalar circuit oracle and finite differences."""
 import numpy as np
 import pytest
 
 from bosehub import _kernels
-from bosehub.circuit import init_params
+from bosehub.circuit import init_params, run_circuit
+
+CASES = [("compressed", 0), ("compressed", 1), ("compressed", 5),
+         ("quat", 0), ("quat", 1), ("quat", 4)]
 
 
-@pytest.mark.parametrize("kind,layers", [("compressed", 1), ("compressed", 5),
-                                         ("quat", 1), ("quat", 4)])
-def test_backends_agree(kind, layers):
-    if _kernels.BACKEND != "numba":
-        pytest.skip("numba backend not active")
+def _case(kind, layers):
     rng = np.random.default_rng(layers)
     params = init_params(kind, layers, rng, scale=1.5)
-    X = rng.uniform(-2.0, 2.0, (11, 6))
-    jit_fn = _kernels._compressed_loop if kind == "compressed" else _kernels._quat_loop
-    np_fn = _kernels._compressed_numpy if kind == "compressed" else _kernels._quat_numpy
+    return params, rng.uniform(-2.0, 2.0, (11, 6))
+
+
+@pytest.mark.parametrize("kind,layers", CASES)
+def test_matches_scalar_oracle(kind, layers):
+    params, X = _case(kind, layers)
+    states = [run_circuit(params, x) for x in X]
     for want_grad in (False, True):
-        out_jit = jit_fn(params.values, X, want_grad)
-        out_np = np_fn(params.values, X, want_grad)
-        for a, b in zip(out_jit, out_np):
-            np.testing.assert_allclose(a, b, atol=1e-13, rtol=0)
+        p0, sx, _, _ = _kernels.circuit_batch(kind, params.values, X,
+                                              want_grad)
+        np.testing.assert_allclose(p0, [st.prob0 for st in states],
+                                   atol=1e-12, rtol=0)
+        np.testing.assert_allclose(sx, [st.sigma_x for st in states],
+                                   atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("kind,layers", CASES)
+def test_jacobians_match_central_differences(kind, layers):
+    params, X = _case(kind, layers)
+    _, _, dp0, dsx = _kernels.circuit_batch(kind, params.values, X)
+    assert dp0.shape == dsx.shape == (X.shape[0], params.n_params)
+    h = 1e-5
+    for k in range(params.n_params):
+        step = np.zeros(params.n_params)
+        step[k] = h
+        plus = _kernels.circuit_batch(kind, params.values + step, X, False)
+        minus = _kernels.circuit_batch(kind, params.values - step, X, False)
+        np.testing.assert_allclose(dp0[:, k], (plus[0] - minus[0]) / (2 * h),
+                                   atol=1e-8, rtol=0)
+        np.testing.assert_allclose(dsx[:, k], (plus[1] - minus[1]) / (2 * h),
+                                   atol=1e-8, rtol=0)
+
+
+def test_compressed_feature_count_rule():
+    with pytest.raises(ValueError, match="feature count divisible by 3, got 4"):
+        _kernels.circuit_batch("compressed", np.zeros(5), np.zeros((2, 4)))
+    # quat folds any feature count into one angle per layer
+    p0, _, _, _ = _kernels.circuit_batch("quat", np.zeros(6), np.zeros((2, 4)))
+    np.testing.assert_array_equal(p0, 1.0)
+
+
+def test_partial_layer_rejected():
+    with pytest.raises(ValueError, match="hold 8 values each, got 9"):
+        _kernels.circuit_batch("quat", np.zeros(9), np.zeros((1, 6)))
 
 
 def test_zero_layer_edge_case():
