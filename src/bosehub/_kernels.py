@@ -1,10 +1,11 @@
 """Single-qubit circuit kernel: one gate table, one adjoint sweep.
 
 Both Ansatz kinds are sequences of Rz/Ry rotations whose angles are linear
-in the flat parameters. ``gate_table`` describes a batch of B circuits as an
-axis flag per gate, shape (G,), and a map ``A`` of shape (B, G, P) from the
-P parameters to the gate angles, ``theta = A @ values``. It is the only code
-that knows each kind's layer layout:
+in the flat parameters, and every layer has the same gates. ``gate_table``
+describes one layer for a batch of B circuits: an axis flag per gate, shape
+(g,), and a map ``block`` of shape (B, g, per) from the layer's ``per``
+parameters to its gate angles. It is the only code that knows each kind's
+layer layout:
 
 * compressed: ``nf`` gates per layer; gate ``fi`` is an Ry when
   ``fi % 3 == 1`` and an Rz otherwise, at angle ``b + w_fi * x_fi``;
@@ -14,7 +15,8 @@ that knows each kind's layer layout:
 after every gate, then runs backward carrying the <0| and <1| rows of the
 gates still to come. That gives dP(0)/dtheta_g and d<sigma_x>/dtheta_g for
 every gate at O(G) cost per row (adjoint differentiation, Jones & Gacon,
-arXiv:2009.02823); contracting with ``A`` gives the parameter Jacobians.
+arXiv:2009.02823); contracting each layer's slice with ``block`` gives the
+parameter Jacobians.
 
 Kernel contract: ``(p0, sx, dp0, dsx) = circuit_batch(kind, values,
 features, want_grad)`` where ``p0`` is P(0)=|amp0|^2 per batch row, ``sx``
@@ -33,7 +35,8 @@ def backend() -> str:
 
 
 def gate_table(kind: str, n_params: int, X: np.ndarray):
-    """Axis flags (G,), True for Ry, and the angle map A (B, G, P)."""
+    """One layer's axis flags (g,), True for Ry, its angle map (B, g, per),
+    and the layer count."""
     B, nf = X.shape
     if kind == "compressed":
         if nf % 3 != 0:
@@ -58,12 +61,7 @@ def gate_table(kind: str, n_params: int, X: np.ndarray):
         raise ValueError(
             f"{kind} layers of {nf} features hold {per} values each, "
             f"got {n_params}")
-    layers = n_params // per
-    A = np.zeros((B, layers, layer_axes.size, layers, per))
-    diag = np.arange(layers)
-    A[:, diag, :, diag, :] = block
-    return (np.tile(layer_axes, layers),
-            A.reshape(B, layers * layer_axes.size, n_params))
+    return layer_axes, block, n_params // per
 
 
 def _sweep(axes: np.ndarray, theta: np.ndarray, want_grad: bool):
@@ -74,42 +72,45 @@ def _sweep(axes: np.ndarray, theta: np.ndarray, want_grad: bool):
     """
     B, G = theta.shape
     half = 0.5 * theta.T
+    # gate-major (G, B): Ry = [[c, -s], [s, c]], Rz = diag(ph, conj(ph))
     c, s = np.cos(half), np.sin(half)
-    ry = axes[:, None]
-    # gate-major (G, B, 2, 2): Ry real, Rz = diag(e^{-i t/2}, e^{i t/2})
-    U = np.empty((G, B, 2, 2), np.complex128)
-    U[..., 0, 0] = np.where(ry, c, c - 1j * s)
-    U[..., 1, 1] = np.where(ry, c, c + 1j * s)
-    U[..., 0, 1] = np.where(ry, -s, 0.0)
-    U[..., 1, 0] = np.where(ry, s, 0.0)
-    psi = np.zeros((B, 2, 1), np.complex128)
-    psi[:, 0] = 1.0
-    states = np.empty((G, B, 2, 1), np.complex128) if want_grad else None
+    ph = c - 1j * s
+    phc = np.conj(ph)
+    a0 = np.ones(B, np.complex128)
+    a1 = np.zeros(B, np.complex128)
+    if want_grad:
+        st0 = np.empty((G, B), np.complex128)
+        st1 = np.empty((G, B), np.complex128)
     for g in range(G):
-        psi = U[g] @ psi
+        if axes[g]:
+            a0, a1 = c[g] * a0 - s[g] * a1, s[g] * a0 + c[g] * a1
+        else:
+            a0, a1 = ph[g] * a0, phc[g] * a1
         if want_grad:
-            states[g] = psi
-    a0, a1 = psi[:, 0, 0], psi[:, 1, 0]
+            st0[g], st1[g] = a0, a1
     p0 = np.abs(a0) ** 2
     sx = 2.0 * np.real(np.conj(a0) * a1)
     if not want_grad:
         return p0, sx, None
-    # rows[g, b, k] = <k| U_G ... U_{g+1}, carried back as column vectors
-    # (numpy's batched mat-vec is about 3x cheaper than its 2x2 mat-mat)
-    Ut = np.ascontiguousarray(U.swapaxes(-1, -2))[:, :, None]
-    rows = np.empty((G, B, 2, 2, 1), np.complex128)
-    r = np.broadcast_to(np.eye(2, dtype=np.complex128)[:, :, None],
-                        (B, 2, 2, 1))
+    # col_j[g, b, k] = <k| U_G ... U_{g+1} |j>, carried back gate by gate
+    c, s, ph, phc = (a[..., None] for a in (c, s, ph, phc))
+    col0 = np.empty((G, B, 2), np.complex128)
+    col1 = np.empty((G, B, 2), np.complex128)
+    r0 = np.zeros((B, 2), np.complex128)
+    r1 = np.zeros((B, 2), np.complex128)
+    r0[:, 0] = r1[:, 1] = 1.0
     for g in range(G - 1, -1, -1):
-        rows[g] = r
-        r = Ut[g] @ r
+        col0[g], col1[g] = r0, r1
+        if axes[g]:
+            r0, r1 = c[g] * r0 + s[g] * r1, c[g] * r1 - s[g] * r0
+        else:
+            r0, r1 = ph[g] * r0, phc[g] * r1
     # d psi / d theta_g = rows_g (-i/2 sigma_g) psi_g with sigma_g = Y or Z
-    st0, st1 = states[..., 0, 0], states[..., 1, 0]
-    gen0 = np.where(ry, -0.5 * st1, -0.5j * st0)
-    gen1 = np.where(ry, 0.5 * st0, 0.5j * st1)
-    rows = rows[..., 0]
-    d0 = rows[..., 0, 0] * gen0 + rows[..., 0, 1] * gen1
-    d1 = rows[..., 1, 0] * gen0 + rows[..., 1, 1] * gen1
+    ry = axes[:, None]
+    gen0 = np.where(ry, -0.5 * st1, -0.5j * st0)[..., None]
+    gen1 = np.where(ry, 0.5 * st0, 0.5j * st1)[..., None]
+    d = col0 * gen0 + col1 * gen1
+    d0, d1 = d[..., 0], d[..., 1]
     dtheta = np.empty((B, 2, G))
     dtheta[:, 0] = (2.0 * np.real(np.conj(a0) * d0)).T
     dtheta[:, 1] = (2.0 * np.real(np.conj(a1) * d0 + np.conj(a0) * d1)).T
@@ -124,10 +125,16 @@ def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    axes, A = gate_table(kind, values.size, X)
-    p0, sx, dtheta = _sweep(axes, A @ values, want_grad)
+    layer_axes, block, layers = gate_table(kind, values.size, X)
+    B, g, per = block.shape
+    # theta[b, l*g + k] = block[b, k] . values of layer l
+    theta = (block @ values.reshape(layers, per).T).transpose(0, 2, 1)
+    p0, sx, dtheta = _sweep(np.tile(layer_axes, layers),
+                            theta.reshape(B, layers * g), want_grad)
     if dtheta is None:
-        shape = (X.shape[0], values.size)
+        shape = (B, values.size)
         return p0, sx, np.zeros(shape), np.zeros(shape)
-    jac = dtheta @ A  # einsum('bkg,bgp->bkp', dtheta, A)
+    # einsum('bklg,bgp->bklp', dtheta, block) over each layer's gates
+    jac = dtheta.reshape(B, 2, layers, g) @ block[:, None]
+    jac = jac.reshape(B, 2, values.size)
     return p0, sx, jac[:, 0], jac[:, 1]
