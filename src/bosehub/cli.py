@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +151,6 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     ps.add_argument("--qubits", type=int, default=ro.DEFAULT_QUBITS)
     ps.add_argument("--error-min", type=float, default=ro.DEFAULT_ERROR_RANGE[0])
     ps.add_argument("--error-max", type=float, default=ro.DEFAULT_ERROR_RANGE[1])
-    ps.add_argument("--threads", type=int, default=1)
     ps.add_argument("--out", type=Path, default=None)
     ps.add_argument("--calibration-out", type=Path, default=None)
     ps.set_defaults(func=cmd_study_noise)
@@ -361,7 +359,7 @@ def cmd_study_noise(args) -> int:
         args.qubits, (args.error_min, args.error_max), seed=args.seed)
     layout = ro.replica_layout(n_qubits=args.qubits)
 
-    jobs = []
+    rows = []
     for ui, (u, ckpt) in enumerate(zip(u_values, checkpoints)):
         params = qc.from_json(Path(ckpt).read_text())
         h = _resolve_hamiltonian(
@@ -370,23 +368,12 @@ def cmd_study_noise(args) -> int:
         ideal = vr.rayleigh_energy(
             qc.batch_weights(params, basis_mod.feature_matrix(h.basis)), h)
         for trial in range(args.trials):
-            jobs.append((trial, ui, u, params, h, ideal))
-
-    def run(job):
-        trial, ui, u, params, h, ideal = job
-        rng = np.random.default_rng(
-            np.random.SeedSequence((args.seed, ui, trial)))
-        energies = ro.noisy_energies(params, h, device, layout, args.shots,
-                                     modes, rng)
-        return [(trial, mode.value, u, energies[mode], ideal)
-                for mode in modes]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            chunks = list(pool.map(run, jobs))
-    else:
-        chunks = [run(job) for job in jobs]
-    rows = [row for chunk in chunks for row in chunk]
+            rng = np.random.default_rng(
+                np.random.SeedSequence((args.seed, ui, trial)))
+            energies = ro.noisy_energies(params, h, device, layout,
+                                         args.shots, modes, rng)
+            rows.extend((trial, mode.value, u, energies[mode], ideal)
+                        for mode in modes)
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
     for trial, mode, u, energy, ideal in rows:
         print(f"run={trial} mode={mode} U={u:g} energy={energy:.5f} "

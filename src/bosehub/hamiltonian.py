@@ -2,10 +2,12 @@
 
 The model on a periodic ring: nearest-neighbor hopping of amplitude ``t``
 (both directions on each of the M bonds) plus on-site pair interaction
-``U/2 * n(n-1)``. Matrices are built over the full Fock basis or over a
-symmetry-reduced composite basis; a complex "deformed" variant multiplies the
-reduced hopping entries by conjugate phases to exercise complex wave
-functions while preserving hermiticity.
+``U/2 * n(n-1)``. Matrices over the full Fock basis and over the
+symmetry-reduced composite bases come from one assembly that applies the hops
+to each class representative, so the full-basis matrix is never needed for a
+reduced one; a complex "deformed" variant multiplies the reduced hopping
+entries by conjugate phases to exercise complex wave functions while
+preserving hermiticity.
 """
 from __future__ import annotations
 
@@ -18,9 +20,10 @@ from .basis import (
     BasisDescriptor,
     BasisKind,
     FockState,
+    PartitionError,
     SymmetryClass,
+    enumerate_fock,
     full_basis,
-    reduced_basis,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -125,38 +128,44 @@ def build_full(params: ModelParams,
         raise ValueError("build_full needs a full basis")
     if (basis.sites, basis.bosons) != (params.sites, params.bosons):
         raise ValueError("basis does not match model parameters")
-
-    states = basis.representatives()
-    index = {s: i for i, s in enumerate(states)}
-    dim = len(states)
-    h = np.zeros((dim, dim))
-    for state, col in index.items():
-        h[col, col] = 0.5 * params.U * interaction_energy(state)
-        for target, amp in _hops(state, params.sites):
-            h[index[target], col] += -params.t * amp
-    return HamiltonianMatrix(h, basis, params)
+    return HamiltonianMatrix(_assemble(params, basis), basis, params)
 
 
 def build_reduced(params: ModelParams,
                   basis: BasisDescriptor) -> HamiltonianMatrix:
-    """Project the full Hamiltonian onto normalized composite class states.
+    """Hamiltonian over normalized composite class states.
 
     With |C> = m_C^{-1/2} sum_{s in C} |s>, the entry is
-    sqrt(m_C/m_C') * sum_{s' in C'} <rep_C|H|s'>; the minimum eigenvalue
-    matches the full matrix because the ground state is symmetric under the
-    generating group.
+    <C'|H|C> = sqrt(m_C/m_C') * sum_{s' in C'} <s'|H|rep_C>, so only the
+    representative's hops are needed; the minimum eigenvalue matches the full
+    matrix because the ground state is symmetric under the generating group.
     """
     if params.phi != 0.0:
         raise ValueError("use build_deformed for phi != 0")
-    if basis.kind is BasisKind.FULL:
-        return build_full(params, basis)
-    full = full_basis(params.sites, params.bosons)
-    _check_partition(basis.classes, full.representatives())
-    h_full = build_full(params, full).matrix
-    projector = _class_projector(basis.classes, full.representatives())
-    h = projector.T @ h_full @ projector
-    h = 0.5 * (h + h.T)  # scrub projection round-off
+    states = enumerate_fock(params.sites, params.bosons)
+    _check_partition(basis.classes, states)
+    h = _assemble(params, basis)
+    if basis.kind is not BasisKind.FULL:
+        h = 0.5 * (h + h.T)  # scrub round-off between mirrored entries
     return HamiltonianMatrix(h, basis, params)
+
+
+def _assemble(params: ModelParams, basis: BasisDescriptor) -> np.ndarray:
+    """Class-basis matrix from each representative's diagonal and hops.
+
+    The full basis is the case where every class has one member.
+    """
+    class_of = {s: c for c, cls in enumerate(basis.classes)
+                for s in cls.members}
+    mult = basis.multiplicities()
+    h = np.zeros((basis.dim, basis.dim))
+    for col, cls in enumerate(basis.classes):
+        rep = cls.representative
+        h[col, col] = 0.5 * params.U * interaction_energy(rep)
+        for target, amp in _hops(rep, params.sites):
+            row = class_of[target]
+            h[row, col] += np.sqrt(mult[col] / mult[row]) * (-params.t * amp)
+    return h
 
 
 def build_deformed(params: ModelParams, basis: BasisDescriptor,
@@ -182,13 +191,9 @@ def build_deformed(params: ModelParams, basis: BasisDescriptor,
         return base
     ranks = deformation_ranks(basis.classes, orientation)
     phase = np.exp(1j * params.phi)
-    deformed = base.matrix.astype(complex)
-    n = deformed.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            deformed[i, j] *= phase if ranks[i] < ranks[j] else np.conj(phase)
+    factor = np.where(ranks[:, None] < ranks[None, :], phase, np.conj(phase))
+    np.fill_diagonal(factor, 1.0)
+    deformed = base.matrix.astype(complex) * factor
     return HamiltonianMatrix(deformed, basis, params)
 
 
@@ -270,20 +275,7 @@ def min_eigenvalue_power(h: HamiltonianMatrix, max_iter: int = 20000,
     )
 
 
-def _class_projector(classes: tuple[SymmetryClass, ...],
-                     states: list[FockState]) -> np.ndarray:
-    index = {s: i for i, s in enumerate(states)}
-    proj = np.zeros((len(states), len(classes)))
-    for c, cls in enumerate(classes):
-        weight = 1.0 / np.sqrt(cls.multiplicity)
-        for member in cls.members:
-            proj[index[member], c] = weight
-    return proj
-
-
 def _check_partition(classes, states) -> None:
-    from .basis import PartitionError
-
     flat = [m for cls in classes for m in cls.members]
     if len(flat) != len(set(flat)) or set(flat) != set(states):
         raise PartitionError("classes do not partition the full basis")

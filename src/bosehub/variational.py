@@ -51,13 +51,10 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    theta: np.ndarray
+    theta: np.ndarray  # the parameters that reached final_energy
     energies: np.ndarray  # energy before each update plus the final one
     seed: int
-
-    @property
-    def final_energy(self) -> float:
-        return float(self.energies[-1])
+    final_energy: float  # lowest energy of the run
 
 
 def rayleigh_energy(coeffs, h: HamiltonianMatrix) -> float:
@@ -173,6 +170,8 @@ class CircuitAnsatz:
 def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
     """Full-basis Adam minimization of the Rayleigh energy.
 
+    Adam at a constant learning rate can spike away from a minimum it has
+    reached, so each run returns its lowest-energy iterate, not its last.
     With ``cfg.restarts > 1`` the run is repeated from seeds
     ``seed, seed+1, ...`` and the lowest final energy wins (single-qubit
     landscapes have local minima). Deterministic for a fixed config.
@@ -193,6 +192,7 @@ def _train_once(ansatz, h, cfg: TrainConfig) -> TrainResult:
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     energies = np.empty(cfg.steps + 1)
+    best_energy, best_theta = np.inf, theta
     for step in range(1, cfg.steps + 1):
         energy, grad, _ = ansatz.energy_gradient(theta, h)
         energies[step - 1] = energy
@@ -200,15 +200,20 @@ def _train_once(ansatz, h, cfg: TrainConfig) -> TrainResult:
             raise TrainingDiverged(
                 f"energy became non-finite at step {step}",
                 energies[:step])
+        if energy < best_energy:
+            best_energy, best_theta = energy, theta
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
         m_hat = m / (1.0 - cfg.beta1 ** step)
         v_hat = v / (1.0 - cfg.beta2 ** step)
         theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    energies[cfg.steps] = rayleigh_energy(ansatz.coefficients(theta), h)
-    if not np.isfinite(energies[cfg.steps]):
+    energy = rayleigh_energy(ansatz.coefficients(theta), h)
+    energies[cfg.steps] = energy
+    if not np.isfinite(energy):
         raise TrainingDiverged("final energy non-finite", energies[:-1])
-    return TrainResult(theta, energies, cfg.seed)
+    if energy < best_energy:
+        best_energy, best_theta = energy, theta
+    return TrainResult(best_theta, energies, cfg.seed, best_energy)
 
 
 def layer_study(kind: str, layer_counts, h: HamiltonianMatrix,

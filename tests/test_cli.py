@@ -174,19 +174,26 @@ def test_study_noise_checkpoint_count_mismatch(tmp_path, capsys):
     assert code == 1
 
 
-def test_threads_flag_reduces_deterministically(tmp_path, capsys):
+def test_study_noise_deterministic(tmp_path, capsys):
     run(capsys, "train", "--ansatz", "quat", "--layers", "2", "--U", "5",
         "--steps", "30", "--out-dir", str(tmp_path))
     ckpt = tmp_path / "quat_U5_checkpoint.json"
     outs = []
-    for threads in ("1", "3"):
-        out = tmp_path / f"noise_{threads}.csv"
+    for attempt in ("a", "b"):
+        out = tmp_path / f"noise_{attempt}.csv"
         code, _, _ = run(capsys, "study", "noise", "--checkpoint", str(ckpt),
                          "--U", "5", "--shots", "300", "--trials", "3",
-                         "--threads", threads, "--out", str(out))
+                         "--out", str(out))
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_study_noise_rejects_threads_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["study", "noise", "--checkpoint", str(tmp_path / "c.json"),
+                  "--U", "5", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_check_flag(capsys):

@@ -1,7 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bosehub.basis import BasisKind, full_basis, reduced_basis
+from bosehub.basis import (
+    BasisDescriptor,
+    BasisKind,
+    PartitionError,
+    full_basis,
+    reduced_basis,
+)
 from bosehub.hamiltonian import (
     GroundState,
     HamiltonianMatrix,
@@ -64,22 +72,46 @@ def test_full_vs_reduced_equivalence(t, u, reduced26):
     assert abs(e_full - e_red) < 1e-9
 
 
-def test_reduced_matrix_matches_representative_row_formula(reduced26):
-    # independent route: entry H[C,C'] = sqrt(m_C/m_C') sum_{s' in C'}
-    # <rep_C|H_full|s'>, assembled without the projector
+@pytest.mark.parametrize("kind,dim", [(BasisKind.REDUCED, 26),
+                                      (BasisKind.TRANSLATION, 42)])
+def test_reduced_matrix_matches_representative_row_formula(kind, dim):
+    # dense reference: entry H[C,C'] = sqrt(m_C/m_C') sum_{s' in C'}
+    # <rep_C|H_full|s'>, read off the full-basis matrix
     params = ModelParams(1.0, 5.0, 6, 5)
+    basis = reduced_basis(6, 5, kind)
+    assert basis.dim == dim
     full = build_full(params)
     states = full.basis.representatives()
     index = {s: i for i, s in enumerate(states)}
-    direct = np.zeros((26, 26))
-    for ci, cls in enumerate(reduced26.classes):
+    direct = np.zeros((dim, dim))
+    for ci, cls in enumerate(basis.classes):
         row = index[cls.representative]
-        for cj, other in enumerate(reduced26.classes):
+        for cj, other in enumerate(basis.classes):
             total = sum(full.matrix[row, index[s]] for s in other.members)
             direct[ci, cj] = np.sqrt(
                 cls.multiplicity / other.multiplicity) * total
-    projected = build_reduced(params, reduced26).matrix
-    np.testing.assert_allclose(projected, direct, atol=1e-10)
+    built = build_reduced(params, basis).matrix
+    np.testing.assert_allclose(built, direct, atol=1e-10)
+
+
+def test_reduced_build_skips_the_full_matrix():
+    # 8 sites / 8 bosons: 6435 states in 440 classes; a dense full-basis
+    # matrix alone would take 331 MB
+    basis = reduced_basis(8, 8)
+    tracemalloc.start()
+    try:
+        h = build_reduced(ModelParams(1.0, 5.0, 8, 8), basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.dim == 440
+    assert peak < 50e6
+
+
+def test_reduced_build_rejects_incomplete_classes(reduced26):
+    broken = BasisDescriptor(BasisKind.REDUCED, reduced26.classes[:-1], 6, 5)
+    with pytest.raises(PartitionError):
+        build_reduced(ModelParams(1.0, 5.0, 6, 5), broken)
 
 
 @pytest.mark.parametrize("sites,bosons", [(4, 3), (5, 4), (8, 3)])

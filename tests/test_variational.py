@@ -162,6 +162,18 @@ def test_training_deterministic(h_reduced):
     np.testing.assert_array_equal(a.theta, b.theta)
 
 
+def test_training_returns_lowest_iterate(h_reduced):
+    # at this seed Adam reaches its lowest energy at step 43 and then
+    # overshoots, ending 1.6e-3 higher
+    h = h_reduced(U=2.0)
+    ansatz = CircuitAnsatz(h, "quat", 2)
+    result = train(ansatz, h, TrainConfig(steps=60, seed=1))
+    assert result.energies[-1] > result.energies.min() + 1e-4
+    assert result.final_energy == result.energies.min()
+    assert rayleigh_energy(ansatz.coefficients(result.theta), h) == \
+        pytest.approx(result.final_energy, abs=1e-12)
+
+
 def test_restarts_never_hurt(h_reduced):
     h = h_reduced(U=8.0)
     single = train(CircuitAnsatz(h, "compressed", 3), h,
@@ -235,7 +247,8 @@ def test_layer_study_published_values(h_reduced):
 
 
 def test_trace_csv(tmp_path):
-    result = TrainResult(np.zeros(3), np.array([1.0, 0.5, 0.25]), seed=0)
+    result = TrainResult(np.zeros(3), np.array([1.0, 0.5, 0.25]), seed=0,
+                         final_energy=0.25)
     path = tmp_path / "trace.csv"
     write_trace_csv(result, 0.2, path)
     lines = path.read_text().strip().splitlines()
