@@ -1,4 +1,4 @@
-"""Single-qubit circuit kernel: one gate table, one adjoint sweep.
+"""Single-qubit circuit kernel: one gate table, one forward sweep.
 
 Both Ansatz kinds are sequences of Rz/Ry rotations whose angles are linear
 in the flat parameters, and every layer has the same gates. ``gate_table``
@@ -11,12 +11,14 @@ layer layout:
   ``fi % 3 == 1`` and an Rz otherwise, at angle ``b + w_fi * x_fi``;
 * quat: ``Rz(2 (w.x + b))`` then ``Ry(2 phi)`` per layer.
 
-``_sweep`` runs the gates forward on |0>. With gradients it stores the state
-after every gate, then runs backward carrying the <0| and <1| rows of the
-gates still to come. That gives dP(0)/dtheta_g and d<sigma_x>/dtheta_g for
-every gate at O(G) cost per row (adjoint differentiation, Jones & Gacon,
-arXiv:2009.02823); contracting each layer's slice with ``block`` gives the
-parameter Jacobians.
+``_sweep`` runs the gates forward on |0> and, with gradients, stores the
+state psi_g after every gate. Ry and Rz have determinant 1, so each prefix
+P_g = U_g ... U_1 is in SU(2) and fixed by psi_g = P_g|0>:
+P_g = [[psi_g0, -conj psi_g1], [psi_g1, conj psi_g0]]. The gates after g are
+P_G P_g^dag, which gives dP(0)/dtheta_g and d<sigma_x>/dtheta_g for every gate
+in closed form, with no backward pass (the per-gate terms of adjoint
+differentiation, Jones & Gacon, arXiv:2009.02823). A gate outside SU(2) would
+break this. Contracting each layer's slice with ``block`` gives the Jacobians.
 
 Kernel contract: ``(p0, sx, dp0, dsx) = circuit_batch(kind, values,
 features, want_grad)`` where ``p0`` is P(0)=|amp0|^2 per batch row, ``sx``
@@ -92,25 +94,15 @@ def _sweep(axes: np.ndarray, theta: np.ndarray, want_grad: bool):
     sx = 2.0 * np.real(np.conj(a0) * a1)
     if not want_grad:
         return p0, sx, None
-    # col_j[g, b, k] = <k| U_G ... U_{g+1} |j>, carried back gate by gate
-    c, s, ph, phc = (a[..., None] for a in (c, s, ph, phc))
-    col0 = np.empty((G, B, 2), np.complex128)
-    col1 = np.empty((G, B, 2), np.complex128)
-    r0 = np.zeros((B, 2), np.complex128)
-    r1 = np.zeros((B, 2), np.complex128)
-    r0[:, 0] = r1[:, 1] = 1.0
-    for g in range(G - 1, -1, -1):
-        col0[g], col1[g] = r0, r1
-        if axes[g]:
-            r0, r1 = c[g] * r0 + s[g] * r1, c[g] * r1 - s[g] * r0
-        else:
-            r0, r1 = ph[g] * r0, phc[g] * r1
-    # d psi / d theta_g = rows_g (-i/2 sigma_g) psi_g with sigma_g = Y or Z
+    # d psi / d theta_g = P_G P_g^dag w, w = (-i/2 sigma_g) psi_g with sigma_g
+    # = Y or Z; P_g = [[st0, -conj st1], [st1, conj st0]], P_G from (a0, a1)
     ry = axes[:, None]
-    gen0 = np.where(ry, -0.5 * st1, -0.5j * st0)[..., None]
-    gen1 = np.where(ry, 0.5 * st0, 0.5j * st1)[..., None]
-    d = col0 * gen0 + col1 * gen1
-    d0, d1 = d[..., 0], d[..., 1]
+    w0 = np.where(ry, -0.5 * st1, -0.5j * st0)
+    w1 = np.where(ry, 0.5 * st0, 0.5j * st1)
+    v0 = np.conj(st0) * w0 + np.conj(st1) * w1
+    v1 = st0 * w1 - st1 * w0
+    d0 = a0 * v0 - np.conj(a1) * v1
+    d1 = a1 * v0 + np.conj(a0) * v1
     dtheta = np.empty((B, 2, G))
     dtheta[:, 0] = (2.0 * np.real(np.conj(a0) * d0)).T
     dtheta[:, 1] = (2.0 * np.real(np.conj(a1) * d0 + np.conj(a0) * d1)).T

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -114,8 +115,10 @@ def translation_orbits(basis: list[FockState]) -> list[SymmetryClass]:
     Orbits are returned sorted by representative; each orbit's size divides
     the number of sites.
     """
-    _check_complete(basis)
+    if not basis:
+        raise PartitionError("empty basis")
     sites = len(basis[0])
+    check_partition(basis, sites, sum(basis[0]))
     seen: set[FockState] = set()
     orbits: list[SymmetryClass] = []
     for state in basis:
@@ -196,17 +199,22 @@ def feature_matrix(descriptor: BasisDescriptor, raw: bool = False) -> np.ndarray
     return reps - descriptor.bosons / descriptor.sites
 
 
-def _check_complete(basis: list[FockState]) -> None:
-    if not basis:
-        raise PartitionError("empty basis")
-    sites = len(basis[0])
-    bosons = sum(basis[0])
-    expected = comb(bosons + sites - 1, bosons)
-    if len(set(basis)) != expected or any(
-        len(s) != sites or sum(s) != bosons or min(s) < 0 for s in basis
-    ):
+def check_partition(states: list[FockState], sites: int, bosons: int) -> None:
+    """Raise PartitionError unless ``states`` lists every Fock state of
+    ``bosons`` on ``sites`` sites exactly once.
+
+    Distinct states of ``sites`` occupations in 0..bosons that sum to
+    ``bosons``, as many as C(bosons + sites - 1, bosons), are the whole basis,
+    so the basis is never enumerated.
+    """
+    if not (len(states) == comb(bosons + sites - 1, bosons)
+            and len(set(states)) == len(states)
+            and set(map(len, states)) <= {sites}
+            and set(chain.from_iterable(states)) <= set(range(bosons + 1))
+            and set(map(sum, states)) <= {bosons}):
         raise PartitionError(
-            f"basis is not the complete Fock set for sites={sites}, bosons={bosons}"
+            f"states do not partition the Fock basis for sites={sites}, "
+            f"bosons={bosons}"
         )
 
 

@@ -190,7 +190,7 @@ def complex_weight_of(params: CircuitParams, features) -> complex:
 
 
 def gradient(params: CircuitParams, features) -> np.ndarray:
-    """Exact dP(0)/dtheta for every flat parameter (adjoint sweep)."""
+    """Exact dP(0)/dtheta for every flat parameter (closed-form kernel)."""
     x = _check_features(params, features)
     _, _, dp0, _ = _kernels.circuit_batch(params.kind, params.values,
                                           x[None, :], want_grad=True)

@@ -20,9 +20,8 @@ from .basis import (
     BasisDescriptor,
     BasisKind,
     FockState,
-    PartitionError,
     SymmetryClass,
-    enumerate_fock,
+    check_partition,
     full_basis,
 )
 
@@ -142,8 +141,8 @@ def build_reduced(params: ModelParams,
     """
     if params.phi != 0.0:
         raise ValueError("use build_deformed for phi != 0")
-    states = enumerate_fock(params.sites, params.bosons)
-    _check_partition(basis.classes, states)
+    check_partition([m for cls in basis.classes for m in cls.members],
+                    params.sites, params.bosons)
     h = _assemble(params, basis)
     if basis.kind is not BasisKind.FULL:
         h = 0.5 * (h + h.T)  # scrub round-off between mirrored entries
@@ -273,12 +272,6 @@ def min_eigenvalue_power(h: HamiltonianMatrix, max_iter: int = 20000,
         f"power iteration did not converge in {max_iter} steps "
         f"(last delta {abs(energy - last):.2e})"
     )
-
-
-def _check_partition(classes, states) -> None:
-    flat = [m for cls in classes for m in cls.members]
-    if len(flat) != len(set(flat)) or set(flat) != set(states):
-        raise PartitionError("classes do not partition the full basis")
 
 
 def write_matrix_coo(h: HamiltonianMatrix, path) -> None:

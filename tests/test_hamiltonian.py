@@ -7,6 +7,7 @@ from bosehub.basis import (
     BasisDescriptor,
     BasisKind,
     PartitionError,
+    SymmetryClass,
     full_basis,
     reduced_basis,
 )
@@ -112,6 +113,36 @@ def test_reduced_build_rejects_incomplete_classes(reduced26):
     broken = BasisDescriptor(BasisKind.REDUCED, reduced26.classes[:-1], 6, 5)
     with pytest.raises(PartitionError):
         build_reduced(ModelParams(1.0, 5.0, 6, 5), broken)
+
+
+def _replace_member(classes, index, old, new):
+    members = tuple(sorted(new if m == old else m
+                           for m in classes[index].members))
+    return (classes[:index] + (SymmetryClass(members[0], members),)
+            + classes[index + 1:])
+
+
+@pytest.mark.parametrize("case", ["wrong_boson_count", "wrong_length",
+                                  "negative_occupation", "fractional_occupation",
+                                  "member_in_two_classes", "other_site_count"])
+def test_reduced_build_rejects_non_partitions(reduced26, case):
+    # all but the last keep the member count at C(10, 5) = 252, so only the
+    # state check or the repeat check can catch them
+    classes = reduced26.classes
+    last = classes[-1].members[-1]
+    swap_in = {"wrong_boson_count": (5, 1, 0, 0, 0, 0),
+               "wrong_length": (5, 0, 0, 0, 0),
+               "negative_occupation": (5, 1, -1, 0, 0, 0),
+               "fractional_occupation": (0.5, 4.5, 0, 0, 0, 0),
+               "member_in_two_classes": classes[0].members[0]}
+    if case in swap_in:
+        classes = _replace_member(classes, len(classes) - 1, last,
+                                  swap_in[case])
+    else:
+        classes = reduced_basis(5, 5).classes
+    basis = BasisDescriptor(BasisKind.REDUCED, classes, 6, 5)
+    with pytest.raises(PartitionError):
+        build_reduced(ModelParams(1.0, 5.0, 6, 5), basis)
 
 
 @pytest.mark.parametrize("sites,bosons", [(4, 3), (5, 4), (8, 3)])

@@ -5,8 +5,11 @@ import pytest
 from bosehub import _kernels
 from bosehub.circuit import init_params, run_circuit
 
+# the last two are long circuits (360 and 400 gates): the closed-form
+# Jacobians need the accumulated prefixes to stay unitary
 CASES = [("compressed", 0), ("compressed", 1), ("compressed", 5),
-         ("quat", 0), ("quat", 1), ("quat", 4)]
+         ("quat", 0), ("quat", 1), ("quat", 4),
+         ("compressed", 60), ("quat", 200)]
 
 
 def _case(kind, layers):
@@ -34,7 +37,9 @@ def test_jacobians_match_central_differences(kind, layers):
     _, _, dp0, dsx = _kernels.circuit_batch(kind, params.values, X)
     assert dp0.shape == dsx.shape == (X.shape[0], params.n_params)
     h = 1e-5
-    for k in range(params.n_params):
+    # every parameter of the short circuits, a seeded 40 of the long ones
+    sample = np.random.default_rng(layers).permutation(params.n_params)[:40]
+    for k in sample:
         step = np.zeros(params.n_params)
         step[k] = h
         plus = _kernels.circuit_batch(kind, params.values + step, X, False)
