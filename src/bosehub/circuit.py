@@ -10,9 +10,7 @@ activation function.
 
 The circuit output used as a wave-function weight is P(0) = (1+<sigma_z>)/2.
 For complex coefficients the same final state also supplies <sigma_x> and the
-weight becomes P(0) * exp(i*pi*<sigma_x>). A signed readout variant
-(<sigma_z> itself in [-1, 1]) is available through ``readout="sz"`` on the
-batch helpers.
+weight becomes P(0) * exp(i*pi*<sigma_x>).
 """
 from __future__ import annotations
 
@@ -197,13 +195,12 @@ def gradient(params: CircuitParams, features) -> np.ndarray:
     return dp0[0].copy()
 
 
-def batch_weights(params: CircuitParams, features_matrix,
-                  readout: str = "p0") -> np.ndarray:
-    """P(0) (or <sigma_z> with readout="sz") for every feature row."""
+def batch_weights(params: CircuitParams, features_matrix) -> np.ndarray:
+    """P(0) for every feature row."""
     X = _check_matrix(params, features_matrix)
     p0, _, _, _ = _kernels.circuit_batch(params.kind, params.values, X,
                                          want_grad=False)
-    return _apply_readout(p0, readout)
+    return p0
 
 
 def batch_complex_weights(params: CircuitParams, features_matrix) -> np.ndarray:
@@ -215,8 +212,7 @@ def batch_complex_weights(params: CircuitParams, features_matrix) -> np.ndarray:
 
 
 def batch_weights_and_jacobian(params: CircuitParams, features_matrix,
-                               complex_mode: bool = False,
-                               readout: str = "p0"):
+                               complex_mode: bool = False):
     """Coefficients and their parameter Jacobian for a feature batch.
 
     Real mode returns (c, J) with c = P(0) per row and J[b, k] = dc_b/dtheta_k.
@@ -227,7 +223,7 @@ def batch_weights_and_jacobian(params: CircuitParams, features_matrix,
     p0, sx, dp0, dsx = _kernels.circuit_batch(params.kind, params.values, X,
                                               want_grad=True)
     if not complex_mode:
-        return _apply_readout(p0, readout), _apply_readout_grad(dp0, readout)
+        return p0, dp0
     phase = np.exp(1j * np.pi * sx)
     c = p0 * phase
     jac = phase[:, None] * (dp0 + 1j * np.pi * p0[:, None] * dsx)
@@ -307,19 +303,3 @@ def _check_matrix(params: CircuitParams, features_matrix) -> np.ndarray:
             f"expected {params.n_features} feature columns, got {X.shape[1]}"
         )
     return X
-
-
-def _apply_readout(p0: np.ndarray, readout: str) -> np.ndarray:
-    if readout == "p0":
-        return p0
-    if readout == "sz":
-        return 2.0 * p0 - 1.0
-    raise ValueError(f"unknown readout {readout!r}")
-
-
-def _apply_readout_grad(dp0: np.ndarray, readout: str) -> np.ndarray:
-    if readout == "p0":
-        return dp0
-    if readout == "sz":
-        return 2.0 * dp0
-    raise ValueError(f"unknown readout {readout!r}")

@@ -3,11 +3,12 @@
 The model on a periodic ring: nearest-neighbor hopping of amplitude ``t``
 (both directions on each of the M bonds) plus on-site pair interaction
 ``U/2 * n(n-1)``. Matrices over the full Fock basis and over the
-symmetry-reduced composite bases come from one assembly that applies the hops
-to each class representative, so the full-basis matrix is never needed for a
-reduced one; a complex "deformed" variant multiplies the reduced hopping
-entries by conjugate phases to exercise complex wave functions while
-preserving hermiticity.
+symmetry-reduced composite bases come from one assembly: for each directed
+bond, the hop is applied at once to every class representative with a boson
+on the source site, and each target is placed in its class by its rank, so
+the full-basis matrix is never needed for a reduced one. A complex
+"deformed" variant multiplies the reduced hopping entries by conjugate
+phases to exercise complex wave functions while preserving hermiticity.
 """
 from __future__ import annotations
 
@@ -16,14 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (
-    BasisDescriptor,
-    BasisKind,
-    FockState,
-    SymmetryClass,
-    check_partition,
-    full_basis,
-)
+from .basis import BasisDescriptor, BasisKind, full_basis, rank
 
 HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -87,29 +81,10 @@ class GroundState:
     amplitudes: np.ndarray = field(repr=False)
 
 
-def interaction_energy(state: FockState) -> float:
-    """On-site pair energy sum n_i(n_i - 1) of one Fock state (U factored out)."""
-    return float(sum(n * (n - 1) for n in state))
-
-
-def _hops(state: FockState, sites: int):
-    """Yield (target_state, amplitude) for every directed hop on the ring.
-
-    Each of the M periodic bonds (i, i+1) contributes both directions. For a
-    single site there is no bond.
-    """
-    if sites < 2:
-        return
-    for bond in range(sites):
-        i, j = bond, (bond + 1) % sites
-        for dst, src in ((i, j), (j, i)):
-            if state[src] == 0:
-                continue
-            amp = np.sqrt(state[src] * (state[dst] + 1))
-            moved = list(state)
-            moved[src] -= 1
-            moved[dst] += 1
-            yield tuple(moved), amp
+def interaction_energy(states) -> np.ndarray:
+    """On-site pair energy sum_i n_i(n_i - 1) of each row (U factored out)."""
+    occ = np.asarray(states, dtype=float)
+    return (occ * (occ - 1.0)).sum(axis=-1)
 
 
 def build_full(params: ModelParams,
@@ -125,8 +100,6 @@ def build_full(params: ModelParams,
         basis = full_basis(params.sites, params.bosons)
     if basis.kind is not BasisKind.FULL:
         raise ValueError("build_full needs a full basis")
-    if (basis.sites, basis.bosons) != (params.sites, params.bosons):
-        raise ValueError("basis does not match model parameters")
     return HamiltonianMatrix(_assemble(params, basis), basis, params)
 
 
@@ -141,8 +114,6 @@ def build_reduced(params: ModelParams,
     """
     if params.phi != 0.0:
         raise ValueError("use build_deformed for phi != 0")
-    check_partition([m for cls in basis.classes for m in cls.members],
-                    params.sites, params.bosons)
     h = _assemble(params, basis)
     if basis.kind is not BasisKind.FULL:
         h = 0.5 * (h + h.T)  # scrub round-off between mirrored entries
@@ -152,18 +123,26 @@ def build_reduced(params: ModelParams,
 def _assemble(params: ModelParams, basis: BasisDescriptor) -> np.ndarray:
     """Class-basis matrix from each representative's diagonal and hops.
 
-    The full basis is the case where every class has one member.
+    The full basis is the case where every class has one member. Entries
+    accumulate bond by bond, in the order (i <- i+1, i+1 <- i) per bond.
     """
-    class_of = {s: c for c, cls in enumerate(basis.classes)
-                for s in cls.members}
+    if (basis.sites, basis.bosons) != (params.sites, params.bosons):
+        raise ValueError("basis does not match model parameters")
+    reps = basis.representatives()
     mult = basis.multiplicities()
-    h = np.zeros((basis.dim, basis.dim))
-    for col, cls in enumerate(basis.classes):
-        rep = cls.representative
-        h[col, col] = 0.5 * params.U * interaction_energy(rep)
-        for target, amp in _hops(rep, params.sites):
-            row = class_of[target]
-            h[row, col] += np.sqrt(mult[col] / mult[row]) * (-params.t * amp)
+    h = np.diag(0.5 * params.U * interaction_energy(reps))
+    m = params.sites
+    for i in range(m if m > 1 else 0):
+        j = (i + 1) % m
+        for dst, src in ((i, j), (j, i)):
+            col = np.flatnonzero(reps[:, src])
+            moved = reps[col]
+            amp = np.sqrt(moved[:, src] * (moved[:, dst] + 1.0))
+            moved[:, src] -= 1
+            moved[:, dst] += 1
+            row = basis.class_of[rank(moved, params.bosons)]
+            np.add.at(h, (row, col),
+                      np.sqrt(mult[col] / mult[row]) * (-params.t * amp))
     return h
 
 
@@ -188,7 +167,7 @@ def build_deformed(params: ModelParams, basis: BasisDescriptor,
     )
     if params.phi == 0.0:
         return base
-    ranks = deformation_ranks(basis.classes, orientation)
+    ranks = deformation_ranks(basis.representatives(), orientation)
     phase = np.exp(1j * params.phi)
     factor = np.where(ranks[:, None] < ranks[None, :], phase, np.conj(phase))
     np.fill_diagonal(factor, 1.0)
@@ -196,21 +175,19 @@ def build_deformed(params: ModelParams, basis: BasisDescriptor,
     return HamiltonianMatrix(deformed, basis, params)
 
 
-def deformation_ranks(classes: tuple[SymmetryClass, ...],
+def deformation_ranks(reps: np.ndarray,
                       orientation: str = "interaction") -> np.ndarray:
-    """Rank of each class in the phase-orientation order."""
-    n = len(classes)
+    """Rank of each class, given its representative row, in the
+    phase-orientation order."""
     if orientation == "interaction":
-        key = lambda c: (interaction_energy(classes[c].representative),
-                         tuple(-o for o in classes[c].representative))
+        keys = np.vstack([-reps.T[::-1], interaction_energy(reps)])
     elif orientation == "lex":
-        key = lambda c: classes[c].representative
+        keys = reps.T[::-1]
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
-    order = sorted(range(n), key=key)
-    ranks = np.empty(n, dtype=int)
-    for pos, c in enumerate(order):
-        ranks[c] = pos
+    order = np.lexsort(keys)
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(order))
     return ranks
 
 

@@ -19,6 +19,12 @@ from .basis import feature_matrix
 from .hamiltonian import HamiltonianMatrix
 
 
+# Adam moment decays and denominator guard, and the half-width of the uniform
+# parameter initialization
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+INIT_SCALE = 0.1
+
+
 class TrainingDiverged(RuntimeError):
     def __init__(self, message, trace):
         super().__init__(message)
@@ -31,20 +37,14 @@ class TrainConfig:
 
     steps: int
     learning_rate: float = 0.02
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     restarts: int = 1
-    init_scale: float = 0.1
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("Adam betas must lie in (0, 1)")
-        if self.epsilon <= 0 or self.learning_rate <= 0:
-            raise ValueError("epsilon and learning_rate must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -127,16 +127,12 @@ class CircuitAnsatz:
     """Circuit coefficients: P(0), or P(0) e^{i pi <sigma_x>} in complex mode."""
 
     def __init__(self, h: HamiltonianMatrix, kind: str, layers: int,
-                 complex_mode: bool = False, raw_features: bool = False,
-                 readout: str = "p0"):
+                 complex_mode: bool = False, raw_features: bool = False):
         self.features = feature_matrix(h.basis, raw=raw_features)
         self.kind = kind
         self.layers = layers
         self.complex_mode = complex_mode
-        self.readout = readout
         self.n_features = self.features.shape[1]
-        if complex_mode and readout != "p0":
-            raise ValueError("complex mode fixes the P(0) magnitude readout")
 
     @property
     def n_params(self) -> int:
@@ -152,13 +148,12 @@ class CircuitAnsatz:
     def coefficients(self, theta):
         if self.complex_mode:
             return qc.batch_complex_weights(self.params(theta), self.features)
-        return qc.batch_weights(self.params(theta), self.features,
-                                readout=self.readout)
+        return qc.batch_weights(self.params(theta), self.features)
 
     def energy_gradient(self, theta, h: HamiltonianMatrix):
         c, jac = qc.batch_weights_and_jacobian(
             self.params(theta), self.features,
-            complex_mode=self.complex_mode, readout=self.readout)
+            complex_mode=self.complex_mode)
         r, energy = rayleigh_residual(c, h)
         grad = 2.0 * np.real(np.conj(r) @ jac)
         return energy, grad, c
@@ -188,7 +183,7 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
 
 def _train_once(ansatz, h, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
-    theta = ansatz.initial_vector(rng, cfg.init_scale)
+    theta = ansatz.initial_vector(rng, INIT_SCALE)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     energies = np.empty(cfg.steps + 1)
@@ -202,11 +197,11 @@ def _train_once(ansatz, h, cfg: TrainConfig) -> TrainResult:
                 energies[:step])
         if energy < best_energy:
             best_energy, best_theta = energy, theta
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-        m_hat = m / (1.0 - cfg.beta1 ** step)
-        v_hat = v / (1.0 - cfg.beta2 ** step)
-        theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        m = BETA1 * m + (1.0 - BETA1) * grad
+        v = BETA2 * v + (1.0 - BETA2) * grad * grad
+        m_hat = m / (1.0 - BETA1 ** step)
+        v_hat = v / (1.0 - BETA2 ** step)
+        theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
     energy = rayleigh_energy(ansatz.coefficients(theta), h)
     energies[cfg.steps] = energy
     if not np.isfinite(energy):

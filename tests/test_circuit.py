@@ -307,13 +307,3 @@ def test_from_json_rejects_foreign_documents():
         qc.from_json(json.dumps({"format": "other", "version": 1}))
     with pytest.raises(ValueError):
         qc.from_json(json.dumps({"format": "bosehub-circuit", "version": 99}))
-
-
-def test_readout_variant():
-    values = np.zeros(8)
-    values[7] = np.pi / 4
-    params = qc.CircuitParams("quat", 1, values)
-    X = np.zeros((1, 6))
-    p0 = qc.batch_weights(params, X, readout="p0")[0]
-    sz = qc.batch_weights(params, X, readout="sz")[0]
-    assert sz == pytest.approx(2 * p0 - 1)

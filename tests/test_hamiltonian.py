@@ -7,7 +7,6 @@ from bosehub.basis import (
     BasisDescriptor,
     BasisKind,
     PartitionError,
-    SymmetryClass,
     full_basis,
     reduced_basis,
 )
@@ -31,8 +30,8 @@ TABLE1 = {2.0: -7.54752, 5.0: -5.46241, 8.0: -4.37439}
 
 def test_diagonal_entry_formula(h_full):
     h = h_full(U=2.0)
-    states = h.basis.representatives()
-    col = states.index((5, 0, 0, 0, 0, 0))
+    states = h.basis.representatives().tolist()
+    col = states.index([5, 0, 0, 0, 0, 0])
     assert h.matrix[col, col] == pytest.approx(20.0)
 
 
@@ -82,15 +81,17 @@ def test_reduced_matrix_matches_representative_row_formula(kind, dim):
     basis = reduced_basis(6, 5, kind)
     assert basis.dim == dim
     full = build_full(params)
-    states = full.basis.representatives()
+    states = map(tuple, full.basis.representatives().tolist())
     index = {s: i for i, s in enumerate(states)}
+    reps = basis.representatives().tolist()
+    mult = basis.multiplicities()
     direct = np.zeros((dim, dim))
-    for ci, cls in enumerate(basis.classes):
-        row = index[cls.representative]
-        for cj, other in enumerate(basis.classes):
-            total = sum(full.matrix[row, index[s]] for s in other.members)
-            direct[ci, cj] = np.sqrt(
-                cls.multiplicity / other.multiplicity) * total
+    for ci in range(dim):
+        row = index[tuple(reps[ci])]
+        for cj in range(dim):
+            members = basis.states[basis.class_of == cj].tolist()
+            total = sum(full.matrix[row, index[tuple(s)]] for s in members)
+            direct[ci, cj] = np.sqrt(mult[ci] / mult[cj]) * total
     built = build_reduced(params, basis).matrix
     np.testing.assert_allclose(built, direct, atol=1e-10)
 
@@ -110,38 +111,37 @@ def test_reduced_build_skips_the_full_matrix():
 
 
 def test_reduced_build_rejects_incomplete_classes(reduced26):
-    broken = BasisDescriptor(BasisKind.REDUCED, reduced26.classes[:-1], 6, 5)
+    keep = reduced26.class_of < reduced26.dim - 1
     with pytest.raises(PartitionError):
+        broken = BasisDescriptor(BasisKind.REDUCED, reduced26.states[keep],
+                                 reduced26.class_of[keep], 6, 5)
         build_reduced(ModelParams(1.0, 5.0, 6, 5), broken)
-
-
-def _replace_member(classes, index, old, new):
-    members = tuple(sorted(new if m == old else m
-                           for m in classes[index].members))
-    return (classes[:index] + (SymmetryClass(members[0], members),)
-            + classes[index + 1:])
 
 
 @pytest.mark.parametrize("case", ["wrong_boson_count", "wrong_length",
                                   "negative_occupation", "fractional_occupation",
                                   "member_in_two_classes", "other_site_count"])
 def test_reduced_build_rejects_non_partitions(reduced26, case):
-    # all but the last keep the member count at C(10, 5) = 252, so only the
-    # state check or the repeat check can catch them
-    classes = reduced26.classes
-    last = classes[-1].members[-1]
+    # all but the last keep the state count at C(10, 5) = 252; all but the
+    # last two swap one state, so only the state check or the repeat check
+    # can catch them. A wrong length is a seventh, empty site on every
+    # state, and a member in two classes is a repeated row.
+    states, class_of = reduced26.states, reduced26.class_of
     swap_in = {"wrong_boson_count": (5, 1, 0, 0, 0, 0),
-               "wrong_length": (5, 0, 0, 0, 0),
                "negative_occupation": (5, 1, -1, 0, 0, 0),
                "fractional_occupation": (0.5, 4.5, 0, 0, 0, 0),
-               "member_in_two_classes": classes[0].members[0]}
+               "member_in_two_classes": states[0]}
     if case in swap_in:
-        classes = _replace_member(classes, len(classes) - 1, last,
-                                  swap_in[case])
+        new = np.asarray(swap_in[case])
+        states = states.astype(np.result_type(states, new))
+        states[-1] = new
+    elif case == "wrong_length":
+        states = np.hstack([states, np.zeros_like(states[:, :1])])
     else:
-        classes = reduced_basis(5, 5).classes
-    basis = BasisDescriptor(BasisKind.REDUCED, classes, 6, 5)
+        other = reduced_basis(5, 5)
+        states, class_of = other.states, other.class_of
     with pytest.raises(PartitionError):
+        basis = BasisDescriptor(BasisKind.REDUCED, states, class_of, 6, 5)
         build_reduced(ModelParams(1.0, 5.0, 6, 5), basis)
 
 
@@ -151,6 +151,14 @@ def test_reduction_equivalence_other_lattices(sites, bosons):
     e_full = ground_state(build_full(params)).energy
     e_red = ground_state(
         build_reduced(params, reduced_basis(sites, bosons))).energy
+    assert abs(e_full - e_red) < 1e-9
+
+
+def test_forty_site_ring_beyond_a_packed_key():
+    # 3**40 > 2**63: a base-(bosons+1) integer key of a state would overflow
+    params = ModelParams(1.0, 5.0, 40, 2)
+    e_full = ground_state(build_full(params)).energy
+    e_red = ground_state(build_reduced(params, reduced_basis(40, 2))).energy
     assert abs(e_full - e_red) < 1e-9
 
 
@@ -293,15 +301,15 @@ def test_deformed_magnitudes_match_reduced(reduced26):
 
 def test_deformation_ranks_are_a_permutation(reduced26):
     for orientation in ("interaction", "lex"):
-        ranks = deformation_ranks(reduced26.classes, orientation)
+        ranks = deformation_ranks(reduced26.representatives(), orientation)
         assert sorted(ranks) == list(range(26))
     with pytest.raises(ValueError):
-        deformation_ranks(reduced26.classes, "bogus")
+        deformation_ranks(reduced26.representatives(), "bogus")
 
 
 def test_interaction_energy():
-    assert interaction_energy((5, 0, 0, 0, 0, 0)) == 20
-    assert interaction_energy((1, 1, 1, 1, 1, 0)) == 0
+    np.testing.assert_array_equal(
+        interaction_energy([[5, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 0]]), [20, 0])
 
 
 # --- dumps ---------------------------------------------------------------

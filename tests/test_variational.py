@@ -263,6 +263,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(steps=-1)
     with pytest.raises(ValueError):
-        TrainConfig(steps=1, beta1=1.5)
-    with pytest.raises(ValueError):
         TrainConfig(steps=1, restarts=0)
