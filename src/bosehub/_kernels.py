@@ -1,11 +1,12 @@
 """Single-qubit circuit kernel: one gate table, one forward sweep.
 
 Both Ansatz kinds are sequences of Rz/Ry rotations whose angles are linear
-in the flat parameters, and every layer has the same gates. ``gate_table``
-describes one layer for a batch of B circuits: an axis flag per gate, shape
-(g,), and a map ``block`` of shape (B, g, per) from the layer's ``per``
-parameters to its gate angles. It is the only code that knows each kind's
-layer layout:
+in the flat parameters, and every layer has the same gates. This module is
+the only code in the package that knows each kind's layer layout:
+``layer_size`` gives the parameters per layer, and ``gate_table`` describes
+one layer for a batch of B circuits: an axis flag per gate, shape (g,), and
+a map ``block`` of shape (B, g, per) from the layer's ``per`` parameters to
+its gate angles.
 
 * compressed: ``nf`` gates per layer; gate ``fi`` is an Ry when
   ``fi % 3 == 1`` and an Rz otherwise, at angle ``b + w_fi * x_fi``;
@@ -36,33 +37,40 @@ def backend() -> str:
     return "numpy"
 
 
-def gate_table(kind: str, n_params: int, X: np.ndarray):
-    """One layer's axis flags (g,), True for Ry, its angle map (B, g, per),
-    and the layer count."""
-    B, nf = X.shape
+def layer_size(kind: str, nf: int) -> int:
+    """Parameters per layer of ``nf`` features: compressed layers hold
+    (w_0..w_{nf-1}, b), quat layers (w_0..w_{nf-1}, b, phi)."""
     if kind == "compressed":
         if nf % 3 != 0:
             raise ValueError(
                 f"compressed circuits need a feature count divisible by 3, "
                 f"got {nf}")
-        per = nf + 1
-        block = np.zeros((B, nf, per))
-        block[:, np.arange(nf), np.arange(nf)] = X
-        block[:, :, nf] = 1.0
-        layer_axes = np.arange(nf) % 3 == 1
-    elif kind == "quat":
-        per = nf + 2
-        block = np.zeros((B, 2, per))
-        block[:, 0, :nf] = 2.0 * X
-        block[:, 0, nf] = 2.0
-        block[:, 1, nf + 1] = 2.0
-        layer_axes = np.array([False, True])
-    else:
-        raise ValueError(f"unknown circuit kind {kind!r}")
+        return nf + 1
+    if kind == "quat":
+        return nf + 2
+    raise ValueError(f"unknown circuit kind {kind!r}")
+
+
+def gate_table(kind: str, n_params: int, X: np.ndarray):
+    """One layer's axis flags (g,), True for Ry, its angle map (B, g, per),
+    and the layer count."""
+    B, nf = X.shape
+    per = layer_size(kind, nf)
     if n_params % per != 0:
         raise ValueError(
             f"{kind} layers of {nf} features hold {per} values each, "
             f"got {n_params}")
+    if kind == "compressed":
+        block = np.zeros((B, nf, per))
+        block[:, np.arange(nf), np.arange(nf)] = X
+        block[:, :, nf] = 1.0
+        layer_axes = np.arange(nf) % 3 == 1
+    else:
+        block = np.zeros((B, 2, per))
+        block[:, 0, :nf] = 2.0 * X
+        block[:, 0, nf] = 2.0
+        block[:, 1, -1] = 2.0
+        layer_axes = np.array([False, True])
     return layer_axes, block, n_params // per
 
 

@@ -1,4 +1,4 @@
-"""Single-qubit data-re-uploading circuits: states, layers, readout, sampling.
+"""Single-qubit data-re-uploading circuits: parameters, weights, sampling.
 
 Two circuit families share the interface. The "compressed" scheme packs the
 features into triples and feeds each triple, combined with weights and a
@@ -6,7 +6,9 @@ shared bias, into a general single-qubit unitary (Rz-Ry-Rz Euler form); a
 layer of M features applies M/3 such unitaries in order. The "quat" circuit
 folds all features into one variable y = w.x + b per layer and applies
 Rz(2y) followed by Ry(2*phi), the rotation angle phi acting like an
-activation function.
+activation function. ``_kernels`` holds both layer layouts and evaluates
+every circuit; this module validates parameters and features, shapes the
+kernel's outputs into weights, and serializes parameters.
 
 The circuit output used as a wave-function weight is P(0) = (1+<sigma_z>)/2.
 For complex coefficients the same final state also supplies <sigma_x> and the
@@ -21,45 +23,13 @@ import numpy as np
 
 from . import _kernels
 
-PARAMS_PER_LAYER = {"compressed": lambda nf: nf + 1, "quat": lambda nf: nf + 2}
 _FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class Qstate:
-    """Normalized single-qubit amplitudes."""
-
-    amp0: complex
-    amp1: complex
-
-    def __post_init__(self):
-        norm = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm} is not 1")
-
-    @property
-    def prob0(self) -> float:
-        return abs(self.amp0) ** 2
-
-    @property
-    def sigma_z(self) -> float:
-        return abs(self.amp0) ** 2 - abs(self.amp1) ** 2
-
-    @property
-    def sigma_x(self) -> float:
-        return 2.0 * (np.conj(self.amp0) * self.amp1).real
-
-
-ZERO = Qstate(1.0 + 0.0j, 0.0 + 0.0j)
-
-
-@dataclass(frozen=True)
 class CircuitParams:
-    """Flat layer-major variational parameters of one circuit.
-
-    Compressed layers hold (w_0..w_{M-1}, b); quat layers hold
-    (w_0..w_{M-1}, b, phi).
-    """
+    """Flat layer-major variational parameters of one circuit; each layer
+    holds ``_kernels.layer_size(kind, n_features)`` values."""
 
     kind: str
     layers: int
@@ -67,13 +37,12 @@ class CircuitParams:
     n_features: int = 6
 
     def __post_init__(self):
-        if self.kind not in PARAMS_PER_LAYER:
-            raise ValueError(f"unknown circuit kind {self.kind!r}")
+        per = _kernels.layer_size(self.kind, self.n_features)
         _check_layers(self.layers)
         object.__setattr__(
             self, "values", np.asarray(self.values, dtype=float).ravel()
         )
-        expected = self.layers * PARAMS_PER_LAYER[self.kind](self.n_features)
+        expected = self.layers * per
         if self.values.size != expected:
             raise ValueError(
                 f"{self.kind} with {self.layers} layers of {self.n_features} "
@@ -85,14 +54,6 @@ class CircuitParams:
     @property
     def n_params(self) -> int:
         return self.values.size
-
-    def layer(self, index: int):
-        """(weights, bias) or (weights, bias, phi) of one layer."""
-        per = PARAMS_PER_LAYER[self.kind](self.n_features)
-        chunk = self.values[index * per:(index + 1) * per]
-        if self.kind == "compressed":
-            return chunk[:-1], float(chunk[-1])
-        return chunk[:-2], float(chunk[-2]), float(chunk[-1])
 
 
 @dataclass(frozen=True)
@@ -115,60 +76,6 @@ class ShotResult:
     @property
     def frequency0(self) -> float:
         return self.count0 / self.shots
-
-
-def rot(state: Qstate, alpha: float, beta: float, gamma: float) -> Qstate:
-    """General unitary U = Rz(gamma) Ry(beta) Rz(alpha), rightmost first."""
-    a0, a1 = _rz(state.amp0, state.amp1, alpha)
-    a0, a1 = _ry(a0, a1, beta)
-    a0, a1 = _rz(a0, a1, gamma)
-    return Qstate(a0, a1)
-
-
-def compressed_layer_args(features, weights, bias: float) -> np.ndarray:
-    """Angle triples (b + w_i x_i) grouped three features at a time.
-
-    The same bias enters every slot. Shape (M/3, 3); the feature count must
-    be divisible by three.
-    """
-    x = np.asarray(features, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if x.size != w.size:
-        raise ValueError("features and weights must have equal length")
-    if x.size % 3 != 0:
-        raise ValueError(f"feature count {x.size} is not divisible by 3")
-    return (bias + w * x).reshape(-1, 3)
-
-
-def compressed_layer(state: Qstate, features, weights, bias: float) -> Qstate:
-    """Apply one compressed layer: the triple-0 unitary, then triple-1, ..."""
-    for alpha, beta, gamma in compressed_layer_args(features, weights, bias):
-        state = rot(state, alpha, beta, gamma)
-    return state
-
-
-def quat_layer(state: Qstate, features, weights, bias: float,
-               phi: float) -> Qstate:
-    """Apply Ry(2*phi) Rz(2*(w.x + b)), the Rz acting first."""
-    y = float(np.dot(np.asarray(weights, float), np.asarray(features, float))
-              + bias)
-    a0, a1 = _rz(state.amp0, state.amp1, 2.0 * y)
-    a0, a1 = _ry(a0, a1, 2.0 * phi)
-    return Qstate(a0, a1)
-
-
-def run_circuit(params: CircuitParams, features) -> Qstate:
-    """Apply all layers to |0> and return the final state."""
-    x = _check_features(params, features)
-    state = ZERO
-    for layer in range(params.layers):
-        if params.kind == "compressed":
-            w, b = params.layer(layer)
-            state = compressed_layer(state, x, w, b)
-        else:
-            w, b, ph = params.layer(layer)
-            state = quat_layer(state, x, w, b, ph)
-    return state
 
 
 def weight_of(params: CircuitParams, features) -> float:
@@ -244,7 +151,7 @@ def init_params(kind: str, layers: int, rng, scale: float = 0.1,
     """Uniform initialization in [-scale, scale]."""
     _check_layers(layers)
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    count = layers * PARAMS_PER_LAYER[kind](n_features)
+    count = layers * _kernels.layer_size(kind, n_features)
     return CircuitParams(kind, layers, rng.uniform(-scale, scale, count),
                          n_features)
 
@@ -270,16 +177,6 @@ def from_json(text: str) -> CircuitParams:
     return CircuitParams(data["kind"], data["layers"],
                          np.array(data["values"], dtype=float),
                          data["n_features"])
-
-
-def _rz(a0, a1, theta):
-    ph = np.exp(-0.5j * theta)
-    return a0 * ph, a1 * np.conj(ph)
-
-
-def _ry(a0, a1, theta):
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    return c * a0 - s * a1, s * a0 + c * a1
 
 
 def _check_features(params: CircuitParams, features) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Command-line harness: one subcommand per experiment family.
 
 Every table and figure of the study maps to one invocation emitting CSV/JSON
-artifacts; all commands are deterministic for a fixed --seed (default from
-the BOSEHUB_SEED environment variable). Energies echo with 5 decimals; files
-carry full precision.
+artifacts; every command that trains or samples is deterministic for a fixed
+--seed (default from the BOSEHUB_SEED environment variable). Energies echo
+with 5 decimals; files carry full precision.
 """
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="enumerate and dump a basis")
     leaves.append(p)
-    _common(p)
+    _common(p, seeded=False)
     p.add_argument("--kind", default="reduced",
                    choices=[k.value for k in basis_mod.BasisKind])
     p.add_argument("--out", type=Path, default=None)
@@ -91,7 +91,7 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact diagonalization")
     leaves.append(p)
-    _common(p)
+    _common(p, seeded=False)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--U", type=float, default=None)
     p.add_argument("--phi", type=float, default=0.0)
@@ -175,11 +175,12 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _common(p) -> None:
+def _common(p, seeded: bool = True) -> None:
     p.add_argument("--sites", type=int, default=DEFAULT_SITES)
     p.add_argument("--bosons", type=int, default=DEFAULT_BOSONS)
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("BOSEHUB_SEED", "0")))
+    if seeded:
+        p.add_argument("--seed", type=int,
+                       default=int(os.environ.get("BOSEHUB_SEED", "0")))
 
 
 def _train_flags(p, ansatz_choices=("nn", "compressed", "quat")) -> None:
@@ -246,6 +247,8 @@ def cmd_basis(args) -> int:
 
 def cmd_exact(args) -> int:
     _require(args, "U")
+    if args.dump_matrix:
+        _require(args, "out_prefix")
     h = _resolve_hamiltonian(args, kind=args.basis,
                              orientation=args.orientation)
     state = ground_state(h)
@@ -359,12 +362,12 @@ def cmd_study_noise(args) -> int:
         args.qubits, (args.error_min, args.error_max), seed=args.seed)
     layout = ro.replica_layout(n_qubits=args.qubits)
 
+    descriptor = basis_mod.reduced_basis(args.sites, args.bosons)
     rows = []
     for ui, (u, ckpt) in enumerate(zip(u_values, checkpoints)):
         params = qc.from_json(Path(ckpt).read_text())
-        h = _resolve_hamiltonian(
-            argparse.Namespace(t=args.t, U=u, sites=args.sites,
-                               bosons=args.bosons), phi=0.0)
+        h = build_reduced(ModelParams(args.t, u, args.sites, args.bosons),
+                          descriptor)
         ideal = vr.rayleigh_energy(
             qc.batch_weights(params, basis_mod.feature_matrix(h.basis)), h)
         for trial in range(args.trials):

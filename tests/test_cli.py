@@ -56,6 +56,29 @@ def test_exact_writes_artifacts(tmp_path, capsys):
     assert (tmp_path / "run_matrix.txt").exists()
 
 
+def test_exact_dump_matrix_needs_out_prefix(capsys, monkeypatch):
+    # fails before any solve, instead of exiting 0 with nothing written
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the flags")
+
+    monkeypatch.setattr(cli, "ground_state", no_solve)
+    code, _, err = run(capsys, "exact", "--U", "5", "--dump-matrix")
+    assert code == 1
+    assert "missing required option --out-prefix" in err
+
+
+@pytest.mark.parametrize("command", [["basis"], ["exact", "--U", "5"]])
+def test_seed_flag_only_where_it_acts(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--seed", "3"])
+    assert exc.value.code == 2
+    # a config file's seed key is still accepted, and ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    code, _, _ = run(capsys, "--config", str(cfg), *command)
+    assert code == 0
+
+
 def test_train_writes_artifacts_and_is_deterministic(tmp_path, capsys):
     out = tmp_path / "artifacts"
     argv = ["train", "--ansatz", "quat", "--layers", "2", "--U", "5",

@@ -1,9 +1,14 @@
 """The gate-table kernel against the scalar circuit oracle and finite differences."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bosehub import _kernels
-from bosehub.circuit import init_params, run_circuit
+from bosehub.circuit import init_params
+
+from circuit_oracle import run_circuit
 
 # the last two are long circuits (360 and 400 gates): the closed-form
 # Jacobians need the accumulated prefixes to stay unitary
@@ -100,3 +105,13 @@ def test_batch_matches_single_evaluation():
                                                X[row:row + 1])
         assert batch_p0[row] == pytest.approx(p0[0], abs=1e-14)
         np.testing.assert_allclose(batch_dp0[row], dp0[0], atol=1e-14)
+
+
+def test_oracle_imports_no_bosehub_module():
+    tree = ast.parse((Path(__file__).parent / "circuit_oracle.py").read_text())
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    # a relative import would reach into whatever package holds the file
+    modules += ["." * node.level + (node.module or "")
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in modules if m.startswith(("bosehub", "."))], modules
