@@ -4,30 +4,49 @@ Both Ansatz kinds are sequences of Rz/Ry rotations whose angles are linear
 in the flat parameters, and every layer has the same gates. This module is
 the only code in the package that knows each kind's layer layout:
 ``layer_size`` gives the parameters per layer, and ``gate_table`` describes
-one layer for a batch of B circuits: an axis flag per gate, shape (g,), and
-a map ``block`` of shape (B, g, per) from the layer's ``per`` parameters to
-its gate angles.
+one layer for a batch of B circuits: an axis flag per gate and a map
+``block`` of shape (B, g, per) from the layer's ``per`` parameters to its
+gate angles.
 
 * compressed: ``nf`` gates per layer; gate ``fi`` is an Ry when
   ``fi % 3 == 1`` and an Rz otherwise, at angle ``b + w_fi * x_fi``;
 * quat: ``Rz(2 (w.x + b))`` then ``Ry(2 phi)`` per layer.
 
-``_sweep`` runs the gates forward on |0> and, with gradients, stores the
-state psi_g after every gate. Ry and Rz have determinant 1, so each prefix
-P_g = U_g ... U_1 is in SU(2) and fixed by psi_g = P_g|0>:
-P_g = [[psi_g0, -conj psi_g1], [psi_g1, conj psi_g0]]. The gates after g are
-P_G P_g^dag, which gives dP(0)/dtheta_g and d<sigma_x>/dtheta_g for every gate
-in closed form, with no backward pass (the per-gate terms of adjoint
-differentiation, Jones & Gacon, arXiv:2009.02823). A gate outside SU(2) would
-break this. Contracting each layer's slice with ``block`` gives the Jacobians.
+``_sweep`` runs the gates forward on |0> in Rz·Ry pairs. Adjacent same-axis
+gates, also across a layer boundary, merge into one run, since
+Rz(a) Rz(b) = Rz(a + b) and likewise for Ry; each gate's derivative is its
+run's. The runs fill slots that alternate Rz, Ry from an Rz, with a
+rotation by 0 (the identity) where a pattern needs padding, and each
+Ry(beta) Rz(alpha) pair is one SU(2) matrix [[p, -conj q], [q, conj p]]
+with (p, q) = (cos beta/2, sin beta/2) e^{-i alpha/2}. At six features, six
+compressed layers (36 gates, 25 runs) take 13 steps and six quat layers 6.
+The layout of an axis pattern is computed once and cached.
+
+With gradients the sweep keeps the state at every pair boundary. A gate's
+generator commutes with its rotation, so the derivative may read the state
+just before the gate or just after it: a pair's Rz reads the state before
+the pair and its Ry the state after. Ry and Rz have determinant 1, so each
+such state psi = P|0> fixes its prefix P in SU(2), and the gates after it
+are P_G P^dag. The final state then moves by P_G v with
+v = P^dag (-i/2 sigma) psi, where Re v0 = 0 for both axes and
+v1 = i psi0 psi1 for an Rz, (psi0^2 + psi1^2) / 2 for an Ry. With
+(a0, a1) the final state, dP(0)/dtheta = Re(alpha v1) and
+d<sigma_x>/dtheta = Re(beta v1) for every gate, with alpha = -2 conj(a0 a1)
+and beta = 2 (conj(a0)^2 - conj(a1)^2) per row: closed forms, with no
+backward pass (the per-gate terms of adjoint differentiation, Jones & Gacon,
+arXiv:2009.02823). A gate outside SU(2) would break this. Contracting each
+layer's slice with ``block`` gives the Jacobians.
 
 Kernel contract: ``(p0, sx, dp0, dsx) = circuit_batch(kind, values,
 features, want_grad)`` where ``p0`` is P(0)=|amp0|^2 per batch row, ``sx``
 the sigma_x expectation on the same final state, and ``dp0``/``dsx`` their
 exact derivatives with respect to every flat parameter (zeros without
-``want_grad``).
+``want_grad``). The forward pass is the same with and without gradients, so
+``p0`` and ``sx`` are bitwise equal in both modes.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -52,7 +71,7 @@ def layer_size(kind: str, nf: int) -> int:
 
 
 def gate_table(kind: str, n_params: int, X: np.ndarray):
-    """One layer's axis flags (g,), True for Ry, its angle map (B, g, per),
+    """One layer's g axis flags, True for Ry, its angle map (B, g, per),
     and the layer count."""
     B, nf = X.shape
     per = layer_size(kind, nf)
@@ -64,57 +83,84 @@ def gate_table(kind: str, n_params: int, X: np.ndarray):
         block = np.zeros((B, nf, per))
         block[:, np.arange(nf), np.arange(nf)] = X
         block[:, :, nf] = 1.0
-        layer_axes = np.arange(nf) % 3 == 1
+        layer_axes = tuple(fi % 3 == 1 for fi in range(nf))
     else:
         block = np.zeros((B, 2, per))
         block[:, 0, :nf] = 2.0 * X
         block[:, 0, nf] = 2.0
         block[:, 1, -1] = 2.0
-        layer_axes = np.array([False, True])
+        layer_axes = (False, True)
     return layer_axes, block, n_params // per
 
 
-def _sweep(axes: np.ndarray, theta: np.ndarray, want_grad: bool):
-    """Apply the gates at angles ``theta`` (B, G) to |0>.
+@functools.lru_cache(maxsize=64)
+def _layout(axes: tuple):
+    """Runs and pair slots of one axis pattern, True for Ry.
+
+    Adjacent same-axis gates form a run, and the runs fill slots that
+    alternate Rz, Ry from an Rz: slot 2k is the Rz of pair k and slot 2k + 1
+    its Ry. A pattern that opens with an Ry leaves slot 0 empty, and an odd
+    run count ends on an empty Ry; an empty slot is a rotation by 0, the
+    identity. Returns each gate's slot and the map (slots, G) from gate
+    angles to slot half angles.
+    """
+    flags = np.array(axes, dtype=bool)
+    new_run = np.ones(flags.size, dtype=bool)
+    new_run[1:] = flags[1:] != flags[:-1]
+    gate_slot = np.cumsum(new_run) - 1 + flags[:1].sum()
+    used = gate_slot[-1] + 1 if flags.size else 0
+    merge = np.zeros((used + used % 2, flags.size))
+    merge[gate_slot, np.arange(flags.size)] = 0.5
+    gate_slot.setflags(write=False)
+    merge.setflags(write=False)
+    return gate_slot, merge
+
+
+def _sweep(axes, theta: np.ndarray, want_grad: bool):
+    """Apply the gates with axis flags ``axes`` (True for Ry) at angles
+    ``theta`` (B, G) to |0>.
 
     Returns ``(p0, sx, dtheta)`` where ``dtheta`` (B, 2, G) stacks
     dP(0)/dtheta_g and d<sigma_x>/dtheta_g, or is None without ``want_grad``.
     """
-    B, G = theta.shape
-    half = 0.5 * theta.T
-    # gate-major (G, B): Ry = [[c, -s], [s, c]], Rz = diag(ph, conj(ph))
-    c, s = np.cos(half), np.sin(half)
-    ph = c - 1j * s
-    phc = np.conj(ph)
-    a0 = np.ones(B, np.complex128)
-    a1 = np.zeros(B, np.complex128)
-    if want_grad:
-        st0 = np.empty((G, B), np.complex128)
-        st1 = np.empty((G, B), np.complex128)
-    for g in range(G):
-        if axes[g]:
-            a0, a1 = c[g] * a0 - s[g] * a1, s[g] * a0 + c[g] * a1
-        else:
-            a0, a1 = ph[g] * a0, phc[g] * a1
-        if want_grad:
-            st0[g], st1[g] = a0, a1
+    B = theta.shape[0]
+    gate_slot, merge = _layout(tuple(axes))
+    pairs = merge.shape[0] // 2
+    # Rz(a) Rz(b) = Rz(a + b), and so for Ry: a run's angles add
+    half = merge @ theta.T
+    c = np.cos(half).reshape(pairs, 2, B)
+    s = np.sin(half).reshape(pairs, 2, B)
+    # Ry(beta) Rz(alpha) = [[p, -conj q], [q, conj p]] per row, with
+    # (p, q) = (cos beta/2, sin beta/2) e^{-i alpha/2}
+    pair = np.empty((pairs, 2, 2, B), np.complex128)
+    e = c[:, 0] - 1j * s[:, 0]
+    np.multiply(c[:, 1], e, out=pair[:, 0, 0])
+    np.multiply(s[:, 1], e, out=pair[:, 1, 0])
+    np.conj(pair[:, ::-1, 0], out=pair[:, :, 1])
+    pair[:, 0, 1] *= -1.0
+    # the state at every pair boundary, |0> first
+    st = np.empty((pairs + 1, 2, B), np.complex128)
+    st[0, 0], st[0, 1] = 1.0, 0.0
+    terms = np.empty((2, 2, B), np.complex128)
+    col0, col1 = terms[:, 0], terms[:, 1]
+    for cur, nxt, u in zip(st, st[1:], pair):
+        np.multiply(u, cur, out=terms)  # terms[i, j] = u_ij psi_j
+        np.add(col0, col1, out=nxt)
+    a0, a1 = st[-1]
     p0 = np.abs(a0) ** 2
     sx = 2.0 * np.real(np.conj(a0) * a1)
     if not want_grad:
         return p0, sx, None
-    # d psi / d theta_g = P_G P_g^dag w, w = (-i/2 sigma_g) psi_g with sigma_g
-    # = Y or Z; P_g = [[st0, -conj st1], [st1, conj st0]], P_G from (a0, a1)
-    ry = axes[:, None]
-    w0 = np.where(ry, -0.5 * st1, -0.5j * st0)
-    w1 = np.where(ry, 0.5 * st0, 0.5j * st1)
-    v0 = np.conj(st0) * w0 + np.conj(st1) * w1
-    v1 = st0 * w1 - st1 * w0
-    d0 = a0 * v0 - np.conj(a1) * v1
-    d1 = a1 * v0 + np.conj(a0) * v1
-    dtheta = np.empty((B, 2, G))
-    dtheta[:, 0] = (2.0 * np.real(np.conj(a0) * d0)).T
-    dtheta[:, 1] = (2.0 * np.real(np.conj(a1) * d0 + np.conj(a0) * d1)).T
-    return p0, sx, dtheta
+    # per slot: a pair's Rz reads the state before the pair, its Ry the
+    # state after; v1 as in the module docstring, where Re v0 = 0
+    v1 = np.empty((pairs, 2, B), np.complex128)
+    v1[:, 0] = 1j * st[:-1, 0] * st[:-1, 1]
+    v1[:, 1] = 0.5 * (st[1:, 0] ** 2 + st[1:, 1] ** 2)
+    # dP(0) = Re(alpha v1), d<sigma_x> = Re(beta v1), per row (alpha, beta)
+    ca0, ca1 = np.conj(a0), np.conj(a1)
+    coef = np.stack((-2.0 * ca0 * ca1, 2.0 * (ca0 ** 2 - ca1 ** 2)), axis=1)
+    dslot = np.real(coef[:, :, None] * v1.reshape(2 * pairs, B).T[:, None])
+    return p0, sx, dslot[:, :, gate_slot]
 
 
 def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
@@ -127,9 +173,9 @@ def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     layer_axes, block, layers = gate_table(kind, values.size, X)
     B, g, per = block.shape
-    # theta[b, l*g + k] = block[b, k] . values of layer l
-    theta = (block @ values.reshape(layers, per).T).transpose(0, 2, 1)
-    p0, sx, dtheta = _sweep(np.tile(layer_axes, layers),
+    # theta[b, l*g + k] = values of layer l . block[b, k]
+    theta = values.reshape(layers, per) @ block.transpose(0, 2, 1)
+    p0, sx, dtheta = _sweep(layer_axes * layers,
                             theta.reshape(B, layers * g), want_grad)
     if dtheta is None:
         shape = (B, values.size)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 
@@ -66,8 +67,18 @@ class BasisDescriptor:
         return int(self.class_of.max()) + 1
 
     def representatives(self) -> np.ndarray:
-        """(dim, sites) array: the first, hence smallest, member of each class."""
-        return self.states[np.unique(self.class_of, return_index=True)[1]]
+        """(dim, sites) array: the first, hence smallest, member of each class.
+
+        Found once per descriptor; the array is read-only, since every
+        caller shares it.
+        """
+        return self._representatives
+
+    @cached_property
+    def _representatives(self) -> np.ndarray:
+        reps = self.states[np.unique(self.class_of, return_index=True)[1]]
+        reps.setflags(write=False)
+        return reps
 
     def multiplicities(self) -> np.ndarray:
         return np.bincount(self.class_of).astype(float)

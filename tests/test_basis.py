@@ -196,6 +196,16 @@ def test_representative_is_smallest_member():
                         basis.class_of, 7, 4)
 
 
+def test_representatives_found_once_and_shared_read_only(monkeypatch):
+    basis = reduced_basis(7, 4)
+    reps = basis.representatives()
+    # later calls reuse the array instead of regrouping every state
+    monkeypatch.setattr(np, "unique", None)
+    assert basis.representatives() is reps
+    with pytest.raises(ValueError, match="read-only"):
+        reps[0, 0] = 1
+
+
 @pytest.mark.parametrize("rows", [[[0, 0], [1, 0]], [[2, -1], [1, 0]]],
                          ids=["short_sum", "out_of_range"])
 def test_check_partition_rejects_rows_that_rank_like_the_basis(rows):

@@ -1,4 +1,5 @@
-"""The gate-table kernel against the scalar circuit oracle and finite differences."""
+"""The gate-table kernel against the scalar circuit oracle, a dense gate-by-gate
+product and finite differences."""
 import ast
 from pathlib import Path
 
@@ -105,6 +106,78 @@ def test_batch_matches_single_evaluation():
                                                X[row:row + 1])
         assert batch_p0[row] == pytest.approx(p0[0], abs=1e-14)
         np.testing.assert_allclose(batch_dp0[row], dp0[0], atol=1e-14)
+
+
+Z, Y = False, True
+# axis patterns for _sweep, True for Ry: zero and one gate; openings with an
+# Ry (an empty Rz slot first); runs of 1-4 same-axis gates; layers repeated
+# so that a run crosses the layer boundary (Z|Z, Z|ZZ, YY|Y); and odd and
+# even counts of used slots
+PATTERNS = [
+    (),
+    (Z,), (Y,),
+    (Z, Y), (Y, Z), (Y, Y, Z, Z, Z),
+    (Y, Y, Y, Z, Z, Z, Z, Y, Z, Z),
+    (Z, Y, Z) * 3,
+    (Z, Z, Y, Z) * 2,
+    (Y, Z, Y, Y) * 2,
+    (Z, Y, Z, Z, Y, Z) * 2,
+    (Z, Y) * 3,
+    (Y, Y, Y, Y),
+]
+
+
+def _dense_sweep(axes, theta):
+    """P(0) and <sigma_x> per row from one 2x2 matrix product per gate."""
+    p0, sx = [], []
+    for row in theta:
+        psi = np.array([1.0, 0.0], np.complex128)
+        for ry, angle in zip(axes, row):
+            c, s = np.cos(angle / 2), np.sin(angle / 2)
+            gate = (np.array([[c, -s], [s, c]]) if ry else
+                    np.diag([c - 1j * s, c + 1j * s]))
+            psi = gate @ psi
+        p0.append(abs(psi[0]) ** 2)
+        sx.append(2.0 * (np.conj(psi[0]) * psi[1]).real)
+    return np.array(p0), np.array(sx)
+
+
+@pytest.mark.parametrize("axes", PATTERNS, ids=lambda a: "".join(
+    "Y" if ry else "Z" for ry in a) or "empty")
+def test_sweep_matches_dense_product(axes):
+    theta = np.random.default_rng(len(axes)).uniform(-4.0, 4.0, (5, len(axes)))
+    p0, sx, none = _kernels._sweep(axes, theta, False)
+    assert none is None
+    gp0, gsx, dtheta = _kernels._sweep(axes, theta, True)
+    # one forward pass serves both modes
+    assert np.array_equal(gp0, p0) and np.array_equal(gsx, sx)
+    ref_p0, ref_sx = _dense_sweep(axes, theta)
+    np.testing.assert_allclose(p0, ref_p0, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(sx, ref_sx, atol=1e-12, rtol=0)
+    assert dtheta.shape == (5, 2, len(axes))
+    h = 1e-5
+    for g in range(len(axes)):
+        step = np.zeros(len(axes))
+        step[g] = h
+        plus = _dense_sweep(axes, theta + step)
+        minus = _dense_sweep(axes, theta - step)
+        for k in range(2):
+            np.testing.assert_allclose(dtheta[:, k, g],
+                                       (plus[k] - minus[k]) / (2 * h),
+                                       atol=1e-8, rtol=0)
+
+
+@pytest.mark.parametrize("axes,pairs", [
+    ((), 0), ((Z,), 1), ((Y,), 1), ((Z, Y), 1), ((Y, Z), 2),
+    ((Y, Y, Z, Z, Z), 2), ((Z, Y, Z) * 3, 4),
+    # six layers of each kind: compressed 36 gates in 25 runs, quat 12 in 12
+    ((Z, Y, Z, Z, Y, Z) * 6, 13), ((Z, Y) * 6, 6),
+])
+def test_sweep_steps_once_per_rz_ry_pair(axes, pairs):
+    gate_slot, merge = _kernels._layout(axes)
+    assert merge.shape == (2 * pairs, len(axes))
+    # every gate sits in a slot of its own axis: Rz even, Ry odd
+    np.testing.assert_array_equal(gate_slot % 2, np.array(axes, dtype=int))
 
 
 def test_oracle_imports_no_bosehub_module():
