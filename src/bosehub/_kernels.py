@@ -41,8 +41,13 @@ Kernel contract: ``(p0, sx, dp0, dsx) = circuit_batch(kind, values,
 features, want_grad)`` where ``p0`` is P(0)=|amp0|^2 per batch row, ``sx``
 the sigma_x expectation on the same final state, and ``dp0``/``dsx`` their
 exact derivatives with respect to every flat parameter (zeros without
-``want_grad``). The forward pass is the same with and without gradients, so
-``p0`` and ``sx`` are bitwise equal in both modes.
+``want_grad``). ``values`` is one parameter vector (P,) or a population of R
+vectors (R, P) on the same B feature rows; all R·B circuits run in one
+sweep, and the rows come back flattened member-major: row ``r * B + b`` is
+member r on feature row b, and ``dp0``/``dsx`` are (R·B, P). Every row is
+computed as a single-vector call computes it, so a population's rows equal
+R separate calls bit for bit. The forward pass is the same with and without
+gradients, so ``p0`` and ``sx`` are bitwise equal in both modes.
 """
 from __future__ import annotations
 
@@ -165,22 +170,24 @@ def _sweep(axes, theta: np.ndarray, want_grad: bool):
 
 def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
                   want_grad: bool = True):
-    """Evaluate a batch of circuits and (optionally) their Jacobians.
+    """Evaluate R circuits on B feature rows and (optionally) their Jacobians.
 
-    Returns ``(p0, sx, dp0, dsx)`` with shapes (B,), (B,), (B,P), (B,P).
+    ``values`` is (P,) for R = 1 or (R, P). Returns ``(p0, sx, dp0, dsx)``
+    with shapes (R·B,), (R·B,), (R·B, P), (R·B, P), member-major.
     """
-    values = np.asarray(values, dtype=np.float64).ravel()
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    layer_axes, block, layers = gate_table(kind, values.size, X)
+    R, P = values.shape
+    layer_axes, block, layers = gate_table(kind, P, X)
     B, g, per = block.shape
-    # theta[b, l*g + k] = values of layer l . block[b, k]
-    theta = values.reshape(layers, per) @ block.transpose(0, 2, 1)
+    # theta[r, b, l*g + k] = values[r] of layer l . block[b, k]
+    theta = values.reshape(R, 1, layers, per) @ block.transpose(0, 2, 1)
     p0, sx, dtheta = _sweep(layer_axes * layers,
-                            theta.reshape(B, layers * g), want_grad)
+                            theta.reshape(R * B, layers * g), want_grad)
     if dtheta is None:
-        shape = (B, values.size)
+        shape = (R * B, P)
         return p0, sx, np.zeros(shape), np.zeros(shape)
-    # einsum('bklg,bgp->bklp', dtheta, block) over each layer's gates
-    jac = dtheta.reshape(B, 2, layers, g) @ block[:, None]
-    jac = jac.reshape(B, 2, values.size)
+    # einsum('rbklg,bgp->rbklp', dtheta, block) over each layer's gates
+    jac = dtheta.reshape(R, B, 2, layers, g) @ block[None, :, None]
+    jac = jac.reshape(R * B, 2, P)
     return p0, sx, jac[:, 0], jac[:, 1]

@@ -28,8 +28,9 @@ _FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Flat layer-major variational parameters of one circuit; each layer
-    holds ``_kernels.layer_size(kind, n_features)`` values."""
+    """Flat layer-major variational parameters of one circuit (P,), or of a
+    population of R circuits of the same shape (R, P); each layer holds
+    ``_kernels.layer_size(kind, n_features)`` values."""
 
     kind: str
     layers: int
@@ -39,21 +40,23 @@ class CircuitParams:
     def __post_init__(self):
         per = _kernels.layer_size(self.kind, self.n_features)
         _check_layers(self.layers)
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=float).ravel()
-        )
+        values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        if values.ndim > 2:
+            raise ValueError(f"values must be (P,) or (R, P), got "
+                             f"{values.shape}")
+        object.__setattr__(self, "values", values)
         expected = self.layers * per
-        if self.values.size != expected:
+        if values.shape[-1] != expected:
             raise ValueError(
                 f"{self.kind} with {self.layers} layers of {self.n_features} "
-                f"features needs {expected} values, got {self.values.size}"
+                f"features needs {expected} values, got {values.shape[-1]}"
             )
         if self.values.size and not np.all(np.isfinite(self.values)):
             raise ValueError("parameters must be finite")
 
     @property
     def n_params(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -103,18 +106,14 @@ def gradient(params: CircuitParams, features) -> np.ndarray:
 
 
 def batch_weights(params: CircuitParams, features_matrix) -> np.ndarray:
-    """P(0) for every feature row."""
-    X = _check_matrix(params, features_matrix)
-    p0, _, _, _ = _kernels.circuit_batch(params.kind, params.values, X,
-                                         want_grad=False)
+    """P(0) for every feature row: (B,), or (R, B) for a population."""
+    p0, _, _, _ = _batch(params, features_matrix, want_grad=False)
     return p0
 
 
 def batch_complex_weights(params: CircuitParams, features_matrix) -> np.ndarray:
     """Complex weights P(0) * exp(i*pi*<sigma_x>) for every feature row."""
-    X = _check_matrix(params, features_matrix)
-    p0, sx, _, _ = _kernels.circuit_batch(params.kind, params.values, X,
-                                          want_grad=False)
+    p0, sx, _, _ = _batch(params, features_matrix, want_grad=False)
     return p0 * np.exp(1j * np.pi * sx)
 
 
@@ -124,17 +123,26 @@ def batch_weights_and_jacobian(params: CircuitParams, features_matrix,
 
     Real mode returns (c, J) with c = P(0) per row and J[b, k] = dc_b/dtheta_k.
     Complex mode returns the complex weights P(0)*exp(i*pi*<sigma_x>) and the
-    matching complex Jacobian.
+    matching complex Jacobian. A population adds a leading member axis.
     """
-    X = _check_matrix(params, features_matrix)
-    p0, sx, dp0, dsx = _kernels.circuit_batch(params.kind, params.values, X,
-                                              want_grad=True)
+    p0, sx, dp0, dsx = _batch(params, features_matrix, want_grad=True)
     if not complex_mode:
         return p0, dp0
     phase = np.exp(1j * np.pi * sx)
     c = p0 * phase
-    jac = phase[:, None] * (dp0 + 1j * np.pi * p0[:, None] * dsx)
+    jac = phase[..., None] * (dp0 + 1j * np.pi * p0[..., None] * dsx)
     return c, jac
+
+
+def _batch(params: CircuitParams, features_matrix, want_grad: bool):
+    """The kernel's rows as (B,) and (B, P), or (R, B) and (R, B, P)."""
+    X = _check_matrix(params, features_matrix)
+    p0, sx, dp0, dsx = _kernels.circuit_batch(params.kind, params.values, X,
+                                              want_grad)
+    rows = params.values.shape[:-1] + (X.shape[0],)
+    jac = rows + (params.n_params,)
+    return (p0.reshape(rows), sx.reshape(rows), dp0.reshape(jac),
+            dsx.reshape(jac))
 
 
 def sample(params: CircuitParams, features, shots: int, rng) -> ShotResult:

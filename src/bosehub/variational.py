@@ -5,11 +5,17 @@ Each ansatz maps a flat parameter vector to one coefficient per basis class
 coefficients. Training minimizes the Rayleigh quotient over the full basis,
 no mini-batches, recording the energy at every step. Gradients chain the
 quotient derivative through the ansatz Jacobian analytically.
+
+Training runs every restart at once, as a population: the ansatz methods
+take the members' parameters as an (R, P) array, a circuit population is one
+kernel call per step, and Adam updates all R rows together. Each member's
+Rayleigh quotient and gradient contraction run on their own, so every
+member's trajectory is bitwise the one it would follow alone.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,24 +107,33 @@ class MlpAnsatz:
             self.sizes, outputs=2 if self.complex_mode else 1, rng=rng
         ).flatten()
 
-    def coefficients(self, theta):
-        params = self._template.with_flat(theta)
-        out, _ = neural.mlp_forward(params, self.features)
-        return neural.output_to_coefficient(out)
+    def coefficients(self, thetas):
+        """Coefficients (R, B) of the members' parameters (R, P)."""
+        rows = []
+        for theta in thetas:
+            out, _ = neural.mlp_forward(self._template.with_flat(theta),
+                                        self.features)
+            rows.append(neural.output_to_coefficient(out))
+        return np.array(rows)
 
-    def energy_gradient(self, theta, h: HamiltonianMatrix):
-        """(energy, dE/dtheta, coefficients) at one parameter vector."""
-        params = self._template.with_flat(theta)
-        out, cache = neural.mlp_forward(params, self.features)
-        c = neural.output_to_coefficient(out)
-        r, energy = rayleigh_residual(c, h)
-        rc = np.conj(r) * c
-        if self.complex_mode:
-            upstream = np.stack([2.0 * rc.real, -2.0 * rc.imag], axis=1)
-        else:
-            upstream = (2.0 * rc.real)[:, None]
-        grad = neural.mlp_backward(params, cache, upstream)
-        return energy, grad, c
+    def energy_gradient(self, thetas, h: HamiltonianMatrix):
+        """Energies (R,), dE/dtheta (R, P) and coefficients (R, B) of the
+        members' parameters (R, P), one network pass per member."""
+        energies, grads, coeffs = [], [], []
+        for theta in thetas:
+            params = self._template.with_flat(theta)
+            out, cache = neural.mlp_forward(params, self.features)
+            c = neural.output_to_coefficient(out)
+            r, energy = rayleigh_residual(c, h)
+            rc = np.conj(r) * c
+            if self.complex_mode:
+                upstream = np.stack([2.0 * rc.real, -2.0 * rc.imag], axis=1)
+            else:
+                upstream = (2.0 * rc.real)[:, None]
+            energies.append(energy)
+            grads.append(neural.mlp_backward(params, cache, upstream))
+            coeffs.append(c)
+        return np.array(energies), np.array(grads), np.array(coeffs)
 
     def export(self, theta) -> str:
         return neural.to_json(self._template.with_flat(theta))
@@ -146,18 +161,26 @@ class CircuitAnsatz:
     def params(self, theta) -> qc.CircuitParams:
         return qc.CircuitParams(self.kind, self.layers, theta, self.n_features)
 
-    def coefficients(self, theta):
+    def coefficients(self, thetas):
+        """Coefficients (R, B) of the members' parameters (R, P)."""
         if self.complex_mode:
-            return qc.batch_complex_weights(self.params(theta), self.features)
-        return qc.batch_weights(self.params(theta), self.features)
+            return qc.batch_complex_weights(self.params(thetas), self.features)
+        return qc.batch_weights(self.params(thetas), self.features)
 
-    def energy_gradient(self, theta, h: HamiltonianMatrix):
+    def energy_gradient(self, thetas, h: HamiltonianMatrix):
+        """Energies (R,), dE/dtheta (R, P) and coefficients (R, B) of the
+        members' parameters (R, P), from one kernel call."""
         c, jac = qc.batch_weights_and_jacobian(
-            self.params(theta), self.features,
+            self.params(thetas), self.features,
             complex_mode=self.complex_mode)
-        r, energy = rayleigh_residual(c, h)
-        grad = 2.0 * np.real(np.conj(r) @ jac)
-        return energy, grad, c
+        energies = np.empty(len(c))
+        grads = np.empty((len(c), jac.shape[-1]))
+        # one Rayleigh quotient per member: one fused over all members
+        # rounds differently, and Adam amplifies that into another trajectory
+        for k, (ck, jk) in enumerate(zip(c, jac)):
+            r, energies[k] = rayleigh_residual(ck, h)
+            grads[k] = 2.0 * np.real(np.conj(r) @ jk)
+        return energies, grads, c
 
     def export(self, theta) -> str:
         return qc.to_json(self.params(theta))
@@ -166,50 +189,58 @@ class CircuitAnsatz:
 def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
     """Full-basis Adam minimization of the Rayleigh energy.
 
-    Adam at a constant learning rate can spike away from a minimum it has
-    reached, so each run returns its lowest-energy iterate, not its last.
-    With ``cfg.restarts > 1`` the run is repeated from seeds
-    ``seed, seed+1, ...`` and the lowest final energy wins (single-qubit
-    landscapes have local minima). Deterministic for a fixed config.
+    Single-qubit landscapes have local minima, so ``cfg.restarts`` members
+    start from seeds ``seed, seed+1, ...`` and train together as one
+    population: each step is one ``energy_gradient`` call and one Adam
+    update over the (R, P) parameters. Each member follows the trajectory
+    it would follow alone. Adam at a constant learning rate can spike away
+    from a minimum it has reached, so each member keeps its lowest-energy
+    iterate, not its last; the lowest of those wins, the lowest seed on a
+    tie. If any member's energy turns non-finite, ``TrainingDiverged``
+    carries the trace of the lowest-index such member. Deterministic for a
+    fixed config.
     """
     if not h.is_real and not ansatz.complex_mode:
         raise ValueError("complex Hamiltonian needs a complex-mode ansatz")
-    best: TrainResult | None = None
-    for attempt in range(cfg.restarts):
-        result = _train_once(ansatz, h, replace(cfg, seed=cfg.seed + attempt))
-        if best is None or result.final_energy < best.final_energy:
-            best = result
-    return best
-
-
-def _train_once(ansatz, h, cfg: TrainConfig) -> TrainResult:
-    rng = np.random.default_rng(cfg.seed)
-    theta = ansatz.initial_vector(rng, INIT_SCALE)
+    seeds = range(cfg.seed, cfg.seed + cfg.restarts)
+    theta = np.array([ansatz.initial_vector(np.random.default_rng(seed),
+                                            INIT_SCALE) for seed in seeds])
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    energies = np.empty(cfg.steps + 1)
-    best_energy, best_theta = np.inf, theta
+    energies = np.empty((cfg.restarts, cfg.steps + 1))
+    best_energy, best_theta = np.full(cfg.restarts, np.inf), theta
     for step in range(1, cfg.steps + 1):
         energy, grad, _ = ansatz.energy_gradient(theta, h)
-        energies[step - 1] = energy
-        if not np.isfinite(energy):
-            raise TrainingDiverged(
-                f"energy became non-finite at step {step}",
-                energies[:step])
-        if energy < best_energy:
-            best_energy, best_theta = energy, theta
+        energies[:, step - 1] = energy
+        _check_finite(energy, seeds, f"at step {step}", energies[:, :step])
+        better = energy < best_energy
+        best_energy = np.where(better, energy, best_energy)
+        best_theta = np.where(better[:, None], theta, best_theta)
         m = BETA1 * m + (1.0 - BETA1) * grad
         v = BETA2 * v + (1.0 - BETA2) * grad * grad
         m_hat = m / (1.0 - BETA1 ** step)
         v_hat = v / (1.0 - BETA2 ** step)
         theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
-    energy = rayleigh_energy(ansatz.coefficients(theta), h)
-    energies[cfg.steps] = energy
-    if not np.isfinite(energy):
-        raise TrainingDiverged("final energy non-finite", energies[:-1])
-    if energy < best_energy:
-        best_energy, best_theta = energy, theta
-    return TrainResult(best_theta, energies, cfg.seed, best_energy)
+    energy = np.array([rayleigh_energy(c, h)
+                       for c in ansatz.coefficients(theta)])
+    energies[:, cfg.steps] = energy
+    _check_finite(energy, seeds, "at the final step", energies[:, :-1])
+    better = energy < best_energy
+    best_energy = np.where(better, energy, best_energy)
+    best_theta = np.where(better[:, None], theta, best_theta)
+    win = int(np.argmin(best_energy))  # the first of equal minima
+    return TrainResult(best_theta[win], energies[win], seeds[win],
+                       float(best_energy[win]))
+
+
+def _check_finite(energy, seeds, when: str, traces) -> None:
+    """Raise ``TrainingDiverged`` with the first non-finite member's trace."""
+    bad = np.flatnonzero(~np.isfinite(energy))
+    if bad.size:
+        k = bad[0]
+        raise TrainingDiverged(
+            f"energy of the restart from seed {seeds[k]} became non-finite "
+            f"{when}", traces[k].copy())
 
 
 def layer_study(kind: str, layer_counts, h: HamiltonianMatrix,

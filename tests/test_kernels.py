@@ -8,6 +8,7 @@ import pytest
 
 from bosehub import _kernels
 from bosehub.circuit import init_params
+from bosehub.variational import CircuitAnsatz, TrainConfig, train
 
 from circuit_oracle import run_circuit
 
@@ -106,6 +107,42 @@ def test_batch_matches_single_evaluation():
                                                X[row:row + 1])
         assert batch_p0[row] == pytest.approx(p0[0], abs=1e-14)
         np.testing.assert_allclose(batch_dp0[row], dp0[0], atol=1e-14)
+
+
+@pytest.mark.parametrize("want_grad", [False, True])
+@pytest.mark.parametrize("layers", range(9))
+@pytest.mark.parametrize("kind", ["compressed", "quat"])
+def test_population_rows_equal_single_calls(kind, layers, want_grad):
+    rng = np.random.default_rng(layers)
+    values = np.array([init_params(kind, layers, rng, scale=1.5).values
+                       for _ in range(3)])
+    X = rng.uniform(-2.0, 2.0, (11, 6))
+    pop = _kernels.circuit_batch(kind, values, X, want_grad)
+    # rows come back flattened member-major: member r holds rows 11r..11r+10
+    assert pop[0].shape == pop[1].shape == (33,)
+    assert pop[2].shape == pop[3].shape == (33, values.shape[1])
+    for r, member in enumerate(values):
+        single = _kernels.circuit_batch(kind, member, X, want_grad)
+        for got, want in zip(pop, single):
+            assert np.array_equal(got[11 * r:11 * (r + 1)], want)
+
+
+def test_restarts_share_one_kernel_call_per_step(h_reduced, monkeypatch):
+    h = h_reduced(U=5.0)
+    rows = []
+    kernel = _kernels.circuit_batch
+
+    def spy(kind, values, features, want_grad=True):
+        rows.append(np.shape(values))
+        return kernel(kind, values, features, want_grad)
+
+    monkeypatch.setattr(_kernels, "circuit_batch", spy)
+    steps = 7
+    train(CircuitAnsatz(h, "quat", 2), h,
+          TrainConfig(steps=steps, seed=0, restarts=3))
+    # one call per step and one for the final energies, each on all three
+    # members: a fall back to one member at a time would make 3x as many
+    assert rows == [(3, 16)] * (steps + 1)
 
 
 Z, Y = False, True

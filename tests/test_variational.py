@@ -5,6 +5,10 @@ from bosehub.basis import reduced_basis
 from bosehub.hamiltonian import ModelParams, build_deformed, build_full, \
     ground_state
 from bosehub.variational import (
+    BETA1,
+    BETA2,
+    EPSILON,
+    INIT_SCALE,
     CircuitAnsatz,
     MlpAnsatz,
     TrainConfig,
@@ -71,18 +75,23 @@ def test_residual_vanishes_at_eigenvector(h_reduced):
 
 # --- end-to-end gradients ------------------------------------------------------
 
+def _energy(ansatz, theta, h):
+    """Rayleigh energy of one parameter vector, a population of one."""
+    return rayleigh_energy(ansatz.coefficients(theta[None])[0], h)
+
+
 @pytest.mark.parametrize("kind,layers", [("compressed", 2), ("quat", 2)])
 def test_circuit_energy_gradient_vs_fd(kind, layers, h_reduced, rng):
     h = h_reduced(U=5.0)
     ansatz = CircuitAnsatz(h, kind, layers)
     theta = ansatz.initial_vector(rng, 0.4)
-    _, grad, _ = ansatz.energy_gradient(theta, h)
+    grad = ansatz.energy_gradient(theta[None], h)[1][0]
     eps = 1e-6
     for k in range(theta.size):
         step = np.zeros(theta.size)
         step[k] = eps
-        ep = rayleigh_energy(ansatz.coefficients(theta + step), h)
-        em = rayleigh_energy(ansatz.coefficients(theta - step), h)
+        ep = _energy(ansatz, theta + step, h)
+        em = _energy(ansatz, theta - step, h)
         assert grad[k] == pytest.approx((ep - em) / (2 * eps),
                                         rel=1e-5, abs=1e-8)
 
@@ -91,13 +100,13 @@ def test_mlp_energy_gradient_vs_fd(h_reduced, rng):
     h = h_reduced(U=5.0)
     ansatz = MlpAnsatz(h, hidden=(7, 4))
     theta = ansatz.initial_vector(rng)
-    _, grad, _ = ansatz.energy_gradient(theta, h)
+    grad = ansatz.energy_gradient(theta[None], h)[1][0]
     eps = 1e-6
     for k in rng.choice(theta.size, size=40, replace=False):
         step = np.zeros(theta.size)
         step[k] = eps
-        ep = rayleigh_energy(ansatz.coefficients(theta + step), h)
-        em = rayleigh_energy(ansatz.coefficients(theta - step), h)
+        ep = _energy(ansatz, theta + step, h)
+        em = _energy(ansatz, theta - step, h)
         assert grad[k] == pytest.approx((ep - em) / (2 * eps),
                                         rel=1e-5, abs=1e-8)
 
@@ -106,13 +115,13 @@ def test_complex_circuit_energy_gradient_vs_fd(reduced26, rng):
     h = build_deformed(ModelParams(1.0, 5.0, 6, 5, phi=np.pi / 2), reduced26)
     ansatz = CircuitAnsatz(h, "compressed", 2, complex_mode=True)
     theta = ansatz.initial_vector(rng, 0.4)
-    _, grad, _ = ansatz.energy_gradient(theta, h)
+    grad = ansatz.energy_gradient(theta[None], h)[1][0]
     eps = 1e-6
     for k in range(theta.size):
         step = np.zeros(theta.size)
         step[k] = eps
-        ep = rayleigh_energy(ansatz.coefficients(theta + step), h)
-        em = rayleigh_energy(ansatz.coefficients(theta - step), h)
+        ep = _energy(ansatz, theta + step, h)
+        em = _energy(ansatz, theta - step, h)
         assert grad[k] == pytest.approx((ep - em) / (2 * eps),
                                         rel=1e-5, abs=1e-8)
 
@@ -121,13 +130,13 @@ def test_complex_mlp_energy_gradient_vs_fd(reduced26, rng):
     h = build_deformed(ModelParams(1.0, 5.0, 6, 5, phi=np.pi / 2), reduced26)
     ansatz = MlpAnsatz(h, hidden=(6, 3), complex_mode=True)
     theta = ansatz.initial_vector(rng)
-    _, grad, _ = ansatz.energy_gradient(theta, h)
+    grad = ansatz.energy_gradient(theta[None], h)[1][0]
     eps = 1e-6
     for k in rng.choice(theta.size, size=40, replace=False):
         step = np.zeros(theta.size)
         step[k] = eps
-        ep = rayleigh_energy(ansatz.coefficients(theta + step), h)
-        em = rayleigh_energy(ansatz.coefficients(theta - step), h)
+        ep = _energy(ansatz, theta + step, h)
+        em = _energy(ansatz, theta - step, h)
         assert grad[k] == pytest.approx((ep - em) / (2 * eps),
                                         rel=1e-5, abs=1e-8)
 
@@ -139,7 +148,7 @@ def test_quat_zero_layers_gives_uniform_vector(h_reduced):
     # and the energy equals the uniform-vector Rayleigh quotient
     h = h_reduced(U=5.0)
     ansatz = CircuitAnsatz(h, "quat", 0)
-    energy = rayleigh_energy(ansatz.coefficients(np.array([])), h)
+    energy = _energy(ansatz, np.array([]), h)
     assert energy == pytest.approx(rayleigh_energy(np.ones(26), h), abs=1e-12)
 
 
@@ -170,7 +179,7 @@ def test_training_returns_lowest_iterate(h_reduced):
     result = train(ansatz, h, TrainConfig(steps=60, seed=1))
     assert result.energies[-1] > result.energies.min() + 1e-4
     assert result.final_energy == result.energies.min()
-    assert rayleigh_energy(ansatz.coefficients(result.theta), h) == \
+    assert _energy(ansatz, result.theta, h) == \
         pytest.approx(result.final_energy, abs=1e-12)
 
 
@@ -206,18 +215,154 @@ def test_divergence_aborts_with_trace(h_reduced):
         def initial_vector(self, rng, scale=0.1):
             return np.zeros(2)
 
-        def energy_gradient(self, theta, hh):
-            energy = np.nan if theta[0] != 0 else 1.0
-            return energy, np.ones(2), np.ones(hh.dim)
+        def energy_gradient(self, thetas, hh):
+            energies = np.where(thetas[:, 0] != 0, np.nan, 1.0)
+            return (energies, np.ones_like(thetas),
+                    np.ones((len(thetas), hh.dim)))
 
-        def coefficients(self, theta):
-            return np.ones(h.dim)
+        def coefficients(self, thetas):
+            return np.ones((len(thetas), h.dim))
 
     with pytest.raises(TrainingDiverged) as err:
         train(Exploder(), h, TrainConfig(steps=10, seed=0))
     trace = err.value.trace
     assert trace.shape == (2,)
     assert trace[0] == 1.0 and np.isnan(trace[1])
+
+
+class _Scripted:
+    """Members whose energies on the ``call``-th step are ``script(call)``;
+    every member's final energy is the uniform vector's."""
+
+    complex_mode = False
+
+    def __init__(self, script):
+        self.script, self.calls = script, 0
+
+    def initial_vector(self, rng, scale=0.1):
+        return np.zeros(2)
+
+    def energy_gradient(self, thetas, hh):
+        self.calls += 1
+        energies = np.array(self.script(self.calls), dtype=float)
+        return energies, np.ones_like(thetas), np.ones((len(thetas), hh.dim))
+
+    def coefficients(self, thetas):
+        return np.ones((len(thetas), 26))
+
+
+def test_divergence_of_one_member_carries_its_trace(h_reduced):
+    h = h_reduced(U=5.0)
+    # member 0 stays finite; member 1 (seed 8) blows up at step 3
+    ansatz = _Scripted(lambda call: [1.0, 2.0 if call < 3 else np.inf])
+    with pytest.raises(TrainingDiverged, match="seed 8 .* at step 3") as err:
+        train(ansatz, h, TrainConfig(steps=10, seed=7, restarts=2))
+    np.testing.assert_array_equal(err.value.trace, [2.0, 2.0, np.inf])
+
+
+def test_divergence_of_two_members_reports_the_first(h_reduced):
+    h = h_reduced(U=5.0)
+    ansatz = _Scripted(
+        lambda call: [1.0, 2.0] if call < 2 else [np.nan, np.inf])
+    with pytest.raises(TrainingDiverged, match="seed 7 .* at step 2") as err:
+        train(ansatz, h, TrainConfig(steps=10, seed=7, restarts=2))
+    assert err.value.trace[0] == 1.0 and np.isnan(err.value.trace[1])
+
+
+# --- restarts as one population ----------------------------------------------
+
+class _Recorder:
+    """Forwards to ``ansatz`` and keeps every population it is called with,
+    so each member's trajectory inside ``train`` can be read back."""
+
+    def __init__(self, ansatz):
+        self.ansatz = ansatz
+        self.complex_mode = ansatz.complex_mode
+        self.thetas, self.energies = [], []
+
+    def initial_vector(self, rng, scale):
+        return self.ansatz.initial_vector(rng, scale)
+
+    def energy_gradient(self, thetas, h):
+        energy, grad, c = self.ansatz.energy_gradient(thetas, h)
+        self.thetas.append(thetas.copy())
+        self.energies.append(energy.copy())
+        return energy, grad, c
+
+    def coefficients(self, thetas):
+        self.thetas.append(thetas.copy())
+        self.final = self.ansatz.coefficients(thetas)
+        return self.final
+
+
+def _single_start(ansatz, h, seed, steps):
+    """One start trained on its own: the Adam loop written out, on a
+    population of one. Returns its energy trace and every iterate."""
+    theta = ansatz.initial_vector(np.random.default_rng(seed), INIT_SCALE)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    energies, thetas = [], []
+    for step in range(1, steps + 1):
+        energy, grad, _ = ansatz.energy_gradient(theta[None], h)
+        energies.append(energy[0])
+        thetas.append(theta)
+        m = BETA1 * m + (1.0 - BETA1) * grad[0]
+        v = BETA2 * v + (1.0 - BETA2) * grad[0] * grad[0]
+        m_hat = m / (1.0 - BETA1 ** step)
+        v_hat = v / (1.0 - BETA2 ** step)
+        theta = theta - 0.02 * m_hat / (np.sqrt(v_hat) + EPSILON)
+    energies.append(_energy(ansatz, theta, h))
+    thetas.append(theta)
+    return np.array(energies), np.array(thetas)
+
+
+def _population_case(name, h_reduced):
+    if name == "complex-compressed":
+        h = build_deformed(ModelParams(1.0, 5.0, 6, 5, phi=np.pi / 2),
+                           reduced_basis(6, 5))
+        return CircuitAnsatz(h, "compressed", 2, complex_mode=True), h
+    h = h_reduced(U=8.0)
+    if name == "nn":
+        return MlpAnsatz(h, hidden=(7, 4)), h
+    return CircuitAnsatz(h, name, 2), h
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+@pytest.mark.parametrize("name", ["compressed", "quat", "complex-compressed",
+                                  "nn"])
+def test_population_members_match_single_starts(name, restarts, h_reduced):
+    ansatz, h = _population_case(name, h_reduced)
+    seed, steps = 3, 25
+    recorder = _Recorder(ansatz)
+    result = train(recorder, h, TrainConfig(steps=steps, seed=seed,
+                                            restarts=restarts))
+    # one call per step and one for the final energy, each on all members
+    thetas = np.array(recorder.thetas)
+    assert thetas.shape == (steps + 1, restarts, ansatz.n_params)
+    energies = np.array(recorder.energies)
+    best = []
+    for r in range(restarts):
+        ref_energies, ref_thetas = _single_start(ansatz, h, seed + r, steps)
+        trace = np.append(energies[:, r],
+                          rayleigh_energy(recorder.final[r], h))
+        assert np.array_equal(trace, ref_energies)
+        assert np.array_equal(thetas[:, r], ref_thetas)
+        k = int(np.argmin(ref_energies))  # the first of equal minima
+        best.append((ref_energies[k], ref_thetas[k], ref_energies))
+    win = int(np.argmin([b[0] for b in best]))
+    assert result.seed == seed + win
+    assert result.final_energy == best[win][0]
+    assert np.array_equal(result.theta, best[win][1])
+    assert np.array_equal(result.energies, best[win][2])
+
+
+def test_tied_members_pick_the_lowest_seed(h_reduced):
+    h = h_reduced(U=5.0)
+    # seeds 5 and 6 tie at -1 on every step and beat seed 4; the final
+    # energies are the uniform vector's, above -1, for every member
+    result = train(_Scripted(lambda call: [1.0, -1.0, -1.0]), h,
+                   TrainConfig(steps=20, seed=4, restarts=3))
+    assert result.seed == 5
+    assert result.final_energy == -1.0
 
 
 def test_layer_study_rows(h_reduced):

@@ -21,6 +21,10 @@ their relative difference, the metric's bound, and the share of pairs the
 change wins (a strictly better value in the metric's direction). It also
 lists every run's attempted and failed operations and metric values, and
 each side's environment block as ``perfbench/run.py`` prints it.
+
+``change_base_sha`` is ``HEAD``. ``change_sha`` is ``HEAD`` too when the
+working tree is clean, and null when it has uncommitted edits, since then no
+commit holds the files the change side ran.
 """
 from __future__ import annotations
 
@@ -122,7 +126,9 @@ def main(argv=None) -> int:
     dirty = bool(git(root, "status", "--porcelain"))
     benchmark = json.loads((root / "BENCHMARK.json").read_text())
 
-    record = {"parent_sha": parent_sha, "change_sha": head_sha,
+    record = {"parent_sha": parent_sha,
+              "change_sha": None if dirty else head_sha,
+              "change_base_sha": head_sha,
               "change_has_uncommitted_edits": dirty, "pairs": PAIRS,
               "seconds": benchmark["run_seconds"], "env": {}, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
