@@ -38,21 +38,18 @@ class CircuitParams:
     n_features: int = 6
 
     def __post_init__(self):
-        per = _kernels.layer_size(self.kind, self.n_features)
-        _check_layers(self.layers)
+        expected = param_count(self.kind, self.layers, self.n_features)
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if values.ndim > 2:
             raise ValueError(f"values must be (P,) or (R, P), got "
                              f"{values.shape}")
         object.__setattr__(self, "values", values)
-        expected = self.layers * per
         if values.shape[-1] != expected:
             raise ValueError(
                 f"{self.kind} with {self.layers} layers of {self.n_features} "
                 f"features needs {expected} values, got {values.shape[-1]}"
             )
-        if self.values.size and not np.all(np.isfinite(self.values)):
-            raise ValueError("parameters must be finite")
+        finite_values(values)
 
     @property
     def n_params(self) -> int:
@@ -107,14 +104,14 @@ def gradient(params: CircuitParams, features) -> np.ndarray:
 
 def batch_weights(params: CircuitParams, features_matrix) -> np.ndarray:
     """P(0) for every feature row: (B,), or (R, B) for a population."""
-    p0, _, _, _ = _batch(params, features_matrix, want_grad=False)
-    return p0
+    return weights(params.kind, params.values,
+                   _check_matrix(params, features_matrix))
 
 
 def batch_complex_weights(params: CircuitParams, features_matrix) -> np.ndarray:
     """Complex weights P(0) * exp(i*pi*<sigma_x>) for every feature row."""
-    p0, sx, _, _ = _batch(params, features_matrix, want_grad=False)
-    return p0 * np.exp(1j * np.pi * sx)
+    return weights(params.kind, params.values,
+                   _check_matrix(params, features_matrix), complex_mode=True)
 
 
 def batch_weights_and_jacobian(params: CircuitParams, features_matrix,
@@ -125,7 +122,24 @@ def batch_weights_and_jacobian(params: CircuitParams, features_matrix,
     Complex mode returns the complex weights P(0)*exp(i*pi*<sigma_x>) and the
     matching complex Jacobian. A population adds a leading member axis.
     """
-    p0, sx, dp0, dsx = _batch(params, features_matrix, want_grad=True)
+    return weights_and_jacobian(params.kind, params.values,
+                                _check_matrix(params, features_matrix),
+                                complex_mode)
+
+
+def weights(kind: str, values: np.ndarray, X: np.ndarray,
+            complex_mode: bool = False) -> np.ndarray:
+    """``batch_weights`` (or, in complex mode, ``batch_complex_weights``) on
+    inputs the caller has checked: finite float ``values`` (P,) or (R, P) in
+    ``kind``'s layout for the (B, nf) float features ``X``."""
+    p0, sx, _, _ = _rows(kind, values, X, want_grad=False)
+    return p0 * np.exp(1j * np.pi * sx) if complex_mode else p0
+
+
+def weights_and_jacobian(kind: str, values: np.ndarray, X: np.ndarray,
+                         complex_mode: bool = False):
+    """``batch_weights_and_jacobian`` on inputs checked as for ``weights``."""
+    p0, sx, dp0, dsx = _rows(kind, values, X, want_grad=True)
     if not complex_mode:
         return p0, dp0
     phase = np.exp(1j * np.pi * sx)
@@ -134,13 +148,11 @@ def batch_weights_and_jacobian(params: CircuitParams, features_matrix,
     return c, jac
 
 
-def _batch(params: CircuitParams, features_matrix, want_grad: bool):
+def _rows(kind: str, values: np.ndarray, X: np.ndarray, want_grad: bool):
     """The kernel's rows as (B,) and (B, P), or (R, B) and (R, B, P)."""
-    X = _check_matrix(params, features_matrix)
-    p0, sx, dp0, dsx = _kernels.circuit_batch(params.kind, params.values, X,
-                                              want_grad)
-    rows = params.values.shape[:-1] + (X.shape[0],)
-    jac = rows + (params.n_params,)
+    p0, sx, dp0, dsx = _kernels.circuit_batch(kind, values, X, want_grad)
+    rows = values.shape[:-1] + (X.shape[0],)
+    jac = rows + (values.shape[-1],)
     return (p0.reshape(rows), sx.reshape(rows), dp0.reshape(jac),
             dsx.reshape(jac))
 
@@ -157,9 +169,8 @@ def sample(params: CircuitParams, features, shots: int, rng) -> ShotResult:
 def init_params(kind: str, layers: int, rng, scale: float = 0.1,
                 n_features: int = 6) -> CircuitParams:
     """Uniform initialization in [-scale, scale]."""
-    _check_layers(layers)
+    count = param_count(kind, layers, n_features)
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    count = layers * _kernels.layer_size(kind, n_features)
     return CircuitParams(kind, layers, rng.uniform(-scale, scale, count),
                          n_features)
 
@@ -196,9 +207,21 @@ def _check_features(params: CircuitParams, features) -> np.ndarray:
     return x
 
 
-def _check_layers(layers: int) -> None:
+def param_count(kind: str, layers: int, n_features: int) -> int:
+    """Flat parameter count of a circuit; raises on an unknown kind, a
+    feature count the kind cannot take, or a negative layer count."""
+    per = _kernels.layer_size(kind, n_features)
     if layers < 0:
         raise ValueError(f"layer count must be >= 0, got {layers}")
+    return layers * per
+
+
+def finite_values(values) -> np.ndarray:
+    """``values`` as a float array; raises unless every entry is finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("parameters must be finite")
+    return values
 
 
 def _check_matrix(params: CircuitParams, features_matrix) -> np.ndarray:

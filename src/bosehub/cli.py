@@ -429,7 +429,7 @@ def run_oracle_checks() -> list[str]:
         check(f"full vs reduced ground energy (U={u:g})",
               abs(e_full - e_red) < 1e-9, f"{e_full:.9f} vs {e_red:.9f}")
         e_power = min_eigenvalue_power(hr)
-        check(f"dense solver vs power iteration (U={u:g})",
+        check(f"Lanczos vs power iteration (U={u:g})",
               abs(e_power - e_red) < 1e-7, f"delta={abs(e_power - e_red):.2e}")
 
     rng = np.random.default_rng(0)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from . import circuit as qc
 from . import neural
 from .basis import feature_matrix
@@ -149,30 +148,24 @@ class CircuitAnsatz:
         self.layers = layers
         self.complex_mode = complex_mode
         self.n_features = self.features.shape[1]
-
-    @property
-    def n_params(self) -> int:
-        return self.layers * _kernels.layer_size(self.kind, self.n_features)
+        # the layout and the features are checked once, here; each step
+        # checks only that the parameters are finite
+        self.n_params = qc.param_count(kind, layers, self.n_features)
 
     def initial_vector(self, rng, scale: float = 0.1) -> np.ndarray:
         return qc.init_params(self.kind, self.layers, rng, scale,
                               self.n_features).values
 
-    def params(self, theta) -> qc.CircuitParams:
-        return qc.CircuitParams(self.kind, self.layers, theta, self.n_features)
-
     def coefficients(self, thetas):
         """Coefficients (R, B) of the members' parameters (R, P)."""
-        if self.complex_mode:
-            return qc.batch_complex_weights(self.params(thetas), self.features)
-        return qc.batch_weights(self.params(thetas), self.features)
+        return qc.weights(self.kind, qc.finite_values(thetas), self.features,
+                          self.complex_mode)
 
     def energy_gradient(self, thetas, h: HamiltonianMatrix):
         """Energies (R,), dE/dtheta (R, P) and coefficients (R, B) of the
         members' parameters (R, P), from one kernel call."""
-        c, jac = qc.batch_weights_and_jacobian(
-            self.params(thetas), self.features,
-            complex_mode=self.complex_mode)
+        c, jac = qc.weights_and_jacobian(self.kind, qc.finite_values(thetas),
+                                         self.features, self.complex_mode)
         energies = np.empty(len(c))
         grads = np.empty((len(c), jac.shape[-1]))
         # one Rayleigh quotient per member: one fused over all members
@@ -183,7 +176,8 @@ class CircuitAnsatz:
         return energies, grads, c
 
     def export(self, theta) -> str:
-        return qc.to_json(self.params(theta))
+        return qc.to_json(
+            qc.CircuitParams(self.kind, self.layers, theta, self.n_features))
 
 
 def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:

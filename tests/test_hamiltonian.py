@@ -11,6 +11,7 @@ from bosehub.basis import (
     reduced_basis,
 )
 from bosehub.hamiltonian import (
+    DiagonalizationError,
     GroundState,
     HamiltonianMatrix,
     ModelParams,
@@ -243,6 +244,117 @@ def test_power_iteration_cross_check(h_reduced):
     e_dense = ground_state(h).energy
     e_power = min_eigenvalue_power(h)
     assert abs(e_dense - e_power) < 1e-7
+
+
+def test_hermiticity_deviation_counts_the_conjugate(reduced26):
+    # m - m^H, not m - m^T: equal imaginary parts above and below the
+    # diagonal are a deviation of 2, while a conjugate pair is Hermitian
+    params = ModelParams(1.0, 2.0, 6, 5)
+    bad = np.zeros((26, 26), dtype=complex)
+    bad[0, 1] = bad[1, 0] = 1j
+    with pytest.raises(ValueError, match=r"deviation 2\.00e\+00"):
+        HamiltonianMatrix(bad, reduced26, params)
+    good = bad.copy()
+    good[1, 0] = -1j
+    HamiltonianMatrix(good, reduced26, params)
+
+
+# --- Lanczos ground state against the dense eigh oracle -----------------
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The size of every matrix passed to ``np.linalg.eigh``."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
+
+def _eigh_ground(h):
+    energies, vectors = np.linalg.eigh(h.matrix)
+    return energies[0], vectors[:, 0]
+
+
+def _lanczos_case(name):
+    if name == "6/5 full":
+        return build_full(ModelParams(1.0, 5.0, 6, 5))
+    if name == "D=2":
+        # t < 0: the ground state (1, -1)/sqrt(2) is orthogonal to the
+        # uniform vector, so a uniform start would find +2
+        return build_full(ModelParams(-1.0, 3.0, 2, 1))
+    if name == "6/5 deformed":
+        return build_deformed(ModelParams(1.0, 5.0, 6, 5, phi=np.pi / 2),
+                              reduced_basis(6, 5))
+    sites, bosons, u = {"8/8 U=2": (8, 8, 2.0), "8/8 U=5": (8, 8, 5.0),
+                        "8/8 U=8": (8, 8, 8.0), "10/8 U=5": (10, 8, 5.0),
+                        "D=1": (1, 4, 3.0)}[name]
+    return build_reduced(ModelParams(1.0, u, sites, bosons),
+                         reduced_basis(sites, bosons))
+
+
+@pytest.mark.parametrize("name", ["6/5 full", "8/8 U=2", "8/8 U=5",
+                                  "8/8 U=8", "10/8 U=5", "6/5 deformed",
+                                  "D=1", "D=2"])
+def test_lanczos_matches_dense_eigh(name):
+    h = _lanczos_case(name)
+    state = ground_state(h)
+    energy, vector = _eigh_ground(h)
+    assert abs(state.energy - energy) <= 1e-10
+    assert abs(np.vdot(vector, state.amplitudes)) >= 1.0 - 1e-10
+    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lanczos_on_the_degenerate_t_zero_spectrum(eigh_sizes):
+    # t=0 leaves a diagonal matrix with 7 distinct values whose ground
+    # energy 0 is six-fold degenerate. ARPACK (scipy.sparse.linalg.eigsh)
+    # returns 5.0 here, with or without v0 and at each ncv tried; the Lanczos
+    # loop must stop at the breakdown and return a vector of the null space.
+    h = build_full(ModelParams(0.0, 5.0, 6, 5))
+    assert len(np.unique(np.diag(h.matrix))) == 7
+    state = ground_state(h)
+    # the Krylov space of 7 distinct eigenvalues is invariant after 7 steps
+    assert eigh_sizes[-1] == 7
+    assert f"{state.energy:.5f}" == "0.00000"
+    assert abs(state.energy) <= 1e-12
+    assert np.linalg.norm(h.matrix @ state.amplitudes) <= 1e-12
+    occupied = np.flatnonzero(np.abs(state.amplitudes) > 1e-12)
+    assert np.all(np.diag(h.matrix)[occupied] == 0.0)
+
+
+@pytest.mark.parametrize("name", ["8/8 U=5", "6/5 deformed"])
+def test_lanczos_is_deterministic(name):
+    h = _lanczos_case(name)
+    a, b = ground_state(h), ground_state(h)
+    assert a.energy == b.energy
+    assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
+
+def test_ground_state_phase_makes_the_largest_component_positive():
+    state = ground_state(_lanczos_case("6/5 deformed"))
+    k = np.argmax(np.abs(state.amplitudes))
+    assert abs(state.amplitudes[k].imag) <= 1e-15
+    assert state.amplitudes[k].real > 0
+
+
+@pytest.mark.parametrize("name", ["6/5 full", "8/8 U=5"])
+def test_no_dense_eigh_of_the_hamiltonian(name, eigh_sizes):
+    h = _lanczos_case(name)
+    ground_state(h)
+    # the loop converges long before its Krylov space is the whole space
+    assert eigh_sizes and max(eigh_sizes) < h.dim // 2
+
+
+def test_non_finite_matrix_fails_the_residual_check(reduced26):
+    m = build_reduced(ModelParams(1.0, 5.0, 6, 5), reduced26).matrix.copy()
+    m[0, 1] = m[1, 0] = np.nan
+    h = HamiltonianMatrix(m, reduced26, ModelParams(1.0, 5.0, 6, 5))
+    with pytest.raises(DiagonalizationError):
+        ground_state(h)
 
 
 def test_basis_mismatch_rejected(reduced26):

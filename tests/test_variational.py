@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from bosehub import circuit as qc
 from bosehub.basis import reduced_basis
 from bosehub.hamiltonian import ModelParams, build_deformed, build_full, \
-    ground_state
+    build_reduced, ground_state
 from bosehub.variational import (
     BETA1,
     BETA2,
@@ -139,6 +140,37 @@ def test_complex_mlp_energy_gradient_vs_fd(reduced26, rng):
         em = _energy(ansatz, theta - step, h)
         assert grad[k] == pytest.approx((ep - em) / (2 * eps),
                                         rel=1e-5, abs=1e-8)
+
+
+def test_circuit_ansatz_checks_its_layout_once(h_reduced, monkeypatch):
+    # kind, layer count and features are checked when the ansatz is built;
+    # each step then checks only that the parameters are finite
+    h = h_reduced(U=5.0)
+    with pytest.raises(ValueError, match="unknown circuit kind"):
+        CircuitAnsatz(h, "bogus", 2)
+    with pytest.raises(ValueError, match="layer count must be >= 0"):
+        CircuitAnsatz(h, "quat", -1)
+    four = build_reduced(ModelParams(1.0, 2.0, 4, 3), reduced_basis(4, 3))
+    with pytest.raises(ValueError, match="divisible by 3, got 4"):
+        CircuitAnsatz(four, "compressed", 1)
+
+    ansatz = CircuitAnsatz(h, "compressed", 2, complex_mode=True)
+    theta = ansatz.initial_vector(np.random.default_rng(0))[None]
+
+    def recheck(*args):
+        raise AssertionError("the layout was checked again")
+
+    monkeypatch.setattr(qc, "param_count", recheck)
+    monkeypatch.setattr(qc, "_check_matrix", recheck)
+    energy, _, c = ansatz.energy_gradient(theta, h)
+    np.testing.assert_array_equal(ansatz.coefficients(theta), c)
+    assert energy[0] == rayleigh_energy(c[0], h)
+    bad = theta.copy()
+    bad[0, 3] = np.inf
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        ansatz.energy_gradient(bad, h)
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        ansatz.coefficients(bad)
 
 
 # --- training ------------------------------------------------------------------
