@@ -13,6 +13,12 @@ the composite basis carries the ground state at a fraction of the full
 dimension. A state's class key is the smallest rank among its images, which
 is the rank of the class representative, its lexicographically smallest
 member.
+
+A descriptor is read-only and computes its hop table
+(``BasisDescriptor.hops``) on first use: for every directed bond, the hop of
+one boson applied to each representative, as (row, col, ratio, amp) arrays.
+None of them depends on t or U, so every Hamiltonian built on the same
+descriptor, such as ``study noise`` at several U, reuses them.
 """
 from __future__ import annotations
 
@@ -20,7 +26,6 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -41,10 +46,10 @@ class BasisDescriptor:
     """An ordered basis of symmetry classes for fixed (sites, bosons).
 
     ``states`` is the whole Fock basis in lexicographic order and
-    ``class_of[i]`` numbers the class of ``states[i]``. The representative
-    of a class is its smallest member; it is the state fed to the
-    variational Ansaetze, so it is recorded in every output artifact for
-    reproducibility.
+    ``class_of[i]`` numbers the class of ``states[i]``; the descriptor holds
+    both as read-only views. The representative of a class is its smallest
+    member; it is the state fed to the variational Ansaetze, so it is
+    recorded in every output artifact for reproducibility.
     """
 
     kind: BasisKind
@@ -61,6 +66,10 @@ class BasisDescriptor:
             raise PartitionError(
                 "class_of must give every state a class in 0..dim-1, "
                 "leaving no class empty")
+        for name in ("states", "class_of"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def dim(self) -> int:
@@ -83,25 +92,61 @@ class BasisDescriptor:
     def multiplicities(self) -> np.ndarray:
         return np.bincount(self.class_of).astype(float)
 
+    @cached_property
+    def hops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every hop of one boson along a bond, from each representative.
+
+        Four read-only arrays with one entry per hop: the target's class
+        ``row``, the source class ``col``, ``ratio`` = sqrt(m_col / m_row)
+        and ``amp`` = sqrt(n_src (n_dst + 1)). A Hamiltonian entry gets
+        ratio * (-t * amp) from each of its hops. Hops are listed bond by
+        bond, i <- i+1 then i+1 <- i for bond (i, i+1) of the ring; a
+        one-site ring has none.
+        """
+        reps = self.representatives()
+        m = self.sites
+        bond = np.arange(m if m > 1 else 0)
+        dst = np.stack([bond, (bond + 1) % m], axis=1).ravel()
+        src = np.stack([(bond + 1) % m, bond], axis=1).ravel()
+        # hop k of directed bond b: k-th class with a boson on src[b]
+        b, col = np.nonzero(reps[:, src].T)
+        hop = np.arange(len(col))
+        moved = reps[col]
+        amp = np.sqrt(moved[hop, src[b]] * (moved[hop, dst[b]] + 1.0))
+        moved[hop, src[b]] -= 1
+        moved[hop, dst[b]] += 1
+        row = self.class_of[rank(moved, self.bosons)]
+        mult = self.multiplicities()
+        hops = row, col, np.sqrt(mult[col] / mult[row]), amp
+        for a in hops:
+            a.setflags(write=False)
+        return hops
+
 
 def enumerate_fock(sites: int, bosons: int) -> np.ndarray:
     """All occupation vectors of length ``sites`` summing to ``bosons``.
 
-    Rows in ascending lexicographic order, one per placement of sites - 1
-    bars among bosons + sites - 1 slots (stars and bars), so there are
-    C(bosons + sites - 1, bosons) of them. The dtype is the smallest signed
-    integer that holds ``bosons``.
+    Rows in ascending lexicographic order; there are C(bosons + sites - 1,
+    bosons) of them. The dtype is the smallest signed integer that holds
+    ``bosons``. The last site takes the bosons the others leave, so the rows
+    are the lexicographic list of the other sites' occupations summing to at
+    most ``bosons``. That list grows one leading site at a time: a new
+    leading occupation k goes before every tail that leaves room for it, and
+    pairs (k, tail) taken k-major, each in order, stay in order.
     """
     if sites < 1:
         raise ValueError(f"need at least one site, got {sites}")
     if bosons < 0:
         raise ValueError(f"boson count must be non-negative, got {bosons}")
-    n, slots = comb(bosons + sites - 1, bosons), bosons + sites - 1
-    bars = np.fromiter(chain.from_iterable(combinations(range(slots), sites - 1)),
-                       dtype=np.intp, count=n * (sites - 1)).reshape(n, sites - 1)
-    edges = np.hstack([np.full((n, 1), -1), bars, np.full((n, 1), slots)])
     dtype = np.result_type(np.int8, np.min_scalar_type(bosons))
-    return (np.diff(edges, axis=1) - 1).astype(dtype)
+    head = np.zeros((1, 0), dtype)
+    used = np.zeros(1, dtype=np.intp)
+    occupations = np.arange(bosons + 1)
+    for _ in range(sites - 1):
+        k, tail = np.nonzero(occupations[:, None] + used <= bosons)
+        head = np.column_stack([k.astype(dtype), head[tail]])
+        used = k + used[tail]
+    return np.column_stack([head, (bosons - used).astype(dtype)])
 
 
 def rank(states, bosons: int) -> np.ndarray:
@@ -137,6 +182,11 @@ def translation_orbits(states: np.ndarray) -> np.ndarray:
         raise PartitionError("empty basis")
     bosons = int(states[0].sum())
     check_partition(states, states.shape[1], bosons)
+    return _orbit_keys(states, bosons)
+
+
+def _orbit_keys(states: np.ndarray, bosons: int) -> np.ndarray:
+    """``translation_orbits`` of a basis already known to be complete."""
     shift = rank(np.roll(states, 1, axis=1), bosons)
     key = image = np.arange(len(states))
     for _ in range(states.shape[1] - 1):
@@ -172,7 +222,8 @@ def reduced_basis(sites: int, bosons: int,
     if kind is BasisKind.FULL:
         return full_basis(sites, bosons)
     states = enumerate_fock(sites, bosons)
-    keys = translation_orbits(states)
+    # the descriptor checks the partition, so the keys skip that check
+    keys = _orbit_keys(states, bosons)
     if kind is BasisKind.REDUCED:
         keys = parity_reduce(states, keys)
     class_of = np.unique(keys, return_inverse=True)[1]

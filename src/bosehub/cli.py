@@ -40,16 +40,13 @@ DEFAULT_BOSONS = 5
 def main(argv=None) -> int:
     bootstrap = argparse.ArgumentParser(add_help=False)
     bootstrap.add_argument("--config", type=Path, default=None)
+    bootstrap.add_argument("command", nargs="?")
     known, _ = bootstrap.parse_known_args(argv)
-    config = {}
-    if known.config is not None:
-        try:
-            config = json.loads(known.config.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
-
-    parser = _build_parser(config)
+    try:
+        parser = _build_parser(_read_config(known.config), known.command)
+    except (OSError, ValueError) as exc:
+        print(f"error: config file {known.config}: {exc}", file=sys.stderr)
+        return 1
     args = parser.parse_args(argv)
     _coerce_paths(args)
     if args.check:
@@ -62,13 +59,42 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
+        _seed_from_env(args)
         return args.func(args)
     except Exception as exc:  # surfaced with nonzero status per contract
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+def _read_config(path: Path | None) -> dict:
+    """The defaults a --config file sets ({} without one)."""
+    if path is None:
+        return {}
+    config = json.loads(path.read_text())
+    if not isinstance(config, dict):
+        raise ValueError(
+            f"expected a JSON object, got {type(config).__name__}")
+    return config
+
+
+def _seed_from_env(args) -> None:
+    """Give a seeded command whose --seed came from neither a flag nor the
+    config file the value of BOSEHUB_SEED (then 0), read on every call."""
+    if getattr(args, "seed", 0) is not None:
+        return
+    text = os.environ.get("BOSEHUB_SEED", "0")
+    try:
+        args.seed = int(text)
+    except ValueError:
+        raise ValueError(
+            f"BOSEHUB_SEED must be an integer, got {text!r}") from None
+
+
+def _build_parser(config: dict | None = None,
+                  command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser with ``config``'s defaults. Every subcommand
+    is listed, but only ``command``'s options are added (None: all of
+    them); a config file is checked against every command's options."""
     parser = argparse.ArgumentParser(
         prog="bosehub",
         description="Bose-Hubbard ground states: exact, neural and "
@@ -80,17 +106,32 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                              "explicit flags")
     sub = parser.add_subparsers(dest="command")
     leaves = []
+    for name, help, add_options in _COMMANDS:
+        p = sub.add_parser(name, help=help)
+        if config or command in (None, name):
+            leaves += add_options(p)
 
-    p = sub.add_parser("basis", help="enumerate and dump a basis")
-    leaves.append(p)
+    if config:
+        options = set().union(*(vars(leaf.parse_known_args([])[0])
+                                for leaf in leaves)) - {"func"}
+        for key in config:
+            if key not in options:
+                raise ValueError(f"key {key!r} is no option of any command")
+        for leaf in leaves:
+            leaf.set_defaults(**config)
+    return parser
+
+
+def _basis_options(p) -> list:
     _common(p, seeded=False)
     p.add_argument("--kind", default="reduced",
                    choices=[k.value for k in basis_mod.BasisKind])
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_basis)
+    return [p]
 
-    p = sub.add_parser("exact", help="exact diagonalization")
-    leaves.append(p)
+
+def _exact_options(p) -> list:
     _common(p, seeded=False)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--U", type=float, default=None)
@@ -103,9 +144,10 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                    help="write <prefix>_ground.csv (and _matrix.txt)")
     p.add_argument("--dump-matrix", action="store_true")
     p.set_defaults(func=cmd_exact)
+    return [p]
 
-    p = sub.add_parser("train", help="train a variational ansatz")
-    leaves.append(p)
+
+def _train_options(p) -> list:
     _common(p)
     _train_flags(p)
     p.add_argument("--basis", default="reduced",
@@ -113,21 +155,21 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                    help="full reproduces the network's 252-state baseline")
     p.add_argument("--out-dir", type=Path, default=None)
     p.set_defaults(func=cmd_train)
+    return [p]
 
-    p = sub.add_parser("study", help="layer / shots / noise studies")
+
+def _study_options(p) -> list:
     study = p.add_subparsers(dest="study_kind", required=True)
 
-    ps = study.add_parser("layers", help="energy vs layer count")
-    leaves.append(ps)
-    _common(ps)
-    _train_flags(ps, ansatz_choices=("compressed", "quat"))
-    ps.add_argument("--layer-grid", default="3,4,5,6",
-                    help="comma-separated layer counts")
-    ps.add_argument("--out", type=Path, default=None)
-    ps.set_defaults(func=cmd_study_layers)
+    layers = study.add_parser("layers", help="energy vs layer count")
+    _common(layers)
+    _train_flags(layers, ansatz_choices=("compressed", "quat"))
+    layers.add_argument("--layer-grid", default="3,4,5,6",
+                        help="comma-separated layer counts")
+    layers.add_argument("--out", type=Path, default=None)
+    layers.set_defaults(func=cmd_study_layers)
 
     ps = study.add_parser("shots", help="finite-shot energy deviations")
-    leaves.append(ps)
     _common(ps)
     ps.add_argument("--checkpoint", type=Path, default=None)
     ps.add_argument("--t", type=float, default=1.0)
@@ -137,26 +179,26 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     ps.add_argument("--out", type=Path, default=None)
     ps.set_defaults(func=cmd_study_shots)
 
-    ps = study.add_parser("noise", help="noisy-device energies per mode")
-    leaves.append(ps)
-    _common(ps)
-    ps.add_argument("--checkpoint", type=Path, nargs="+", default=None,
+    pn = study.add_parser("noise", help="noisy-device energies per mode")
+    _common(pn)
+    pn.add_argument("--checkpoint", type=Path, nargs="+", default=None,
                     help="one trained circuit checkpoint per U value")
-    ps.add_argument("--t", type=float, default=1.0)
-    ps.add_argument("--U", default=None, help="comma-separated U values")
-    ps.add_argument("--modes",
+    pn.add_argument("--t", type=float, default=1.0)
+    pn.add_argument("--U", default=None, help="comma-separated U values")
+    pn.add_argument("--modes",
                     default="uncorrected,corrected,postselected-corrected")
-    ps.add_argument("--shots", type=int, default=20000)
-    ps.add_argument("--trials", type=int, default=1)
-    ps.add_argument("--qubits", type=int, default=ro.DEFAULT_QUBITS)
-    ps.add_argument("--error-min", type=float, default=ro.DEFAULT_ERROR_RANGE[0])
-    ps.add_argument("--error-max", type=float, default=ro.DEFAULT_ERROR_RANGE[1])
-    ps.add_argument("--out", type=Path, default=None)
-    ps.add_argument("--calibration-out", type=Path, default=None)
-    ps.set_defaults(func=cmd_study_noise)
+    pn.add_argument("--shots", type=int, default=20000)
+    pn.add_argument("--trials", type=int, default=1)
+    pn.add_argument("--qubits", type=int, default=ro.DEFAULT_QUBITS)
+    pn.add_argument("--error-min", type=float, default=ro.DEFAULT_ERROR_RANGE[0])
+    pn.add_argument("--error-max", type=float, default=ro.DEFAULT_ERROR_RANGE[1])
+    pn.add_argument("--out", type=Path, default=None)
+    pn.add_argument("--calibration-out", type=Path, default=None)
+    pn.set_defaults(func=cmd_study_noise)
+    return [layers, ps, pn]
 
-    p = sub.add_parser("noise-run", help="single noisy energy evaluation")
-    leaves.append(p)
+
+def _noise_run_options(p) -> list:
     _common(p)
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--t", type=float, default=1.0)
@@ -168,19 +210,25 @@ def _build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--error-min", type=float, default=ro.DEFAULT_ERROR_RANGE[0])
     p.add_argument("--error-max", type=float, default=ro.DEFAULT_ERROR_RANGE[1])
     p.set_defaults(func=cmd_noise_run)
+    return [p]
 
-    if config:
-        for leaf in leaves:
-            leaf.set_defaults(**config)
-    return parser
+
+# (name, help, function adding the options and returning the leaf parsers)
+_COMMANDS = (
+    ("basis", "enumerate and dump a basis", _basis_options),
+    ("exact", "exact diagonalization", _exact_options),
+    ("train", "train a variational ansatz", _train_options),
+    ("study", "layer / shots / noise studies", _study_options),
+    ("noise-run", "single noisy energy evaluation", _noise_run_options),
+)
 
 
 def _common(p, seeded: bool = True) -> None:
     p.add_argument("--sites", type=int, default=DEFAULT_SITES)
     p.add_argument("--bosons", type=int, default=DEFAULT_BOSONS)
     if seeded:
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("BOSEHUB_SEED", "0")))
+        p.add_argument("--seed", type=int, default=None,
+                       help="default: BOSEHUB_SEED, then 0")
 
 
 def _train_flags(p, ansatz_choices=("nn", "compressed", "quat")) -> None:

@@ -3,9 +3,11 @@
 The model on a periodic ring: nearest-neighbor hopping of amplitude ``t``
 (both directions on each of the M bonds) plus on-site pair interaction
 ``U/2 * n(n-1)``. Matrices over the full Fock basis and over the
-symmetry-reduced composite bases come from one assembly: for each directed
-bond, the hop is applied at once to every class representative with a boson
-on the source site, and each target is placed in its class by its rank, so
+symmetry-reduced composite bases come from one assembly: the U diagonal plus
+one scatter of the basis's hop triplets (``BasisDescriptor.hops``: target
+class, source class, sqrt(m_col/m_row) and sqrt(n_src(n_dst+1)) for every
+directed-bond hop of every class representative), each scaled by -t. The
+triplets depend on neither t nor U, so a descriptor computes them once, and
 the full-basis matrix is never needed for a reduced one. A complex
 "deformed" variant multiplies the reduced hopping entries by conjugate
 phases to exercise complex wave functions while preserving hermiticity.
@@ -14,12 +16,11 @@ eigenpair.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisDescriptor, BasisKind, full_basis, rank
+from .basis import BasisDescriptor, BasisKind, full_basis
 
 HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -51,11 +52,16 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Hermitian matrix together with its basis metadata."""
+    """Hermitian matrix together with its basis metadata.
+
+    ``scale`` is max(1, max|H|), the magnitude that the Hermiticity check
+    and the solver tolerances are relative to.
+    """
 
     matrix: np.ndarray
     basis: BasisDescriptor
     params: ModelParams
+    scale: float = field(init=False, repr=False, compare=False, default=1.0)
 
     def __post_init__(self):
         m = self.matrix
@@ -70,7 +76,9 @@ class HamiltonianMatrix:
         np.conjugate(m.T, out=tmp)
         np.subtract(m, tmp, out=tmp)
         dev = np.abs(tmp, out=tmp).real.max()
-        if dev > HERMITICITY_TOL * max(1.0, np.abs(m, out=tmp).real.max()):
+        object.__setattr__(self, "scale",
+                           max(1.0, np.abs(m, out=tmp).real.max()))
+        if dev > HERMITICITY_TOL * self.scale:
             raise ValueError(f"matrix is not Hermitian (deviation {dev:.2e})")
 
     @property
@@ -133,25 +141,14 @@ def _assemble(params: ModelParams, basis: BasisDescriptor) -> np.ndarray:
     """Class-basis matrix from each representative's diagonal and hops.
 
     The full basis is the case where every class has one member. Entries
-    accumulate bond by bond, in the order (i <- i+1, i+1 <- i) per bond.
+    accumulate in the order of ``basis.hops``: bond by bond, (i <- i+1,
+    i+1 <- i) per bond.
     """
     if (basis.sites, basis.bosons) != (params.sites, params.bosons):
         raise ValueError("basis does not match model parameters")
-    reps = basis.representatives()
-    mult = basis.multiplicities()
-    h = np.diag(0.5 * params.U * interaction_energy(reps))
-    m = params.sites
-    for i in range(m if m > 1 else 0):
-        j = (i + 1) % m
-        for dst, src in ((i, j), (j, i)):
-            col = np.flatnonzero(reps[:, src])
-            moved = reps[col]
-            amp = np.sqrt(moved[:, src] * (moved[:, dst] + 1.0))
-            moved[:, src] -= 1
-            moved[:, dst] += 1
-            row = basis.class_of[rank(moved, params.bosons)]
-            np.add.at(h, (row, col),
-                      np.sqrt(mult[col] / mult[row]) * (-params.t * amp))
+    row, col, ratio, amp = basis.hops
+    h = np.diag(0.5 * params.U * interaction_energy(basis.representatives()))
+    np.add.at(h, (row, col), ratio * (-params.t * amp))
     return h
 
 
@@ -211,8 +208,7 @@ def ground_state(h: HamiltonianMatrix) -> GroundState:
     its largest component on the positive real axis, which for a real matrix
     makes the dominant component positive.
     """
-    m = h.matrix
-    scale = max(np.max(np.abs(m)), 1.0)
+    m, scale = h.matrix, h.scale
     vec = _lanczos(m, LANCZOS_TOL * scale)
     hv = m @ vec
     # the Rayleigh quotient, not the Ritz value, whose round-off has either
@@ -310,8 +306,10 @@ def write_matrix_coo(h: HamiltonianMatrix, path) -> None:
 
 
 def write_ground_state_csv(state: GroundState, path) -> None:
+    amps = np.asarray(state.amplitudes, dtype=complex)
+    # the rows csv.writer writes: no field needs quoting, lines end in \r\n
+    rows = (f"{i},{re!r},{im!r}\r\n" for i, (re, im) in
+            enumerate(zip(amps.real.tolist(), amps.imag.tolist())))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class_index", "amplitude_re", "amplitude_im"])
-        for i, a in enumerate(np.asarray(state.amplitudes, dtype=complex)):
-            writer.writerow([i, repr(float(a.real)), repr(float(a.imag))])
+        fh.write("class_index,amplitude_re,amplitude_im\r\n")
+        fh.write("".join(rows))

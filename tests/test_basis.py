@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -50,6 +51,28 @@ def test_enumeration_degenerate_inputs():
         enumerate_fock(0, 2)
     with pytest.raises(ValueError):
         enumerate_fock(3, -1)
+
+
+def _fock_from_bars(sites, bosons):
+    """Reference enumeration: one stars-and-bars tuple per state, from
+    itertools.combinations, which yields the bars in lexicographic order."""
+    slots = bosons + sites - 1
+    combos = list(itertools.combinations(range(slots), sites - 1))
+    bars = np.array(combos, dtype=np.intp).reshape(len(combos), sites - 1)
+    edges = np.hstack([np.full((len(bars), 1), -1), bars,
+                       np.full((len(bars), 1), slots)])
+    dtype = np.result_type(np.int8, np.min_scalar_type(bosons))
+    return (np.diff(edges, axis=1) - 1).astype(dtype)
+
+
+@pytest.mark.parametrize("sites,bosons", PARTITION_GRID + [
+    (10, 8), (2, 200), (3, 130), (1, 300)])
+def test_enumeration_matches_stars_and_bars(sites, bosons):
+    states = enumerate_fock(sites, bosons)
+    reference = _fock_from_bars(sites, bosons)
+    assert states.dtype == reference.dtype
+    assert states.shape == reference.shape
+    assert states.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("sites,bosons", PARTITION_GRID)
@@ -250,3 +273,32 @@ def test_full_basis_is_singletons():
     full = full_basis(3, 2)
     assert full.dim == 6
     assert all(full.multiplicities() == 1)
+
+
+def test_descriptor_is_read_only_and_keeps_its_hops():
+    basis = reduced_basis(6, 5)
+    for array in (basis.states, basis.class_of, *basis.hops):
+        assert not array.flags.writeable
+    assert basis.hops is basis.hops
+    with pytest.raises(ValueError, match="read-only"):
+        basis.states[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        basis.hops[0][0] = 1
+
+
+def test_descriptor_leaves_the_callers_arrays_writable():
+    states, class_of = enumerate_fock(3, 2), np.arange(6)
+    basis = BasisDescriptor(BasisKind.FULL, states, class_of, 3, 2)
+    assert states.flags.writeable and class_of.flags.writeable
+    assert not basis.states.flags.writeable
+
+
+def test_reduced_basis_checks_the_partition_once(monkeypatch):
+    import bosehub.basis as basis_mod
+
+    calls = []
+    real = basis_mod.check_partition
+    monkeypatch.setattr(basis_mod, "check_partition",
+                        lambda *a: calls.append(a) or real(*a))
+    reduced_basis(6, 5)
+    assert len(calls) == 1

@@ -266,3 +266,103 @@ def test_missing_required_option_errors(capsys):
     code, _, err = run(capsys, "exact")
     assert code == 1
     assert "--U" in err
+
+
+def _trained_seed(capsys, out):
+    code, _, _ = run(capsys, "train", "--ansatz", "quat", "--layers", "1",
+                     "--U", "5", "--steps", "2", "--out-dir", str(out))
+    assert code == 0
+    return json.loads((out / "quat_U5_summary.json").read_text())["config"][
+        "seed"]
+
+
+def test_seed_env_read_on_every_call(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BOSEHUB_SEED", "17")
+    assert _trained_seed(capsys, tmp_path) == 17
+    monkeypatch.setenv("BOSEHUB_SEED", "23")
+    assert _trained_seed(capsys, tmp_path) == 23
+    monkeypatch.delenv("BOSEHUB_SEED")
+    assert _trained_seed(capsys, tmp_path) == 0
+
+
+def test_bad_seed_env_fails_cleanly_where_a_seed_is_used(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setenv("BOSEHUB_SEED", "abc")
+    code, _, err = run(capsys, "train", "--ansatz", "quat", "--layers", "1",
+                       "--U", "5", "--steps", "2",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert err == "error: BOSEHUB_SEED must be an integer, got 'abc'\n"
+    assert not (tmp_path / "out").exists()
+    # an explicit flag needs no environment value
+    code, _, _ = run(capsys, "train", "--ansatz", "quat", "--layers", "1",
+                     "--U", "5", "--steps", "2", "--seed", "4")
+    assert code == 0
+    # basis and exact take no seed, so they ignore the variable
+    assert run(capsys, "basis")[0] == 0
+    code, stdout, _ = run(capsys, "exact", "--U", "5")
+    assert code == 0 and stdout.splitlines()[0] == "-5.46241"
+
+
+@pytest.mark.parametrize("document,message", [
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('{"stpes": 8}', "key 'stpes' is no option of any command"),
+    ('{"check": true}', "key 'check' is no option of any command"),
+    ("{", "Expecting"),
+])
+def test_bad_config_fails_cleanly(document, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(document)
+    code, stdout, err = run(capsys, "--config", str(cfg), "exact", "--U", "5")
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith(f"error: config file {cfg}: ")
+    assert message in err
+
+
+def test_config_defaults_do_not_leak_into_a_later_call(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # one file may hold defaults for several commands: steps is train's
+    cfg.write_text(json.dumps({"U": 5.0, "t": 0.0, "bosons": 4, "steps": 8}))
+    code, stdout, _ = run(capsys, "--config", str(cfg), "exact")
+    assert code == 0 and stdout.splitlines()[0] == "0.00000"
+    code, _, err = run(capsys, "exact")
+    assert code == 1 and "missing required option --U" in err
+    code, stdout, _ = run(capsys, "exact", "--U", "5")
+    assert code == 0 and stdout.splitlines()[0] == "-5.46241"
+
+
+def test_patched_command_is_run(capsys, monkeypatch):
+    assert run(capsys, "exact", "--U", "5")[0] == 0
+    seen = []
+
+    def spy(args):
+        seen.append(args.U)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_exact", spy)
+    code, stdout, _ = run(capsys, "exact", "--U", "2")
+    assert code == 0 and stdout == ""
+    assert seen == [2.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--kind", "translation"],
+    ["exact", "--U", "5", "--basis", "reduced"],
+    ["train", "--ansatz", "quat", "--seed", "3"],
+    ["study", "noise", "--U", "2,5"],
+    ["study", "layers"],
+    ["noise-run", "--mode", "uncorrected"],
+])
+def test_parser_for_one_command_parses_it_like_the_full_parser(argv):
+    full, lean = cli._build_parser(), cli._build_parser(None, argv[0])
+    assert vars(lean.parse_args(argv)) == vars(full.parse_args(argv))
+    assert lean.format_help() == full.format_help()
+
+
+def test_command_help_lists_its_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["exact", "--help"])
+    assert exc.value.code == 0
+    stdout = capsys.readouterr().out
+    assert "--out-prefix" in stdout and "--dump-matrix" in stdout

@@ -8,6 +8,7 @@ from bosehub.basis import (
     BasisKind,
     PartitionError,
     full_basis,
+    rank,
     reduced_basis,
 )
 from bosehub.hamiltonian import (
@@ -25,6 +26,7 @@ from bosehub.hamiltonian import (
     write_ground_state_csv,
     write_matrix_coo,
 )
+from bosehub.hamiltonian import _assemble
 
 TABLE1 = {2.0: -7.54752, 5.0: -5.46241, 8.0: -4.37439}
 
@@ -357,6 +359,67 @@ def test_non_finite_matrix_fails_the_residual_check(reduced26):
         ground_state(h)
 
 
+def _hops_bond_by_bond(basis):
+    """Reference hop table: each directed bond's hops found from the
+    representatives on their own, as (row, col, ratio, amp) lists per bond,
+    bond (i, i+1) as i <- i+1 then i+1 <- i."""
+    reps = basis.representatives()
+    mult = basis.multiplicities()
+    m = basis.sites
+    bonds = []
+    for i in range(m if m > 1 else 0):
+        j = (i + 1) % m
+        for dst, src in ((i, j), (j, i)):
+            col = np.flatnonzero(reps[:, src])
+            moved = reps[col]
+            amp = np.sqrt(moved[:, src] * (moved[:, dst] + 1.0))
+            moved[:, src] -= 1
+            moved[:, dst] += 1
+            row = basis.class_of[rank(moved, basis.bosons)]
+            bonds.append((row, col, np.sqrt(mult[col] / mult[row]), amp))
+    return bonds
+
+
+def _assemble_bond_by_bond(params, basis):
+    """Reference assembly: each bond's hops scattered on their own, bond
+    after bond."""
+    h = np.diag(0.5 * params.U * interaction_energy(basis.representatives()))
+    for row, col, ratio, amp in _hops_bond_by_bond(basis):
+        np.add.at(h, (row, col), ratio * (-params.t * amp))
+    return h
+
+
+HOP_CASES = [(6, 5, "full"), (6, 5, "translation"), (6, 5, "reduced"),
+             (8, 8, "reduced"), (2, 3, "full"), (1, 3, "full"),
+             (1, 3, "reduced"), (4, 0, "full"), (4, 0, "reduced")]
+
+
+@pytest.mark.parametrize("sites,bosons,kind", HOP_CASES)
+def test_hop_table_lists_the_hops_bond_by_bond(sites, bosons, kind):
+    basis = reduced_basis(sites, bosons, kind)
+    bonds = _hops_bond_by_bond(basis)
+    for got, *parts in zip(basis.hops, *bonds):
+        reference = np.concatenate([np.empty(0, got.dtype), *parts])
+        assert got.dtype == reference.dtype
+        assert got.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("sites,bosons,kind", HOP_CASES)
+@pytest.mark.parametrize("t,u", [(1.0, 5.0), (0.3, 2.0), (0.0, 8.0)])
+def test_hop_triplet_assembly_is_bit_identical(sites, bosons, kind, t, u):
+    params = ModelParams(t, u, sites, bosons)
+    basis = reduced_basis(sites, bosons, kind)
+    built = _assemble(params, basis)
+    assert built.tobytes() == _assemble_bond_by_bond(params, basis).tobytes()
+
+
+def test_matrix_keeps_its_scale(reduced26):
+    h = build_reduced(ModelParams(1.0, 8.0, 6, 5), reduced26)
+    assert h.scale == np.max(np.abs(h.matrix))
+    small = build_reduced(ModelParams(0.1, 0.0, 6, 5), reduced26)
+    assert small.scale == 1.0
+
+
 def test_basis_mismatch_rejected(reduced26):
     params = ModelParams(1.0, 2.0, 6, 4)
     with pytest.raises(ValueError):
@@ -448,3 +511,19 @@ def test_ground_state_csv(tmp_path, h_reduced):
     assert len(lines) == 27
     amp0 = float(lines[1].split(",")[1])
     assert amp0 == pytest.approx(state.amplitudes[0])
+
+
+def test_ground_state_csv_matches_the_csv_module(tmp_path):
+    import csv
+
+    amps = np.array([0.5 - 0.25j, -0.0 + 1e-300j, 1 / 3 + 0j, -2e-17 - 0.0j,
+                     1e16 + 123456789.125j])
+    path = tmp_path / "ground.csv"
+    write_ground_state_csv(GroundState(-1.0, amps), path)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["class_index", "amplitude_re", "amplitude_im"])
+        for i, a in enumerate(amps):
+            writer.writerow([i, repr(float(a.real)), repr(float(a.imag))])
+    assert path.read_bytes() == reference.read_bytes()
