@@ -7,7 +7,9 @@ that true state j is recorded as i. Calibration estimates P from prepared
 and tr(P~)/2 >= 1 ranks qubits (1 means perfect readout). The hardware
 layout is reproduced: each of the 25 non-anchor coefficients is measured on
 5 replica qubits, so five wave functions come out of one run and the best
-qubit per coefficient can be postselected.
+qubit per coefficient can be postselected. The model is tensored per qubit
+(Bravyi et al., Phys. Rev. A 103, 042605 (2021)): calibration, data and
+inversion are one array operation each over all qubits.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .variational import rayleigh_energy
 
 log = logging.getLogger(__name__)
 
-INVERSE_TOL = 1e-12
 DEFAULT_QUBITS = 125
 DEFAULT_REPLICAS = 5
 DEFAULT_ERROR_RANGE = (0.005, 0.05)
@@ -40,20 +41,20 @@ class CorrectionMode(str, Enum):
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Column-stochastic readout matrix; p_ij = P(recorded i | true j)."""
+    """Column-stochastic p_ij = P(recorded i | true j), or arrays of them."""
 
-    p00: float
-    p01: float
-    p10: float
-    p11: float
+    p00: float | np.ndarray
+    p01: float | np.ndarray
+    p10: float | np.ndarray
+    p11: float | np.ndarray
 
     def __post_init__(self):
-        probs = (self.p00, self.p01, self.p10, self.p11)
-        if any(p < 0 or p > 1 for p in probs):
+        m = self.matrix()
+        if ((m < 0) | (m > 1)).any():
             raise ValueError("probabilities must lie in [0, 1]")
-        if abs(self.p00 + self.p10 - 1.0) > 1e-9 or abs(self.p01 + self.p11 - 1.0) > 1e-9:
+        if (abs(m.sum(axis=0) - 1.0) > 1e-9).any():
             raise ValueError("columns must sum to 1")
-        if self.p00 + self.p11 <= 1.0:
+        if (m[0, 0] + m[1, 1] <= 1.0).any():
             raise ValueError(
                 "p00 + p11 must exceed 1 for an invertible, physical readout")
 
@@ -65,10 +66,16 @@ class ConfusionMatrix:
     def matrix(self) -> np.ndarray:
         return np.array([[self.p00, self.p01], [self.p10, self.p11]])
 
-    def invert(self) -> "InverseConfusion":
+    def inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """Elementwise P~ = P^{-1}, shaped (..., 2, 2), and tr(P~)/2."""
         det = self.p00 * self.p11 - self.p01 * self.p10
         inv = np.array([[self.p11, -self.p01], [-self.p10, self.p00]]) / det
-        return InverseConfusion(inv, float(np.trace(inv) / 2.0))
+        inv = np.moveaxis(inv, (0, 1), (-2, -1))
+        return inv, (inv[..., 0, 0] + inv[..., 1, 1]) / 2.0
+
+    def invert(self) -> "InverseConfusion":
+        inv, fom = self.inverse()
+        return InverseConfusion(inv, float(fom))
 
 
 @dataclass(frozen=True)
@@ -87,22 +94,23 @@ class InverseConfusion:
 
 @dataclass
 class SimulatedDevice:
-    """A bank of qubits with independent readout-flip confusion matrices."""
+    """Qubits with independent readout flips; ``p0`` rows are (p00, p01)."""
 
     confusions: list[ConfusionMatrix]
+
+    def __post_init__(self):
+        pairs = [(cm.p00, cm.p01) for cm in self.confusions]
+        self.p0 = np.array(pairs, dtype=float).reshape(-1, 2)
+        self.p0.flags.writeable = False
 
     @classmethod
     def random(cls, n_qubits: int = DEFAULT_QUBITS,
                error_range: tuple[float, float] = DEFAULT_ERROR_RANGE,
                seed: int = 0) -> "SimulatedDevice":
         """Flip rates drawn uniformly per qubit and direction."""
-        rng = np.random.default_rng(seed)
-        lo, hi = error_range
-        return cls([
-            ConfusionMatrix.from_flip_rates(rng.uniform(lo, hi),
-                                            rng.uniform(lo, hi))
-            for _ in range(n_qubits)
-        ])
+        rates = np.random.default_rng(seed).uniform(*error_range, (n_qubits, 2))
+        return cls([ConfusionMatrix.from_flip_rates(eps0, eps1)
+                    for eps0, eps1 in rates.tolist()])
 
     @classmethod
     def noiseless(cls, n_qubits: int = DEFAULT_QUBITS) -> "SimulatedDevice":
@@ -112,26 +120,26 @@ class SimulatedDevice:
     def n_qubits(self) -> int:
         return len(self.confusions)
 
-    def measure(self, qubit: int, prob0: float, shots: int,
-                rng: np.random.Generator) -> ShotResult:
-        """Sample recorded counts: true outcomes first, then readout flips."""
-        cm = self.confusions[qubit]
-        true0 = rng.binomial(shots, min(max(prob0, 0.0), 1.0))
-        kept0 = rng.binomial(true0, cm.p00) if true0 else 0
-        flipped_to_0 = rng.binomial(shots - true0, cm.p01) if shots - true0 else 0
-        return ShotResult(shots, int(kept0 + flipped_to_0))
+    def measure(self, qubits, prob0, shots: int,
+                rng: np.random.Generator) -> np.ndarray:
+        """Recorded-0 counts per qubit, for true P(0) ``prob0``, in one draw:
+        shots are independent, so P(recorded 0) = p*p00 + (1-p)*p01."""
+        if shots < 1:
+            raise ValueError("shots must be >= 1")
+        p = np.clip(prob0, 0.0, 1.0)
+        p0 = self.p0[qubits]
+        return rng.binomial(shots, p * p0[..., 0] + (1.0 - p) * p0[..., 1])
 
 
-def calibrate(device: SimulatedDevice, qubit: int, shots: int,
+def calibrate(device: SimulatedDevice, qubits, shots: int,
               rng) -> ConfusionMatrix:
-    """Estimate a qubit's confusion matrix from |0> and |1> preparation runs."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    """Estimate confusion matrices, shaped like ``qubits``, from one measure
+    call over the |0> and |1> preparation runs of every qubit."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    run0 = device.measure(qubit, 1.0, shots, rng)
-    run1 = device.measure(qubit, 0.0, shots, rng)
-    return ConfusionMatrix(run0.frequency0, run1.frequency0,
-                           1.0 - run0.frequency0, 1.0 - run1.frequency0)
+    qubits = np.asarray(qubits)[..., None]
+    freq0 = device.measure(qubits, np.array([1.0, 0.0]), shots, rng) / shots
+    return ConfusionMatrix(freq0[..., 0], freq0[..., 1],
+                           1.0 - freq0[..., 0], 1.0 - freq0[..., 1])
 
 
 def correct(observed: ShotResult, inv: InverseConfusion) -> tuple[float, float]:
@@ -140,17 +148,17 @@ def correct(observed: ShotResult, inv: InverseConfusion) -> tuple[float, float]:
     The raw product sums to one but can leave [0, 1] slightly; it is then
     clamped and renormalized, with the raw value logged.
     """
-    freqs = np.array([observed.frequency0, 1.0 - observed.frequency0])
-    raw = inv.matrix @ freqs
+    f0 = observed.frequency0
+    (a, b), (c, d) = inv.matrix.tolist()
+    raw = (a * f0 + b * (1.0 - f0), c * f0 + d * (1.0 - f0))
     if raw[0] < 0.0 or raw[0] > 1.0:
         log.debug("corrected probability %r outside [0,1]; clamping", raw)
-        clipped = np.clip(raw, 0.0, 1.0)
-        total = clipped.sum()
+        p0, p1 = (min(max(v, 0.0), 1.0) for v in raw)
+        total = p0 + p1
         if total == 0.0:
             return 0.5, 0.5
-        clipped /= total
-        return float(clipped[0]), float(clipped[1])
-    return float(raw[0]), float(raw[1])
+        return p0 / total, p1 / total
+    return raw
 
 
 def postselect(group: list[tuple[int, InverseConfusion]]) -> int:
@@ -185,8 +193,8 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
     (defaulting to the data shots) estimate the inverses used for correction
     and for the postselection ranking.
 
-    Sampling order is fixed (calibrations in qubit-layout order, then data in
-    coefficient-major order), so results are deterministic given the rng.
+    Sampling order is fixed (one draw calibrates every layout qubit, then one
+    draws the whole layout's data), so results are deterministic given the rng.
     """
     modes = [CorrectionMode(m) for m in modes]
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
@@ -204,33 +212,30 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
         raise ValueError("layout references qubits outside the device")
 
     cal_shots = shots if calibration_shots is None else calibration_shots
-    inverses = {int(q): calibrate(device, int(q), cal_shots, rng).invert()
-                for q in layout.ravel()}
-    samples = [
-        [(int(q), device.measure(int(q), ideal[class_index], shots, rng))
-         for q in layout[row]]
-        for row, class_index in enumerate(measured)
-    ]
+    inverse, fom = calibrate(device, layout, cal_shots, rng).inverse()
+    counts = device.measure(layout, ideal[measured, None], shots, rng)
+    # correct and postselect take one qubit's observation and inverse
+    samples = [{q: (ShotResult(shots, n), InverseConfusion(m, f))
+                for q, n, m, f in zip(*row)}
+               for row in zip(layout.tolist(), counts.tolist(), inverse,
+                              fom.tolist())]
+    chosen = [group[postselect([(q, inv) for q, (_, inv) in group.items()])]
+              for group in samples]
 
     energies = {}
     for mode in modes:
+        if mode is CorrectionMode.UNCORRECTED:
+            values = (counts / shots).mean(axis=1)
+        elif mode is CorrectionMode.CORRECTED:
+            values = np.mean([[correct(*sample)[0] for sample in group.values()]
+                              for group in samples], axis=1)
+        elif mode is CorrectionMode.POSTSELECTED:
+            values = [obs.frequency0 for obs, _ in chosen]
+        else:
+            values = [correct(*sample)[0] for sample in chosen]
         coeffs = np.empty(dim)
         coeffs[anchor] = ideal[anchor]
-        for row, class_index in enumerate(measured):
-            group = samples[row]
-            if mode is CorrectionMode.UNCORRECTED:
-                value = np.mean([obs.frequency0 for _, obs in group])
-            elif mode is CorrectionMode.CORRECTED:
-                value = np.mean([correct(obs, inverses[q])[0]
-                                 for q, obs in group])
-            else:
-                best = postselect([(q, inverses[q]) for q, _ in group])
-                observed = next(obs for q, obs in group if q == best)
-                if mode is CorrectionMode.POSTSELECTED:
-                    value = observed.frequency0
-                else:
-                    value = correct(observed, inverses[best])[0]
-            coeffs[class_index] = float(value)
+        coeffs[measured] = values
         energies[mode] = rayleigh_energy(coeffs, h)
     return energies
 
@@ -276,15 +281,10 @@ def shot_study(params: CircuitParams, h: HamiltonianMatrix, shot_grid,
 def calibration_report(device: SimulatedDevice, shots: int, seed: int,
                        selected: set[int] | None = None):
     """Per-qubit calibration rows (qubit, p00, p01, p10, p11, fom, selected)."""
-    rng = np.random.default_rng(seed)
-    selected = selected or set()
-    rows = []
-    for qubit in range(device.n_qubits):
-        est = calibrate(device, qubit, shots, rng)
-        fom = est.invert().figure_of_merit
-        rows.append((qubit, est.p00, est.p01, est.p10, est.p11, fom,
-                     int(qubit in selected)))
-    return rows
+    est = calibrate(device, np.arange(device.n_qubits), shots, seed)
+    table = np.stack([est.p00, est.p01, est.p10, est.p11, est.inverse()[1]], 1)
+    return [(qubit, *row, int(qubit in (selected or ())))
+            for qubit, row in enumerate(table.tolist())]
 
 
 def write_calibration_csv(rows, path) -> None:

@@ -92,6 +92,34 @@ def test_calibrate_validates_shots():
         ro.calibrate(ro.SimulatedDevice.noiseless(1), 0, shots=0, rng=0)
 
 
+def test_calibrate_rejects_non_invertible_estimate():
+    # flip rates near 0.5 and 10 shots: some qubit's p00 + p11 falls <= 1
+    device = ro.SimulatedDevice.random(125, (0.49, 0.5), seed=0)
+    with pytest.raises(ValueError, match="p00 \\+ p11 must exceed 1"):
+        ro.calibrate(device, np.arange(125), shots=10, rng=0)
+
+
+def test_array_inverse_matches_scalar_invert():
+    device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=9)
+    stacked = ro.ConfusionMatrix(*(
+        np.array([getattr(cm, name) for cm in device.confusions])
+        for name in ("p00", "p01", "p10", "p11")))
+    inv, fom = stacked.inverse()
+    assert inv.shape == (125, 2, 2) and fom.shape == (125,)
+    for q, cm in enumerate(device.confusions):
+        scalar = cm.invert()
+        # the formula of the per-qubit inverse, operation for operation
+        det = cm.p00 * cm.p11 - cm.p01 * cm.p10
+        ref = np.array([[cm.p11, -cm.p01], [-cm.p10, cm.p00]]) / det
+        assert np.array_equal(inv[q], ref) and np.array_equal(inv[q], scalar.matrix)
+        assert fom[q] == float(np.trace(ref) / 2.0) == scalar.figure_of_merit
+    layout = ro.replica_layout()
+    picked = layout[np.arange(len(layout)), np.argmin(fom[layout], axis=1)]
+    for group, best in zip(layout.tolist(), picked.tolist()):
+        assert best == ro.postselect(
+            [(q, device.confusions[q].invert()) for q in group])
+
+
 # --- correction -------------------------------------------------------------------
 
 def test_correct_identity_unchanged():
@@ -168,6 +196,31 @@ def test_layout_shape_and_blocks():
 def test_layout_too_big_rejected():
     with pytest.raises(ValueError):
         ro.replica_layout(25, 6, 125)
+
+
+def test_noiseless_measure_is_plain_binomial():
+    device = ro.SimulatedDevice.noiseless(125)
+    layout = ro.replica_layout()
+    prob0 = np.linspace(-0.1, 1.1, 25)[:, None]  # clipped to [0, 1]
+    counts = device.measure(layout, prob0, 1000, np.random.default_rng(4))
+    expected = np.random.default_rng(4).binomial(
+        1000, np.broadcast_to(np.clip(prob0, 0.0, 1.0), layout.shape))
+    np.testing.assert_array_equal(counts, expected)
+
+
+def test_measure_one_draw_law():
+    # true outcome then readout flip is one binomial in the recorded P(0)
+    cm = ro.ConfusionMatrix.from_flip_rates(0.08, 0.15)
+    device = ro.SimulatedDevice([ro.ConfusionMatrix(1.0, 0.0, 0.0, 1.0), cm])
+    shots, prob0, draws = 500, 0.3, 2000
+    counts = device.measure(np.ones(draws, dtype=int), prob0, shots,
+                            np.random.default_rng(21))
+    p = prob0 * cm.p00 + (1.0 - prob0) * cm.p01
+    mean, var = shots * p, shots * p * (1.0 - p)
+    # binomial fourth central moment, for the spread of the sample variance
+    mu4 = var * (1.0 + 3.0 * (shots - 2) * p * (1.0 - p))
+    assert abs(counts.mean() - mean) < 5.0 * np.sqrt(var / draws)
+    assert abs(counts.var(ddof=1) - var) < 5.0 * np.sqrt((mu4 - var ** 2) / draws)
 
 
 # --- noisy energy runs ----------------------------------------------------------------
@@ -262,6 +315,38 @@ def test_layout_validation(trained):
         ro.noisy_energy_run(params, h, ro.SimulatedDevice.noiseless(10),
                             ro.replica_layout(), 100,
                             ro.CorrectionMode.UNCORRECTED, rng=0)
+
+
+def test_zero_shots_rejected(trained):
+    params, h = trained
+    device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
+    for shots, calibration_shots in ((0, None), (0, 100), (100, 0)):
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            ro.noisy_energies(params, h, device, ro.replica_layout(), shots,
+                              list(ro.CorrectionMode), rng=0,
+                              calibration_shots=calibration_shots)
+
+
+def test_one_draw_per_stage_and_per_observation_correction(trained,
+                                                           monkeypatch):
+    params, h = trained
+    device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
+    calls = {"measure": 0, "correct": 0}
+    measure, correct = ro.SimulatedDevice.measure, ro.correct
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(ro.SimulatedDevice, "measure", counted("measure", measure))
+    monkeypatch.setattr(ro, "correct", counted("correct", correct))
+    energies = ro.noisy_energies(params, h, device, ro.replica_layout(), 4000,
+                                 list(ro.CorrectionMode), rng=11)
+    assert len(energies) == 4
+    # one calibration draw and one data draw; 25 x 5 corrected + 25 best
+    assert calls == {"measure": 2, "correct": 150}
 
 
 # --- shot study ------------------------------------------------------------------------
