@@ -38,16 +38,19 @@ arXiv:2009.02823). A gate outside SU(2) would break this. Contracting each
 layer's slice with ``block`` gives the Jacobians.
 
 Kernel contract: ``(p0, sx, dp0, dsx) = circuit_batch(kind, values,
-features, want_grad)`` where ``p0`` is P(0)=|amp0|^2 per batch row, ``sx``
-the sigma_x expectation on the same final state, and ``dp0``/``dsx`` their
-exact derivatives with respect to every flat parameter (zeros without
-``want_grad``). ``values`` is one parameter vector (P,) or a population of R
-vectors (R, P) on the same B feature rows; all R·B circuits run in one
-sweep, and the rows come back flattened member-major: row ``r * B + b`` is
-member r on feature row b, and ``dp0``/``dsx`` are (R·B, P). Every row is
-computed as a single-vector call computes it, so a population's rows equal
-R separate calls bit for bit. The forward pass is the same with and without
-gradients, so ``p0`` and ``sx`` are bitwise equal in both modes.
+features, want_grad, want_sx)`` where ``p0`` is P(0)=|amp0|^2 per batch row,
+``sx`` the sigma_x expectation on the same final state, and ``dp0``/``dsx``
+their exact derivatives with respect to every flat parameter (zeros without
+``want_grad``). sigma_x is computed only on request: without ``want_sx``,
+``sx`` and ``dsx`` are None and a gradient call forms the one Jacobian
+``dp0`` (a real-mode training step needs no more). ``values`` is one
+parameter vector (P,) or a population of R vectors (R, P) on the same B
+feature rows; all R·B circuits run in one sweep, and the rows come back
+flattened member-major: row ``r * B + b`` is member r on feature row b, and
+``dp0``/``dsx`` are (R·B, P). Every row is computed as a single-vector call
+computes it, so a population's rows equal R separate calls bit for bit. The
+forward pass is the same with and without gradients or sigma_x, so ``p0``,
+``sx`` and ``dp0`` are bitwise equal in every mode that returns them.
 """
 from __future__ import annotations
 
@@ -121,12 +124,13 @@ def _layout(axes: tuple):
     return gate_slot, merge
 
 
-def _sweep(axes, theta: np.ndarray, want_grad: bool):
+def _sweep(axes, theta: np.ndarray, want_grad: bool, want_sx: bool = True):
     """Apply the gates with axis flags ``axes`` (True for Ry) at angles
     ``theta`` (B, G) to |0>.
 
-    Returns ``(p0, sx, dtheta)`` where ``dtheta`` (B, 2, G) stacks
-    dP(0)/dtheta_g and d<sigma_x>/dtheta_g, or is None without ``want_grad``.
+    Returns ``(p0, sx, dtheta)`` where ``dtheta`` (B, k, G) stacks
+    dP(0)/dtheta_g and, with ``want_sx`` (k = 2), d<sigma_x>/dtheta_g; it is
+    None without ``want_grad``, and ``sx`` is None without ``want_sx``.
     """
     B = theta.shape[0]
     gate_slot, merge = _layout(tuple(axes))
@@ -136,9 +140,13 @@ def _sweep(axes, theta: np.ndarray, want_grad: bool):
     c = np.cos(half).reshape(pairs, 2, B)
     s = np.sin(half).reshape(pairs, 2, B)
     # Ry(beta) Rz(alpha) = [[p, -conj q], [q, conj p]] per row, with
-    # (p, q) = (cos beta/2, sin beta/2) e^{-i alpha/2}
+    # (p, q) = (cos beta/2, sin beta/2) e^{-i alpha/2}. e^{-i alpha/2} is
+    # written part by part: its imaginary part is 0 - sin, +0 where sin is
+    # +-0, bit for bit what cos - 1j * sin gives
     pair = np.empty((pairs, 2, 2, B), np.complex128)
-    e = c[:, 0] - 1j * s[:, 0]
+    e = np.empty((pairs, B), np.complex128)
+    e.real = c[:, 0]
+    np.subtract(0.0, s[:, 0], out=e.imag)
     np.multiply(c[:, 1], e, out=pair[:, 0, 0])
     np.multiply(s[:, 1], e, out=pair[:, 1, 0])
     np.conj(pair[:, ::-1, 0], out=pair[:, :, 1])
@@ -153,7 +161,7 @@ def _sweep(axes, theta: np.ndarray, want_grad: bool):
         np.add(col0, col1, out=nxt)
     a0, a1 = st[-1]
     p0 = np.abs(a0) ** 2
-    sx = 2.0 * np.real(np.conj(a0) * a1)
+    sx = 2.0 * np.real(np.conj(a0) * a1) if want_sx else None
     if not want_grad:
         return p0, sx, None
     # per slot: a pair's Rz reads the state before the pair, its Ry the
@@ -163,17 +171,20 @@ def _sweep(axes, theta: np.ndarray, want_grad: bool):
     v1[:, 1] = 0.5 * (st[1:, 0] ** 2 + st[1:, 1] ** 2)
     # dP(0) = Re(alpha v1), d<sigma_x> = Re(beta v1), per row (alpha, beta)
     ca0, ca1 = np.conj(a0), np.conj(a1)
-    coef = np.stack((-2.0 * ca0 * ca1, 2.0 * (ca0 ** 2 - ca1 ** 2)), axis=1)
+    alpha = -2.0 * ca0 * ca1
+    coef = (np.stack((alpha, 2.0 * (ca0 ** 2 - ca1 ** 2)), axis=1) if want_sx
+            else alpha[:, None])
     dslot = np.real(coef[:, :, None] * v1.reshape(2 * pairs, B).T[:, None])
     return p0, sx, dslot[:, :, gate_slot]
 
 
 def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
-                  want_grad: bool = True):
+                  want_grad: bool = True, want_sx: bool = True):
     """Evaluate R circuits on B feature rows and (optionally) their Jacobians.
 
     ``values`` is (P,) for R = 1 or (R, P). Returns ``(p0, sx, dp0, dsx)``
-    with shapes (R·B,), (R·B,), (R·B, P), (R·B, P), member-major.
+    with shapes (R·B,), (R·B,), (R·B, P), (R·B, P), member-major; ``sx``
+    and ``dsx`` are None without ``want_sx``.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -183,11 +194,13 @@ def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
     # theta[r, b, l*g + k] = values[r] of layer l . block[b, k]
     theta = values.reshape(R, 1, layers, per) @ block.transpose(0, 2, 1)
     p0, sx, dtheta = _sweep(layer_axes * layers,
-                            theta.reshape(R * B, layers * g), want_grad)
+                            theta.reshape(R * B, layers * g), want_grad,
+                            want_sx)
     if dtheta is None:
         shape = (R * B, P)
-        return p0, sx, np.zeros(shape), np.zeros(shape)
+        return p0, sx, np.zeros(shape), np.zeros(shape) if want_sx else None
     # einsum('rbklg,bgp->rbklp', dtheta, block) over each layer's gates
-    jac = dtheta.reshape(R, B, 2, layers, g) @ block[None, :, None]
-    jac = jac.reshape(R * B, 2, P)
-    return p0, sx, jac[:, 0], jac[:, 1]
+    k = dtheta.shape[1]
+    jac = dtheta.reshape(R, B, k, layers, g) @ block[None, :, None]
+    jac = jac.reshape(R * B, k, P)
+    return p0, sx, jac[:, 0], jac[:, 1] if want_sx else None

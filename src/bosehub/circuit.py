@@ -82,7 +82,8 @@ def weight_of(params: CircuitParams, features) -> float:
     """Wave-function weight P(0) = (1+<sigma_z>)/2 of the prepared state."""
     x = _check_features(params, features)
     p0, _, _, _ = _kernels.circuit_batch(params.kind, params.values,
-                                         x[None, :], want_grad=False)
+                                         x[None, :], want_grad=False,
+                                         want_sx=False)
     return float(p0[0])
 
 
@@ -98,7 +99,8 @@ def gradient(params: CircuitParams, features) -> np.ndarray:
     """Exact dP(0)/dtheta for every flat parameter (closed-form kernel)."""
     x = _check_features(params, features)
     _, _, dp0, _ = _kernels.circuit_batch(params.kind, params.values,
-                                          x[None, :], want_grad=True)
+                                          x[None, :], want_grad=True,
+                                          want_sx=False)
     return dp0[0].copy()
 
 
@@ -131,15 +133,17 @@ def weights(kind: str, values: np.ndarray, X: np.ndarray,
             complex_mode: bool = False) -> np.ndarray:
     """``batch_weights`` (or, in complex mode, ``batch_complex_weights``) on
     inputs the caller has checked: finite float ``values`` (P,) or (R, P) in
-    ``kind``'s layout for the (B, nf) float features ``X``."""
-    p0, sx, _, _ = _rows(kind, values, X, want_grad=False)
+    ``kind``'s layout for the (B, nf) float features ``X``. The kernel
+    computes <sigma_x> only in complex mode."""
+    p0, sx, _, _ = _rows(kind, values, X, False, complex_mode)
     return p0 * np.exp(1j * np.pi * sx) if complex_mode else p0
 
 
 def weights_and_jacobian(kind: str, values: np.ndarray, X: np.ndarray,
                          complex_mode: bool = False):
-    """``batch_weights_and_jacobian`` on inputs checked as for ``weights``."""
-    p0, sx, dp0, dsx = _rows(kind, values, X, want_grad=True)
+    """``batch_weights_and_jacobian`` on inputs checked as for ``weights``;
+    real mode forms the one Jacobian dP(0)/dtheta."""
+    p0, sx, dp0, dsx = _rows(kind, values, X, True, complex_mode)
     if not complex_mode:
         return p0, dp0
     phase = np.exp(1j * np.pi * sx)
@@ -148,11 +152,16 @@ def weights_and_jacobian(kind: str, values: np.ndarray, X: np.ndarray,
     return c, jac
 
 
-def _rows(kind: str, values: np.ndarray, X: np.ndarray, want_grad: bool):
-    """The kernel's rows as (B,) and (B, P), or (R, B) and (R, B, P)."""
-    p0, sx, dp0, dsx = _kernels.circuit_batch(kind, values, X, want_grad)
+def _rows(kind: str, values: np.ndarray, X: np.ndarray, want_grad: bool,
+          want_sx: bool):
+    """The kernel's rows as (B,) and (B, P), or (R, B) and (R, B, P); the
+    sigma_x outputs are None without ``want_sx``."""
+    p0, sx, dp0, dsx = _kernels.circuit_batch(kind, values, X, want_grad,
+                                              want_sx)
     rows = values.shape[:-1] + (X.shape[0],)
     jac = rows + (values.shape[-1],)
+    if not want_sx:
+        return p0.reshape(rows), None, dp0.reshape(jac), None
     return (p0.reshape(rows), sx.reshape(rows), dp0.reshape(jac),
             dsx.reshape(jac))
 

@@ -416,13 +416,15 @@ def cmd_study_noise(args) -> int:
         params = qc.from_json(Path(ckpt).read_text())
         h = build_reduced(ModelParams(args.t, u, args.sites, args.bosons),
                           descriptor)
-        ideal = vr.rayleigh_energy(
-            qc.batch_weights(params, basis_mod.feature_matrix(h.basis)), h)
+        # the ideal circuit is evaluated once per U, for every trial
+        weights = qc.batch_weights(params, basis_mod.feature_matrix(h.basis))
+        ideal = vr.rayleigh_energy(weights, h)
         for trial in range(args.trials):
             rng = np.random.default_rng(
                 np.random.SeedSequence((args.seed, ui, trial)))
             energies = ro.noisy_energies(params, h, device, layout,
-                                         args.shots, modes, rng)
+                                         args.shots, modes, rng,
+                                         ideal=weights)
             rows.extend((trial, mode.value, u, energies[mode], ideal)
                         for mode in modes)
     rows.sort(key=lambda r: (r[0], r[2], r[1]))

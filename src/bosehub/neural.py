@@ -57,19 +57,24 @@ class MlpParams:
         return np.concatenate(parts)
 
     def with_flat(self, flat: np.ndarray) -> "MlpParams":
-        """Rebuild parameters of this shape from a flat vector."""
-        flat = np.asarray(flat, dtype=float)
+        """Parameters of this shape as read-only views into a flat vector.
+
+        Nothing is copied: the result reads ``flat`` (or its float copy,
+        when it is not a float array), so ``flat`` must not change while the
+        result is in use."""
+        # slices of a read-only view are read-only; the caller's array is not
+        flat = np.asarray(flat, dtype=float).view()
+        flat.flags.writeable = False
         if flat.size != self.n_params:
             raise ValueError(f"expected {self.n_params} values, got {flat.size}")
         pos = 0
         hidden = []
         for w, b in self.hidden:
-            nw = w.size
-            hidden.append((flat[pos:pos + nw].reshape(w.shape).copy(),
-                           flat[pos + nw:pos + nw + b.size].copy()))
-            pos += nw + b.size
-        output = flat[pos:].reshape(self.output.shape).copy()
-        return MlpParams(hidden, output)
+            end = pos + w.size
+            hidden.append((flat[pos:end].reshape(w.shape),
+                           flat[end:end + b.size]))
+            pos = end + b.size
+        return MlpParams(hidden, flat[pos:].reshape(self.output.shape))
 
 
 def mlp_forward(params: MlpParams, features):
@@ -89,7 +94,9 @@ def mlp_forward(params: MlpParams, features):
     activations = [X]
     a = X
     for w, b in params.hidden:
-        a = np.tanh(a @ w + b)
+        a = a @ w
+        a += b
+        np.tanh(a, out=a)
         activations.append(a)
     out = a @ params.output
     return (out[0] if single else out), activations
@@ -102,18 +109,26 @@ def mlp_backward(params: MlpParams, activations, upstream) -> np.ndarray:
     gradient of the scalar loss with respect to every weight and bias.
     """
     dout = np.atleast_2d(np.asarray(upstream, dtype=float))
-    grads_hidden = []
+    # filled from the output back, each block in place
+    grad = np.empty(params.n_params)
+    end = grad.size - params.output.size
+    np.matmul(activations[-1].T, dout,
+              out=grad[end:].reshape(params.output.shape))
     da = dout @ params.output.T
-    d_output = activations[-1].T @ dout
-    for (w, b), a_in, a_out in zip(reversed(params.hidden),
-                                   reversed(activations[:-1]),
-                                   reversed(activations[1:])):
-        dz = da * (1.0 - a_out ** 2)
-        grads_hidden.append((a_in.T @ dz, dz.sum(axis=0)))
-        da = dz @ w.T
-    parts = [a.ravel() for gw, gb in reversed(grads_hidden) for a in (gw, gb)]
-    parts.append(d_output.ravel())
-    return np.concatenate(parts)
+    for layer in reversed(range(len(params.hidden))):
+        w, b = params.hidden[layer]
+        # dz = da * (1 - a_out^2)
+        dz = np.square(activations[layer + 1])
+        np.subtract(1.0, dz, out=dz)
+        dz *= da
+        end -= b.size
+        dz.sum(axis=0, out=grad[end:end + b.size])
+        end -= w.size
+        np.matmul(activations[layer].T, dz,
+                  out=grad[end:end + w.size].reshape(w.shape))
+        if layer:  # the input layer passes nothing further back
+            da = dz @ w.T
+    return grad
 
 
 def coefficient(params: MlpParams, features):

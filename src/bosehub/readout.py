@@ -92,16 +92,21 @@ class InverseConfusion:
             raise ValueError("diagonal of the inverse must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulatedDevice:
-    """Qubits with independent readout flips; ``p0`` rows are (p00, p01)."""
+    """Qubits with independent readout flips; ``p0`` rows are (p00, p01).
 
-    confusions: list[ConfusionMatrix]
+    The device is immutable: ``confusions`` is stored as a tuple, so ``p0``,
+    built once from it, cannot go stale."""
+
+    confusions: tuple[ConfusionMatrix, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "confusions", tuple(self.confusions))
         pairs = [(cm.p00, cm.p01) for cm in self.confusions]
-        self.p0 = np.array(pairs, dtype=float).reshape(-1, 2)
-        self.p0.flags.writeable = False
+        p0 = np.array(pairs, dtype=float).reshape(-1, 2)
+        p0.flags.writeable = False
+        object.__setattr__(self, "p0", p0)
 
     @classmethod
     def random(cls, n_qubits: int = DEFAULT_QUBITS,
@@ -181,7 +186,8 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
                    device: SimulatedDevice, layout: np.ndarray,
                    shots: int, modes, rng,
                    calibration_shots: int | None = None,
-                   anchor_index: int | None = None) -> dict:
+                   anchor_index: int | None = None, *,
+                   ideal: np.ndarray | None = None) -> dict:
     """One data-taking run on the simulated device, one energy per mode.
 
     All requested modes are assembled from the same calibration and data
@@ -195,10 +201,18 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
 
     Sampling order is fixed (one draw calibrates every layout qubit, then one
     draws the whole layout's data), so results are deterministic given the rng.
+    The calibration draw is made whatever the modes, so every mode set draws
+    the same samples; the per-qubit corrections and the postselection run
+    only for the modes that read them.
+
+    ``ideal``, the circuit's P(0) on every basis class, lets a caller that
+    runs many trials of one circuit evaluate it once; it is computed here
+    when not given.
     """
     modes = [CorrectionMode(m) for m in modes]
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    ideal = batch_weights(params, feature_matrix(h.basis))
+    if ideal is None:
+        ideal = batch_weights(params, feature_matrix(h.basis))
     dim = h.dim
     anchor = dim - 1 if anchor_index is None else anchor_index
     measured = [i for i in range(dim) if i != anchor]
@@ -212,15 +226,20 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
         raise ValueError("layout references qubits outside the device")
 
     cal_shots = shots if calibration_shots is None else calibration_shots
-    inverse, fom = calibrate(device, layout, cal_shots, rng).inverse()
+    estimate = calibrate(device, layout, cal_shots, rng)
     counts = device.measure(layout, ideal[measured, None], shots, rng)
-    # correct and postselect take one qubit's observation and inverse
-    samples = [{q: (ShotResult(shots, n), InverseConfusion(m, f))
-                for q, n, m, f in zip(*row)}
-               for row in zip(layout.tolist(), counts.tolist(), inverse,
-                              fom.tolist())]
-    chosen = [group[postselect([(q, inv) for q, (_, inv) in group.items()])]
-              for group in samples]
+    if set(modes) - {CorrectionMode.UNCORRECTED}:
+        # correct and postselect take one qubit's observation and inverse
+        inverse, fom = estimate.inverse()
+        samples = [{q: (ShotResult(shots, n), InverseConfusion(m, f))
+                    for q, n, m, f in zip(*row)}
+                   for row in zip(layout.tolist(), counts.tolist(), inverse,
+                                  fom.tolist())]
+    if set(modes) & {CorrectionMode.POSTSELECTED,
+                     CorrectionMode.POSTSELECTED_CORRECTED}:
+        chosen = [group[postselect([(q, inv)
+                                    for q, (_, inv) in group.items()])]
+                  for group in samples]
 
     energies = {}
     for mode in modes:

@@ -124,11 +124,11 @@ class MlpAnsatz:
             out, cache = neural.mlp_forward(params, self.features)
             c = neural.output_to_coefficient(out)
             r, energy = rayleigh_residual(c, h)
-            rc = np.conj(r) * c
             if self.complex_mode:
+                rc = np.conj(r) * c
                 upstream = np.stack([2.0 * rc.real, -2.0 * rc.imag], axis=1)
             else:
-                upstream = (2.0 * rc.real)[:, None]
+                upstream = (2.0 * (r * c))[:, None]
             energies.append(energy)
             grads.append(neural.mlp_backward(params, cache, upstream))
             coeffs.append(c)
@@ -172,7 +172,9 @@ class CircuitAnsatz:
         # rounds differently, and Adam amplifies that into another trajectory
         for k, (ck, jk) in enumerate(zip(c, jac)):
             r, energies[k] = rayleigh_residual(ck, h)
-            grads[k] = 2.0 * np.real(np.conj(r) @ jk)
+            if self.complex_mode:
+                r = np.conj(r)
+            grads[k] = 2.0 * np.real(r @ jk)
         return energies, grads, c
 
     def export(self, theta) -> str:
@@ -193,14 +195,19 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
     tie. If any member's energy turns non-finite, ``TrainingDiverged``
     carries the trace of the lowest-index such member. Deterministic for a
     fixed config.
+
+    Adam works in buffers allocated once, with the operations of the
+    textbook update in the same order, so each step rounds as the
+    allocating form would. ``theta`` is a fresh array every step: the best
+    iterate may alias it.
     """
     if not h.is_real and not ansatz.complex_mode:
         raise ValueError("complex Hamiltonian needs a complex-mode ansatz")
     seeds = range(cfg.seed, cfg.seed + cfg.restarts)
     theta = np.array([ansatz.initial_vector(np.random.default_rng(seed),
                                             INIT_SCALE) for seed in seeds])
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    # moments, and the scratch buffers of one update
+    m, v, m_hat, v_hat = (np.zeros_like(theta) for _ in range(4))
     energies = np.empty((cfg.restarts, cfg.steps + 1))
     best_energy, best_theta = np.full(cfg.restarts, np.inf), theta
     for step in range(1, cfg.steps + 1):
@@ -208,13 +215,26 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
         energies[:, step - 1] = energy
         _check_finite(energy, seeds, f"at step {step}", energies[:, :step])
         better = energy < best_energy
-        best_energy = np.where(better, energy, best_energy)
-        best_theta = np.where(better[:, None], theta, best_theta)
-        m = BETA1 * m + (1.0 - BETA1) * grad
-        v = BETA2 * v + (1.0 - BETA2) * grad * grad
-        m_hat = m / (1.0 - BETA1 ** step)
-        v_hat = v / (1.0 - BETA2 ** step)
-        theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+        if better.any():
+            best_energy = np.where(better, energy, best_energy)
+            best_theta = np.where(better[:, None], theta, best_theta)
+        # m = BETA1 m + (1 - BETA1) g
+        m *= BETA1
+        np.multiply(grad, 1.0 - BETA1, out=m_hat)
+        m += m_hat
+        # v = BETA2 v + ((1 - BETA2) g) g
+        v *= BETA2
+        np.multiply(grad, 1.0 - BETA2, out=v_hat)
+        v_hat *= grad
+        v += v_hat
+        # theta - lr m_hat / (sqrt(v_hat) + EPSILON)
+        np.divide(m, 1.0 - BETA1 ** step, out=m_hat)
+        np.divide(v, 1.0 - BETA2 ** step, out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += EPSILON
+        m_hat *= cfg.learning_rate
+        m_hat /= v_hat
+        theta = theta - m_hat
     energy = np.array([rayleigh_energy(c, h)
                        for c in ansatz.coefficients(theta)])
     energies[:, cfg.steps] = energy
@@ -229,12 +249,12 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
 
 def _check_finite(energy, seeds, when: str, traces) -> None:
     """Raise ``TrainingDiverged`` with the first non-finite member's trace."""
-    bad = np.flatnonzero(~np.isfinite(energy))
-    if bad.size:
-        k = bad[0]
-        raise TrainingDiverged(
-            f"energy of the restart from seed {seeds[k]} became non-finite "
-            f"{when}", traces[k].copy())
+    if np.isfinite(energy).all():
+        return
+    k = np.flatnonzero(~np.isfinite(energy))[0]
+    raise TrainingDiverged(
+        f"energy of the restart from seed {seeds[k]} became non-finite "
+        f"{when}", traces[k].copy())
 
 
 def layer_study(kind: str, layer_counts, h: HamiltonianMatrix,

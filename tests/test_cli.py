@@ -212,6 +212,28 @@ def test_study_noise_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_study_noise_evaluates_the_ideal_circuit_once_per_u(tmp_path, capsys,
+                                                            monkeypatch):
+    from bosehub import _kernels
+
+    run(capsys, "train", "--ansatz", "quat", "--layers", "2", "--U", "5",
+        "--steps", "30", "--out-dir", str(tmp_path))
+    ckpt = str(tmp_path / "quat_U5_checkpoint.json")
+    calls = []
+    kernel = _kernels.circuit_batch
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "circuit_batch", spy)
+    code, _, _ = run(capsys, "study", "noise", "--checkpoint", ckpt, ckpt,
+                     "--U", "2,5", "--shots", "300", "--trials", "4")
+    assert code == 0
+    # one evaluation per U, shared by its four trials
+    assert calls == ["quat", "quat"]
+
+
 def test_study_noise_rejects_threads_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["study", "noise", "--checkpoint", str(tmp_path / "c.json"),

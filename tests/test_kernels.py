@@ -109,22 +109,40 @@ def test_batch_matches_single_evaluation():
         np.testing.assert_allclose(batch_dp0[row], dp0[0], atol=1e-14)
 
 
-@pytest.mark.parametrize("want_grad", [False, True])
+# the sigma_x switch joins want_grad in one parametrize, so that the cases
+# with sigma_x on keep their plain False/True ids
+@pytest.mark.parametrize("want_grad,want_sx", [
+    pytest.param(want_grad, want_sx,
+                 id=f"{want_grad}" + ("" if want_sx else "-no_sx"))
+    for want_sx in (True, False) for want_grad in (False, True)])
 @pytest.mark.parametrize("layers", range(9))
 @pytest.mark.parametrize("kind", ["compressed", "quat"])
-def test_population_rows_equal_single_calls(kind, layers, want_grad):
+def test_population_rows_equal_single_calls(kind, layers, want_grad, want_sx):
     rng = np.random.default_rng(layers)
     values = np.array([init_params(kind, layers, rng, scale=1.5).values
                        for _ in range(3)])
     X = rng.uniform(-2.0, 2.0, (11, 6))
-    pop = _kernels.circuit_batch(kind, values, X, want_grad)
+    pop = _kernels.circuit_batch(kind, values, X, want_grad, want_sx)
     # rows come back flattened member-major: member r holds rows 11r..11r+10
-    assert pop[0].shape == pop[1].shape == (33,)
-    assert pop[2].shape == pop[3].shape == (33, values.shape[1])
+    assert pop[0].shape == (33,)
+    assert pop[2].shape == (33, values.shape[1])
+    if want_sx:
+        assert pop[1].shape == (33,)
+        assert pop[3].shape == (33, values.shape[1])
+    else:
+        # sigma_x off: p0 and dp0 are the full call's, bit for bit
+        assert pop[1] is None and pop[3] is None
+        full = _kernels.circuit_batch(kind, values, X, want_grad, True)
+        assert pop[0].tobytes() == full[0].tobytes()
+        assert np.ascontiguousarray(pop[2]).tobytes() == \
+            np.ascontiguousarray(full[2]).tobytes()
     for r, member in enumerate(values):
-        single = _kernels.circuit_batch(kind, member, X, want_grad)
+        single = _kernels.circuit_batch(kind, member, X, want_grad, want_sx)
         for got, want in zip(pop, single):
-            assert np.array_equal(got[11 * r:11 * (r + 1)], want)
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got[11 * r:11 * (r + 1)], want)
 
 
 def test_restarts_share_one_kernel_call_per_step(h_reduced, monkeypatch):
@@ -132,9 +150,9 @@ def test_restarts_share_one_kernel_call_per_step(h_reduced, monkeypatch):
     rows = []
     kernel = _kernels.circuit_batch
 
-    def spy(kind, values, features, want_grad=True):
+    def spy(kind, values, *args, **kwargs):
         rows.append(np.shape(values))
-        return kernel(kind, values, features, want_grad)
+        return kernel(kind, values, *args, **kwargs)
 
     monkeypatch.setattr(_kernels, "circuit_batch", spy)
     steps = 7

@@ -153,3 +153,23 @@ def test_with_flat_validates_length():
     params = neural.MlpParams.initialize((3, 4, 2), outputs=1, rng=0)
     with pytest.raises(ValueError):
         params.with_flat(np.zeros(3))
+
+
+@pytest.mark.parametrize("outputs", [1, 2])
+def test_with_flat_returns_read_only_views(outputs):
+    template = neural.MlpParams.initialize((6, 5, 4), outputs=outputs, rng=0)
+    flat = np.random.default_rng(3).standard_normal(template.n_params)
+    flat[0] = -0.0
+    params = template.with_flat(flat)
+    arrays = [a for pair in params.hidden for a in pair] + [params.output]
+    assert [a.shape for a in arrays] == [
+        a.shape for pair in template.hidden for a in pair] + [
+        template.output.shape]
+    for a in arrays:
+        assert not a.flags.writeable
+        assert np.shares_memory(a, flat)
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    # the caller's vector stays writable, and flatten() round-trips it
+    assert flat.flags.writeable
+    assert params.flatten().tobytes() == flat.tobytes()

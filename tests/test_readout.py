@@ -185,6 +185,25 @@ def test_device_generation_in_range():
         assert 0.95 <= cm.p11 <= 0.99
 
 
+def test_device_cannot_go_stale():
+    confusions = [ro.ConfusionMatrix.from_flip_rates(0.01, 0.02),
+                  ro.ConfusionMatrix.from_flip_rates(0.03, 0.04)]
+    device = ro.SimulatedDevice(confusions)
+    assert device.confusions == tuple(confusions)
+    np.testing.assert_array_equal(device.p0, [[0.99, 0.02], [0.97, 0.04]])
+    perfect = ro.ConfusionMatrix(1.0, 0.0, 0.0, 1.0)
+    # measure draws from p0, so neither an entry nor the sequence may change
+    with pytest.raises(TypeError):
+        device.confusions[0] = perfect
+    with pytest.raises(AttributeError):
+        device.confusions = [perfect, perfect]
+    with pytest.raises(AttributeError):
+        device.p0 = np.zeros((2, 2))
+    # the caller's list is not the device's
+    confusions[0] = perfect
+    np.testing.assert_array_equal(device.p0[0], [0.99, 0.02])
+
+
 def test_layout_shape_and_blocks():
     layout = ro.replica_layout()
     assert layout.shape == (25, 5)
@@ -347,6 +366,45 @@ def test_one_draw_per_stage_and_per_observation_correction(trained,
     assert len(energies) == 4
     # one calibration draw and one data draw; 25 x 5 corrected + 25 best
     assert calls == {"measure": 2, "correct": 150}
+
+
+def test_given_ideal_weights_draw_the_same_energies(trained):
+    params, h = trained
+    device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
+    weights = qc.batch_weights(params, feature_matrix(h.basis))
+    modes = list(ro.CorrectionMode)
+    own = ro.noisy_energies(params, h, device, ro.replica_layout(), 4000,
+                            modes, rng=11)
+    given = ro.noisy_energies(params, h, device, ro.replica_layout(), 4000,
+                              modes, rng=11, ideal=weights)
+    assert own == given
+
+
+@pytest.mark.parametrize("modes,corrections,postselections", [
+    (["uncorrected"], 0, 0),
+    (["corrected"], 125, 0),
+    (["postselected"], 0, 25),
+    (["uncorrected", "postselected-corrected"], 25, 25),
+])
+def test_per_qubit_work_only_for_modes_that_read_it(trained, monkeypatch,
+                                                    modes, corrections,
+                                                    postselections):
+    params, h = trained
+    device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
+    everything = ro.noisy_energies(params, h, device, ro.replica_layout(),
+                                   4000, list(ro.CorrectionMode), rng=11)
+    calls = {"correct": 0, "postselect": 0}
+    for name in calls:
+        def spy(*args, fn=getattr(ro, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(ro, name, spy)
+    some = ro.noisy_energies(params, h, device, ro.replica_layout(), 4000,
+                             modes, rng=11)
+    assert calls == {"correct": corrections, "postselect": postselections}
+    # every mode set draws the same samples, so each energy is unchanged
+    assert some == {mode: everything[mode]
+                    for mode in map(ro.CorrectionMode, modes)}
 
 
 # --- shot study ------------------------------------------------------------------------

@@ -283,6 +283,27 @@ class _Scripted:
         return np.ones((len(thetas), 26))
 
 
+def test_each_member_keeps_its_own_best_iterate(h_reduced):
+    h = h_reduced(U=5.0)
+    # member 0 improves alone at step 2 and wins; member 1 improves alone
+    # at step 3, which must not move member 0's best iterate
+    script = {1: [-5.0, -5.0], 2: [-7.0, -4.0], 3: [-4.0, -6.0]}
+    seen = []
+
+    class Recording(_Scripted):
+        def initial_vector(self, rng, scale=0.1):
+            return rng.uniform(-1.0, 1.0, 2)
+
+        def energy_gradient(self, thetas, hh):
+            seen.append(thetas.copy())
+            return super().energy_gradient(thetas, hh)
+
+    result = train(Recording(lambda call: script.get(call, [-4.0, -4.0])), h,
+                   TrainConfig(steps=5, seed=0, restarts=2))
+    assert result.seed == 0 and result.final_energy == -7.0
+    assert np.array_equal(result.theta, seen[1][0])
+
+
 def test_divergence_of_one_member_carries_its_trace(h_reduced):
     h = h_reduced(U=5.0)
     # member 0 stays finite; member 1 (seed 8) blows up at step 3
