@@ -70,10 +70,6 @@ class ShotResult:
             raise ValueError("count0 out of range")
 
     @property
-    def count1(self) -> int:
-        return self.shots - self.count0
-
-    @property
     def frequency0(self) -> float:
         return self.count0 / self.shots
 
@@ -170,7 +166,7 @@ def sample(params: CircuitParams, features, shots: int, rng) -> ShotResult:
     """Finite-shot measurement: count0 ~ Binomial(shots, P(0))."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     p0 = min(max(weight_of(params, features), 0.0), 1.0)
     return ShotResult(shots, int(rng.binomial(shots, p0)))
 
@@ -179,7 +175,7 @@ def init_params(kind: str, layers: int, rng, scale: float = 0.1,
                 n_features: int = 6) -> CircuitParams:
     """Uniform initialization in [-scale, scale]."""
     count = param_count(kind, layers, n_features)
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     return CircuitParams(kind, layers, rng.uniform(-scale, scale, count),
                          n_features)
 

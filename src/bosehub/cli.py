@@ -48,7 +48,6 @@ def main(argv=None) -> int:
         print(f"error: config file {known.config}: {exc}", file=sys.stderr)
         return 1
     args = parser.parse_args(argv)
-    _coerce_paths(args)
     if args.check:
         failures = run_oracle_checks()
         if failures:
@@ -136,7 +135,7 @@ def _exact_options(p) -> list:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--U", type=float, default=None)
     p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--basis", default="full",
+    p.add_argument("--basis", default="reduced",
                    choices=[k.value for k in basis_mod.BasisKind])
     p.add_argument("--orientation", default="interaction",
                    choices=["interaction", "lex"])
@@ -246,17 +245,6 @@ def _train_flags(p, ansatz_choices=("nn", "compressed", "quat")) -> None:
                    help="complex coefficients (required when phi != 0)")
     p.add_argument("--raw-features", action="store_true",
                    help="feed occupations without mean subtraction")
-
-
-def _coerce_paths(args) -> None:
-    """Config-file values arrive as plain strings; normalize path options."""
-    for dest in ("out", "out_dir", "out_prefix", "calibration_out",
-                 "checkpoint"):
-        value = getattr(args, dest, None)
-        if isinstance(value, str):
-            setattr(args, dest, Path(value))
-        elif isinstance(value, list):
-            setattr(args, dest, [Path(v) for v in value])
 
 
 def _require(args, *names) -> None:
@@ -435,12 +423,7 @@ def cmd_study_noise(args) -> int:
         ro.write_energy_report_csv(rows, args.out)
         print(f"wrote {args.out}")
     if args.calibration_out:
-        report = ro.calibration_report(device, args.shots, args.seed)
-        # mark each coefficient's best replica qubit by this report's merits
-        fom = {row[0]: row[5] for row in report}
-        selected = {min((int(q) for q in group), key=lambda q: (fom[q], q))
-                    for group in layout}
-        report = [row[:6] + (int(row[0] in selected),) for row in report]
+        report = ro.calibration_report(device, args.shots, args.seed, layout)
         ro.write_calibration_csv(report, args.calibration_out)
         print(f"wrote {args.calibration_out}")
     return 0

@@ -29,7 +29,7 @@ class MlpParams:
     def initialize(cls, sizes=(6, 64, 32), outputs: int = 1, rng=0,
                    ) -> "MlpParams":
         """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = np.random.default_rng(rng)
         hidden = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             lim = 1.0 / np.sqrt(fan_in)
@@ -129,12 +129,6 @@ def mlp_backward(params: MlpParams, activations, upstream) -> np.ndarray:
         if layer:  # the input layer passes nothing further back
             da = dz @ w.T
     return grad
-
-
-def coefficient(params: MlpParams, features):
-    """Wave-function coefficient: e^x, or e^{x0} e^{i x1} for two outputs."""
-    out, _ = mlp_forward(params, features)
-    return output_to_coefficient(np.atleast_2d(out))[0]
 
 
 def output_to_coefficient(out: np.ndarray) -> np.ndarray:

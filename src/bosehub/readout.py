@@ -94,19 +94,19 @@ class InverseConfusion:
 
 @dataclass(frozen=True)
 class SimulatedDevice:
-    """Qubits with independent readout flips; ``p0`` rows are (p00, p01).
+    """Qubits with independent readout flips: one confusion matrix of (Q,)
+    arrays, copied read-only, so ``measure`` always draws from the rates the
+    device was built with."""
 
-    The device is immutable: ``confusions`` is stored as a tuple, so ``p0``,
-    built once from it, cannot go stale."""
-
-    confusions: tuple[ConfusionMatrix, ...]
+    confusion: ConfusionMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "confusions", tuple(self.confusions))
-        pairs = [(cm.p00, cm.p01) for cm in self.confusions]
-        p0 = np.array(pairs, dtype=float).reshape(-1, 2)
-        p0.flags.writeable = False
-        object.__setattr__(self, "p0", p0)
+        rates = self.confusion.matrix()  # a fresh (2, 2, Q) array
+        if rates.ndim != 3:
+            raise ValueError("a device needs one (Q,) array per entry")
+        rates.flags.writeable = False
+        object.__setattr__(self, "confusion",
+                           ConfusionMatrix(*rates.reshape(4, -1)))
 
     @classmethod
     def random(cls, n_qubits: int = DEFAULT_QUBITS,
@@ -114,16 +114,11 @@ class SimulatedDevice:
                seed: int = 0) -> "SimulatedDevice":
         """Flip rates drawn uniformly per qubit and direction."""
         rates = np.random.default_rng(seed).uniform(*error_range, (n_qubits, 2))
-        return cls([ConfusionMatrix.from_flip_rates(eps0, eps1)
-                    for eps0, eps1 in rates.tolist()])
-
-    @classmethod
-    def noiseless(cls, n_qubits: int = DEFAULT_QUBITS) -> "SimulatedDevice":
-        return cls([ConfusionMatrix(1.0, 0.0, 0.0, 1.0)] * n_qubits)
+        return cls(ConfusionMatrix.from_flip_rates(rates[:, 0], rates[:, 1]))
 
     @property
     def n_qubits(self) -> int:
-        return len(self.confusions)
+        return self.confusion.p00.size
 
     def measure(self, qubits, prob0, shots: int,
                 rng: np.random.Generator) -> np.ndarray:
@@ -132,15 +127,15 @@ class SimulatedDevice:
         if shots < 1:
             raise ValueError("shots must be >= 1")
         p = np.clip(prob0, 0.0, 1.0)
-        p0 = self.p0[qubits]
-        return rng.binomial(shots, p * p0[..., 0] + (1.0 - p) * p0[..., 1])
+        p00, p01 = self.confusion.p00[qubits], self.confusion.p01[qubits]
+        return rng.binomial(shots, p * p00 + (1.0 - p) * p01)
 
 
 def calibrate(device: SimulatedDevice, qubits, shots: int,
               rng) -> ConfusionMatrix:
     """Estimate confusion matrices, shaped like ``qubits``, from one measure
     call over the |0> and |1> preparation runs of every qubit."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     qubits = np.asarray(qubits)[..., None]
     freq0 = device.measure(qubits, np.array([1.0, 0.0]), shots, rng) / shots
     return ConfusionMatrix(freq0[..., 0], freq0[..., 1],
@@ -171,6 +166,19 @@ def postselect(group: list[tuple[int, InverseConfusion]]) -> int:
     if not group:
         raise ValueError("empty qubit group")
     return min(group, key=lambda item: (item[1].figure_of_merit, item[0]))[0]
+
+
+def _replica_inverses(layout: np.ndarray, inverse: np.ndarray,
+                      fom: np.ndarray) -> list[dict[int, InverseConfusion]]:
+    """Each replica group's {qubit: inverse}, from the inverses and figures
+    of merit of the qubits of ``layout``, shaped like it."""
+    return [dict(zip(row, map(InverseConfusion, m, f)))
+            for row, m, f in zip(layout.tolist(), inverse, fom.tolist())]
+
+
+def _best_replicas(groups: list[dict[int, InverseConfusion]]) -> list[int]:
+    """Each replica group's qubit by :func:`postselect`."""
+    return [postselect(list(group.items())) for group in groups]
 
 
 def replica_layout(n_coeffs: int = 25, n_replicas: int = DEFAULT_REPLICAS,
@@ -210,7 +218,7 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
     when not given.
     """
     modes = [CorrectionMode(m) for m in modes]
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     if ideal is None:
         ideal = batch_weights(params, feature_matrix(h.basis))
     dim = h.dim
@@ -230,16 +238,14 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
     counts = device.measure(layout, ideal[measured, None], shots, rng)
     if set(modes) - {CorrectionMode.UNCORRECTED}:
         # correct and postselect take one qubit's observation and inverse
-        inverse, fom = estimate.inverse()
-        samples = [{q: (ShotResult(shots, n), InverseConfusion(m, f))
-                    for q, n, m, f in zip(*row)}
-                   for row in zip(layout.tolist(), counts.tolist(), inverse,
-                                  fom.tolist())]
+        groups = _replica_inverses(layout, *estimate.inverse())
+        samples = [{q: (ShotResult(shots, n), inv)
+                    for (q, inv), n in zip(group.items(), row)}
+                   for group, row in zip(groups, counts.tolist())]
     if set(modes) & {CorrectionMode.POSTSELECTED,
                      CorrectionMode.POSTSELECTED_CORRECTED}:
-        chosen = [group[postselect([(q, inv)
-                                    for q, (_, inv) in group.items()])]
-                  for group in samples]
+        chosen = [sample[q]
+                  for sample, q in zip(samples, _best_replicas(groups))]
 
     energies = {}
     for mode in modes:
@@ -278,11 +284,15 @@ def shot_study(params: CircuitParams, h: HamiltonianMatrix, shot_grid,
     binomial frequency; rows are (shots, median |dE/E|, std of |dE/E|).
     Trials are seeded independently so results reduce deterministically.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    shot_grid = [int(shots) for shots in shot_grid]
+    if any(shots < 1 for shots in shot_grid):
+        raise ValueError("shots must be >= 1")
     ideal = batch_weights(params, feature_matrix(h.basis))
     ideal_energy = rayleigh_energy(ideal, h)
     rows = []
     for shots in shot_grid:
-        shots = int(shots)
         devs = np.empty(trials)
         for trial in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence((seed, shots, trial)))
@@ -298,11 +308,17 @@ def shot_study(params: CircuitParams, h: HamiltonianMatrix, shot_grid,
 
 
 def calibration_report(device: SimulatedDevice, shots: int, seed: int,
-                       selected: set[int] | None = None):
-    """Per-qubit calibration rows (qubit, p00, p01, p10, p11, fom, selected)."""
+                       layout: np.ndarray):
+    """Per-qubit calibration rows (qubit, p00, p01, p10, p11, fom, selected);
+    ``selected`` marks the qubit each replica group of ``layout`` would
+    postselect by this calibration."""
     est = calibrate(device, np.arange(device.n_qubits), shots, seed)
-    table = np.stack([est.p00, est.p01, est.p10, est.p11, est.inverse()[1]], 1)
-    return [(qubit, *row, int(qubit in (selected or ())))
+    inverse, fom = est.inverse()
+    layout = np.asarray(layout)
+    selected = set(_best_replicas(
+        _replica_inverses(layout, inverse[layout], fom[layout])))
+    table = np.stack([est.p00, est.p01, est.p10, est.p11, fom], 1)
+    return [(qubit, *row, int(qubit in selected))
             for qubit, row in enumerate(table.tolist())]
 
 

@@ -196,12 +196,12 @@ def test_criterion_6_shot_study(hams, trained_compressed):
 def test_criterion_7_readout_mitigation(hams, trained_compressed):
     device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=9)
 
-    inverse_ok = True
-    for cm in device.confusions:
-        inv = cm.invert()
-        inverse_ok &= bool(
-            np.allclose(inv.matrix @ cm.matrix(), np.eye(2), atol=1e-12))
-        inverse_ok &= inv.figure_of_merit >= 1.0
+    # every qubit's inverse, from the device's (Q,) arrays at once
+    inv, fom = device.confusion.inverse()
+    matrices = np.moveaxis(device.confusion.matrix(), -1, 0)
+    inverse_ok = (inv.shape == (125, 2, 2)
+                  and np.allclose(inv @ matrices, np.eye(2), atol=1e-12)
+                  and bool((fom >= 1.0).all()))
     report("criterion 7a (inverse identity and merit bound)", inverse_ok,
            "125 qubits checked")
 

@@ -212,13 +212,13 @@ def test_complex_jacobian_matches_finite_differences(rng):
 def test_sample_degenerate_probabilities():
     sure = qc.CircuitParams("quat", 0, np.array([]))
     res = qc.sample(sure, np.zeros(6), 500, rng=0)
-    assert res.count0 == 500 and res.count1 == 0
+    assert (res.shots, res.count0) == (500, 500)
 
     values = np.zeros(8)
     values[7] = np.pi / 2
     never = qc.CircuitParams("quat", 1, values)
     res = qc.sample(never, np.zeros(6), 500, rng=0)
-    assert res.count0 == 0 and res.count1 == 500
+    assert (res.shots, res.count0) == (500, 0)
 
 
 def test_sample_deterministic_and_binomial():

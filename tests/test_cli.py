@@ -1,8 +1,11 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bosehub import circuit as qc
 from bosehub import cli
 
 
@@ -45,6 +48,22 @@ def test_exact_deformed(capsys):
                           "--phi", "1.5707963267948966", "--basis", "reduced")
     assert code == 0
     assert stdout.splitlines()[0] == "-4.65903"
+
+
+def test_exact_deformed_needs_no_basis_flag(capsys):
+    # the reduced basis is the default, and the deformed model lives there
+    code, stdout, _ = run(capsys, "exact", "--t", "1", "--U", "5",
+                          "--phi", "1.5707963267948966")
+    assert code == 0
+    assert stdout.splitlines()[0] == "-4.65903"
+
+
+def test_exact_defaults_to_the_reduced_basis(tmp_path, capsys):
+    prefix = tmp_path / "run"
+    code, _, _ = run(capsys, "exact", "--U", "5", "--out-prefix", str(prefix))
+    assert code == 0
+    # header plus one row per symmetry class: 26 at 6 sites, 5 bosons
+    assert len((tmp_path / "run_ground.csv").read_text().splitlines()) == 27
 
 
 def test_exact_writes_artifacts(tmp_path, capsys):
@@ -161,6 +180,23 @@ def test_study_shots(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "shots,median_frac_dev,std"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--grid", "0,100"], "shots must be >= 1"),
+    (["--grid", "100,-5"], "shots must be >= 1"),
+    (["--trials", "0"], "trials must be >= 1"),
+])
+def test_study_shots_rejects_bad_counts(flags, message, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(qc.to_json(qc.CircuitParams("compressed", 1,
+                                                np.zeros(7))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no nan from an empty mean
+        code, stdout, err = run(capsys, "study", "shots", "--checkpoint",
+                                str(ckpt), "--U", "5", *flags)
+    assert code == 1 and stdout == ""
+    assert err == f"error: {message}\n"
 
 
 def test_study_noise_and_noise_run(tmp_path, capsys):
@@ -388,3 +424,39 @@ def test_command_help_lists_its_options(capsys):
     assert exc.value.code == 0
     stdout = capsys.readouterr().out
     assert "--out-prefix" in stdout and "--dump-matrix" in stdout
+
+
+def test_config_file_paths(tmp_path, capsys):
+    """Path options set by a --config file are Paths, as from a flag: one
+    string each, and a list for study noise's one checkpoint per U."""
+    run(capsys, "train", "--ansatz", "quat", "--layers", "1", "--U", "5",
+        "--steps", "3", "--out-dir", str(tmp_path))
+    ckpt = str(tmp_path / "quat_U5_checkpoint.json")
+    cases = [
+        ({"out_dir": str(tmp_path / "train")},
+         ["train", "--ansatz", "quat", "--layers", "1", "--U", "5",
+          "--steps", "3"], "out_dir", tmp_path / "train" / "quat_U5_trace.csv"),
+        ({"out_prefix": str(tmp_path / "ed" / "run")},
+         ["exact", "--U", "5"], "out_prefix", tmp_path / "ed" / "run_ground.csv"),
+        ({"checkpoint": ckpt, "out": str(tmp_path / "shots.csv")},
+         ["study", "shots", "--U", "5", "--grid", "10", "--trials", "2"],
+         "checkpoint", tmp_path / "shots.csv"),
+    ]
+    for config, argv, dest, written in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = cli._build_parser(config, argv[0]).parse_args(argv)
+        assert getattr(args, dest) == Path(config[dest])
+        assert run(capsys, "--config", str(cfg), *argv)[0] == 0
+        assert written.exists()
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "checkpoint": [ckpt, ckpt], "out": str(tmp_path / "noise.csv"),
+        "calibration_out": str(tmp_path / "cal.csv")}))
+    code, _, _ = run(capsys, "--config", str(cfg), "study", "noise",
+                     "--U", "2,5", "--shots", "100", "--trials", "1")
+    assert code == 0
+    # header, then 2 U values x the 3 default modes
+    assert len((tmp_path / "noise.csv").read_text().splitlines()) == 7
+    assert len((tmp_path / "cal.csv").read_text().splitlines()) == 126

@@ -11,6 +11,23 @@ from bosehub.hamiltonian import ground_state
 from bosehub.variational import CircuitAnsatz, TrainConfig, rayleigh_energy, train
 
 RATES = st.floats(0.0, 0.2)
+ENTRIES = ("p00", "p01", "p10", "p11")
+
+
+def device_of(eps0, eps1) -> ro.SimulatedDevice:
+    """A device with these per-qubit flip rates."""
+    return ro.SimulatedDevice(ro.ConfusionMatrix.from_flip_rates(
+        np.asarray(eps0, dtype=float), np.asarray(eps1, dtype=float)))
+
+
+def noiseless(n_qubits: int) -> ro.SimulatedDevice:
+    return device_of(np.zeros(n_qubits), np.zeros(n_qubits))
+
+
+def qubit_confusion(device: ro.SimulatedDevice, q: int) -> ro.ConfusionMatrix:
+    """Qubit ``q``'s confusion matrix, as a scalar one."""
+    return ro.ConfusionMatrix(*(float(getattr(device.confusion, name)[q])
+                                for name in ENTRIES))
 
 
 @pytest.fixture(scope="module")
@@ -73,13 +90,13 @@ def test_confusion_validation():
 # --- calibration ----------------------------------------------------------------
 
 def test_calibrate_noiseless_is_exact():
-    device = ro.SimulatedDevice.noiseless(4)
+    device = noiseless(4)
     est = ro.calibrate(device, 0, shots=100, rng=0)
     assert (est.p00, est.p01, est.p10, est.p11) == (1.0, 0.0, 0.0, 1.0)
 
 
 def test_calibrate_converges_to_truth():
-    device = ro.SimulatedDevice([ro.ConfusionMatrix.from_flip_rates(0.1, 0.1)])
+    device = device_of([0.1], [0.1])
     est = ro.calibrate(device, 0, shots=20000, rng=7)
     # 3 sigma ~ 3*sqrt(0.1*0.9/20000) ~ 0.0064 < 0.01
     for got, want in [(est.p00, 0.9), (est.p01, 0.1),
@@ -89,7 +106,7 @@ def test_calibrate_converges_to_truth():
 
 def test_calibrate_validates_shots():
     with pytest.raises(ValueError):
-        ro.calibrate(ro.SimulatedDevice.noiseless(1), 0, shots=0, rng=0)
+        ro.calibrate(noiseless(1), 0, shots=0, rng=0)
 
 
 def test_calibrate_rejects_non_invertible_estimate():
@@ -101,12 +118,10 @@ def test_calibrate_rejects_non_invertible_estimate():
 
 def test_array_inverse_matches_scalar_invert():
     device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=9)
-    stacked = ro.ConfusionMatrix(*(
-        np.array([getattr(cm, name) for cm in device.confusions])
-        for name in ("p00", "p01", "p10", "p11")))
-    inv, fom = stacked.inverse()
+    inv, fom = device.confusion.inverse()
     assert inv.shape == (125, 2, 2) and fom.shape == (125,)
-    for q, cm in enumerate(device.confusions):
+    for q in range(125):
+        cm = qubit_confusion(device, q)
         scalar = cm.invert()
         # the formula of the per-qubit inverse, operation for operation
         det = cm.p00 * cm.p11 - cm.p01 * cm.p10
@@ -117,7 +132,7 @@ def test_array_inverse_matches_scalar_invert():
     picked = layout[np.arange(len(layout)), np.argmin(fom[layout], axis=1)]
     for group, best in zip(layout.tolist(), picked.tolist()):
         assert best == ro.postselect(
-            [(q, device.confusions[q].invert()) for q in group])
+            [(q, qubit_confusion(device, q).invert()) for q in group])
 
 
 # --- correction -------------------------------------------------------------------
@@ -180,28 +195,49 @@ def test_postselect_empty_rejected():
 def test_device_generation_in_range():
     device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=0)
     assert device.n_qubits == 125
-    for cm in device.confusions:
+    for q in range(125):
+        cm = qubit_confusion(device, q)
         assert 0.95 <= cm.p00 <= 0.99
         assert 0.95 <= cm.p11 <= 0.99
 
 
-def test_device_cannot_go_stale():
-    confusions = [ro.ConfusionMatrix.from_flip_rates(0.01, 0.02),
-                  ro.ConfusionMatrix.from_flip_rates(0.03, 0.04)]
-    device = ro.SimulatedDevice(confusions)
-    assert device.confusions == tuple(confusions)
-    np.testing.assert_array_equal(device.p0, [[0.99, 0.02], [0.97, 0.04]])
-    perfect = ro.ConfusionMatrix(1.0, 0.0, 0.0, 1.0)
-    # measure draws from p0, so neither an entry nor the sequence may change
-    with pytest.raises(TypeError):
-        device.confusions[0] = perfect
+@pytest.mark.parametrize("n_qubits,seed", [(1, 0), (8, 3), (125, 9),
+                                           (200, 11)])
+def test_random_device_holds_the_drawn_flip_rates(n_qubits, seed):
+    rates = np.random.default_rng(seed).uniform(0.01, 0.05, (n_qubits, 2))
+    cm = ro.SimulatedDevice.random(n_qubits, (0.01, 0.05), seed=seed).confusion
+    # bit for bit the per-qubit ConfusionMatrix.from_flip_rates(eps0, eps1)
+    for got, want in zip((cm.p00, cm.p01, cm.p10, cm.p11),
+                         (1.0 - rates[:, 0], rates[:, 1], rates[:, 0],
+                          1.0 - rates[:, 1])):
+        assert got.shape == (n_qubits,) and np.array_equal(got, want)
+
+
+def test_device_arrays_are_read_only_and_not_the_callers():
+    eps0, eps1 = np.array([0.01, 0.03]), np.array([0.02, 0.04])
+    given = ro.ConfusionMatrix.from_flip_rates(eps0, eps1)
+    device = ro.SimulatedDevice(given)
+    cm = device.confusion
+    np.testing.assert_array_equal(np.stack([cm.p00, cm.p01], axis=1),
+                                  [[0.99, 0.02], [0.97, 0.04]])
+    # measure draws from these arrays, so none of them may change
+    for name in ENTRIES:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cm, name)[0] = 1.0
+        with pytest.raises(AttributeError):
+            setattr(cm, name, np.ones(2))
     with pytest.raises(AttributeError):
-        device.confusions = [perfect, perfect]
-    with pytest.raises(AttributeError):
-        device.p0 = np.zeros((2, 2))
-    # the caller's list is not the device's
-    confusions[0] = perfect
-    np.testing.assert_array_equal(device.p0[0], [0.99, 0.02])
+        device.confusion = ro.ConfusionMatrix.from_flip_rates(eps1, eps0)
+    # the caller's arrays are not the device's
+    eps1[0] = 0.5
+    given.p00[0] = 0.5
+    np.testing.assert_array_equal(np.stack([cm.p00, cm.p01], axis=1),
+                                  [[0.99, 0.02], [0.97, 0.04]])
+
+
+def test_device_needs_arrays_of_qubits():
+    with pytest.raises(ValueError, match="one \\(Q,\\) array per entry"):
+        ro.SimulatedDevice(ro.ConfusionMatrix(1.0, 0.0, 0.0, 1.0))
 
 
 def test_layout_shape_and_blocks():
@@ -218,7 +254,7 @@ def test_layout_too_big_rejected():
 
 
 def test_noiseless_measure_is_plain_binomial():
-    device = ro.SimulatedDevice.noiseless(125)
+    device = noiseless(125)
     layout = ro.replica_layout()
     prob0 = np.linspace(-0.1, 1.1, 25)[:, None]  # clipped to [0, 1]
     counts = device.measure(layout, prob0, 1000, np.random.default_rng(4))
@@ -230,7 +266,7 @@ def test_noiseless_measure_is_plain_binomial():
 def test_measure_one_draw_law():
     # true outcome then readout flip is one binomial in the recorded P(0)
     cm = ro.ConfusionMatrix.from_flip_rates(0.08, 0.15)
-    device = ro.SimulatedDevice([ro.ConfusionMatrix(1.0, 0.0, 0.0, 1.0), cm])
+    device = device_of([0.0, 0.08], [0.0, 0.15])
     shots, prob0, draws = 500, 0.3, 2000
     counts = device.measure(np.ones(draws, dtype=int), prob0, shots,
                             np.random.default_rng(21))
@@ -248,7 +284,7 @@ def test_noiseless_run_converges_to_ideal(trained):
     params, h = trained
     ideal = rayleigh_energy(
         qc.batch_weights(params, feature_matrix(h.basis)), h)
-    device = ro.SimulatedDevice.noiseless(125)
+    device = noiseless(125)
     energy = ro.noisy_energy_run(params, h, device, ro.replica_layout(),
                                  10 ** 6, ro.CorrectionMode.UNCORRECTED,
                                  rng=0)
@@ -293,14 +329,15 @@ def test_postselected_tracks_best_qubits(trained):
     ideal = rayleigh_energy(
         qc.batch_weights(params, feature_matrix(h.basis)), h)
     rng = np.random.default_rng(3)
-    confusions = []
+    eps0, eps1 = [], []
     for k in range(125):
         if k < 25:  # replica block 0 is near perfect
-            confusions.append(ro.ConfusionMatrix.from_flip_rates(1e-4, 1e-4))
+            eps0.append(1e-4)
+            eps1.append(1e-4)
         else:
-            confusions.append(ro.ConfusionMatrix.from_flip_rates(
-                rng.uniform(0.03, 0.05), rng.uniform(0.03, 0.05)))
-    device = ro.SimulatedDevice(confusions)
+            eps0.append(rng.uniform(0.03, 0.05))
+            eps1.append(rng.uniform(0.03, 0.05))
+    device = device_of(eps0, eps1)
     energy = ro.noisy_energy_run(params, h, device, ro.replica_layout(),
                                  200000, ro.CorrectionMode.POSTSELECTED,
                                  rng=4, calibration_shots=200000)
@@ -309,7 +346,7 @@ def test_postselected_tracks_best_qubits(trained):
 
 def test_anchor_index_choice(trained):
     params, h = trained
-    device = ro.SimulatedDevice.noiseless(125)
+    device = noiseless(125)
     ideal = rayleigh_energy(
         qc.batch_weights(params, feature_matrix(h.basis)), h)
     for anchor in (0, 12):
@@ -321,7 +358,7 @@ def test_anchor_index_choice(trained):
 
 def test_layout_validation(trained):
     params, h = trained
-    device = ro.SimulatedDevice.noiseless(125)
+    device = noiseless(125)
     with pytest.raises(ValueError):
         ro.noisy_energy_run(params, h, device, ro.replica_layout()[:-1],
                             100, ro.CorrectionMode.UNCORRECTED, rng=0)
@@ -331,7 +368,7 @@ def test_layout_validation(trained):
         ro.noisy_energy_run(params, h, device, bad, 100,
                             ro.CorrectionMode.UNCORRECTED, rng=0)
     with pytest.raises(ValueError):
-        ro.noisy_energy_run(params, h, ro.SimulatedDevice.noiseless(10),
+        ro.noisy_energy_run(params, h, noiseless(10),
                             ro.replica_layout(), 100,
                             ro.CorrectionMode.UNCORRECTED, rng=0)
 
@@ -436,10 +473,20 @@ def test_shot_study_deterministic(trained):
 
 def test_calibration_report_and_csv(tmp_path):
     device = ro.SimulatedDevice.random(8, (0.01, 0.04), seed=1)
-    rows = ro.calibration_report(device, shots=20000, seed=0, selected={2, 5})
+    layout = np.array([[0, 1, 2], [5, 4, 3]])  # qubits 6 and 7 unused
+    rows = ro.calibration_report(device, shots=20000, seed=0, layout=layout)
     assert len(rows) == 8
     assert all(r[5] >= 1.0 for r in rows)
-    assert [r[6] for r in rows] == [0, 0, 1, 0, 0, 1, 0, 0]
+    # each group's smallest figure of merit, as postselect ranks the row's
+    fom = {r[0]: r[5] for r in rows}
+    best = {min(group, key=lambda q: (fom[q], q)) for group in layout.tolist()}
+    assert len(best) == 2
+    assert [r[6] for r in rows] == [int(q in best) for q in range(8)]
+    # a noiseless device ranks every qubit 1: ties go to the lowest qubit
+    rows = ro.calibration_report(noiseless(6), shots=100, seed=0,
+                                 layout=np.array([[2, 1, 0], [5, 3, 4]]))
+    assert [r[5] for r in rows] == [1.0] * 6
+    assert [r[6] for r in rows] == [1, 0, 0, 1, 0, 0]
     path = tmp_path / "cal.csv"
     ro.write_calibration_csv(rows, path)
     header = path.read_text().splitlines()[0]
