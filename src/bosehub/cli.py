@@ -192,7 +192,10 @@ def _study_options(p) -> list:
     pn.add_argument("--error-min", type=float, default=ro.DEFAULT_ERROR_RANGE[0])
     pn.add_argument("--error-max", type=float, default=ro.DEFAULT_ERROR_RANGE[1])
     pn.add_argument("--out", type=Path, default=None)
-    pn.add_argument("--calibration-out", type=Path, default=None)
+    pn.add_argument("--calibration-out", type=Path, default=None,
+                    help="write an independent calibration of every qubit "
+                    "at --shots/--seed; its selected column is what that "
+                    "calibration would postselect, not what any trial chose")
     pn.set_defaults(func=cmd_study_noise)
     return [layers, ps, pn]
 
@@ -388,6 +391,8 @@ def cmd_study_shots(args) -> int:
 
 def cmd_study_noise(args) -> int:
     _require(args, "checkpoint", "U")
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     u_values = [float(s) for s in str(args.U).split(",")]
     checkpoints = (args.checkpoint if isinstance(args.checkpoint, list)
                    else [args.checkpoint])

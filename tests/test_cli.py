@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -186,6 +189,8 @@ def test_study_shots(tmp_path, capsys):
     (["--grid", "0,100"], "shots must be >= 1"),
     (["--grid", "100,-5"], "shots must be >= 1"),
     (["--trials", "0"], "trials must be >= 1"),
+    # t = U = 0: every energy is 0, so no fractional deviation exists
+    (["--t", "0", "--U", "0"], "ideal energy is 0, so |dE/E| is undefined"),
 ])
 def test_study_shots_rejects_bad_counts(flags, message, tmp_path, capsys):
     ckpt = tmp_path / "ckpt.json"
@@ -197,6 +202,40 @@ def test_study_shots_rejects_bad_counts(flags, message, tmp_path, capsys):
                                 str(ckpt), "--U", "5", *flags)
     assert code == 1 and stdout == ""
     assert err == f"error: {message}\n"
+
+
+def test_study_shots_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    # the trials' Rayleigh quotients are one matrix product, so BLAS runs them
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(qc.to_json(qc.init_params("compressed", 6, 3, scale=1.0)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"shots_{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "bosehub.cli", "study", "shots",
+                        "--checkpoint", str(ckpt), "--U", "5", "--grid",
+                        "1,100,20000", "--trials", "1100", "--seed", "2",
+                        "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0].splitlines()) == 4
+
+
+def test_study_noise_rejects_zero_trials(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(qc.to_json(qc.CircuitParams("compressed", 1,
+                                                np.zeros(7))))
+    out, cal = tmp_path / "noise.csv", tmp_path / "cal.csv"
+    code, stdout, err = run(capsys, "study", "noise", "--checkpoint",
+                            str(ckpt), "--U", "5", "--trials", "0",
+                            "--out", str(out), "--calibration-out", str(cal))
+    assert code == 1 and stdout == ""
+    assert err == "error: trials must be >= 1\n"
+    assert not out.exists() and not cal.exists()
 
 
 def test_study_noise_and_noise_run(tmp_path, capsys):

@@ -469,6 +469,96 @@ def test_shot_study_deterministic(trained):
     assert a == b
 
 
+def shot_rows_one_by_one(ideal, h, shot_grid, trials, seed):
+    """The shot study row by row: one unsplit (trials, classes) draw from
+    ``SeedSequence((seed, shots))``, then rayleigh_energy on each trial."""
+    ideal_energy = rayleigh_energy(ideal, h)
+    rows, zero_draws = [], 0
+    for shots in shot_grid:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, shots)))
+        counts = rng.binomial(shots, np.clip(ideal, 0.0, 1.0),
+                              (trials, ideal.size))
+        devs = []
+        for sampled in counts / shots:
+            if not sampled.any():
+                zero_draws += 1
+                devs.append(1.0)
+                continue
+            energy = rayleigh_energy(sampled, h)
+            devs.append(abs(energy - ideal_energy) / abs(ideal_energy))
+        rows.append((shots, float(np.median(devs)), float(np.std(devs))))
+    return rows, zero_draws
+
+
+def assert_rows_close(rows, expected):
+    """Equal shot counts; medians and stds within 1e-12. A deviation is
+    |E - E0|/|E0|, so energies that agree to 1e-12 relative move it by
+    about 1e-12 absolute, and the median and std by no more."""
+    assert [r[0] for r in rows] == [r[0] for r in expected]
+    np.testing.assert_allclose([r[1:] for r in rows],
+                               [r[1:] for r in expected],
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_shot_study_matches_row_by_row_reference(trained, seed):
+    params, h = trained
+    grid = [1, 100, 20000, 100000]
+    ideal = qc.batch_weights(params, feature_matrix(h.basis))
+    expected, _ = shot_rows_one_by_one(ideal, h, grid, 60, seed)
+    assert_rows_close(ro.shot_study(params, h, grid, trials=60, seed=seed),
+                      expected)
+
+
+def test_shot_study_complex_hamiltonian_matches_reference(trained):
+    from bosehub.basis import reduced_basis
+    from bosehub.hamiltonian import ModelParams, build_deformed
+    params, _ = trained
+    h = build_deformed(ModelParams(1.0, 5.0, 6, 5, phi=np.pi / 2),
+                       reduced_basis(6, 5))
+    assert np.iscomplexobj(h.matrix)
+    ideal = qc.batch_weights(params, feature_matrix(h.basis))
+    expected, _ = shot_rows_one_by_one(ideal, h, [100, 20000], 40, 2)
+    assert_rows_close(ro.shot_study(params, h, [100, 20000], trials=40,
+                                    seed=2), expected)
+
+
+def test_shot_study_all_zero_draws_count_as_deviation_one(trained, monkeypatch):
+    params, h = trained
+    # a small P(0) on every class, so one or two shots often record no 0
+    ideal = np.linspace(0.01, 0.07, h.dim)
+    monkeypatch.setattr(ro, "batch_weights", lambda *args: ideal)
+    expected, zero_draws = shot_rows_one_by_one(ideal, h, [1, 2], 200, 4)
+    assert 0 < zero_draws < 400
+    assert_rows_close(ro.shot_study(params, h, [1, 2], trials=200, seed=4),
+                      expected)
+    # P(0) too small to ever record a 0: every trial is all-zero
+    monkeypatch.setattr(ro, "batch_weights",
+                        lambda *args: np.full(h.dim, 1e-30))
+    assert ro.shot_study(params, h, [1, 10], trials=5, seed=0) == [
+        (1, 1.0, 0.0), (10, 1.0, 0.0)]
+
+
+def test_shot_study_row_does_not_depend_on_the_grid(trained):
+    params, h = trained
+    alone = {shots: ro.shot_study(params, h, [shots], trials=30, seed=5)[0]
+             for shots in (1, 100, 20000)}
+    for grid in ([1, 100, 20000], [20000, 1, 100], [100, 20000, 1]):
+        assert ro.shot_study(params, h, grid, trials=30, seed=5) == [
+            alone[shots] for shots in grid]
+
+
+@pytest.mark.parametrize("block", [7, 100, None])
+def test_shot_study_blocks_equal_one_unsplit_draw(trained, monkeypatch, block):
+    params, h = trained
+    trials = ro.SHOT_BLOCK + 37  # above one block of the module's size
+    if block is not None:
+        monkeypatch.setattr(ro, "SHOT_BLOCK", block)
+    split = ro.shot_study(params, h, [1, 20000], trials=trials, seed=6)
+    monkeypatch.setattr(ro, "SHOT_BLOCK", trials)
+    assert split == ro.shot_study(params, h, [1, 20000], trials=trials, seed=6)
+
+
 # --- reports ------------------------------------------------------------------------------
 
 def test_calibration_report_and_csv(tmp_path):
