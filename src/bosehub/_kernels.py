@@ -3,7 +3,7 @@
 Both Ansatz kinds are sequences of Rz/Ry rotations whose angles are linear
 in the flat parameters, and every layer has the same gates. This module is
 the only code in the package that knows each kind's layer layout:
-``layer_size`` gives the parameters per layer, and ``gate_table`` describes
+``layer_size`` gives the parameters per layer, and ``_tables`` describes
 one layer for a batch of B circuits: an axis flag per gate and a map
 ``block`` of shape (B, g, per) from the layer's ``per`` parameters to its
 gate angles.
@@ -20,7 +20,17 @@ rotation by 0 (the identity) where a pattern needs padding, and each
 Ry(beta) Rz(alpha) pair is one SU(2) matrix [[p, -conj q], [q, conj p]]
 with (p, q) = (cos beta/2, sin beta/2) e^{-i alpha/2}. At six features, six
 compressed layers (36 gates, 25 runs) take 13 steps and six quat layers 6.
-The layout of an axis pattern is computed once and cached.
+
+Nothing of this but the angles changes during a training run: the kind,
+the parameter count, the population size R and the features stay fixed.
+So ``_tables`` builds, once per such call shape and keyed by the features'
+content, the gate table, the sweep layout (``_layout``) and a ``_Sweep``:
+the scratch buffers of the pair matrices, the boundary states and v1 below,
+with the views each step reads and writes. A small bounded cache keeps the
+recent call shapes, and each call does only the angle-dependent work. The
+scratch is all that is reused: every array ``circuit_batch`` returns is
+freshly allocated, so a later call leaves an earlier call's results alone.
+Two threads must not run calls of one shape at the same time.
 
 With gradients the sweep keeps the state at every pair boundary. A gate's
 generator commutes with its rotation, so the derivative may read the state
@@ -78,10 +88,14 @@ def layer_size(kind: str, nf: int) -> int:
     raise ValueError(f"unknown circuit kind {kind!r}")
 
 
-def gate_table(kind: str, n_params: int, X: np.ndarray):
-    """One layer's g axis flags, True for Ry, its angle map (B, g, per),
-    and the layer count."""
-    B, nf = X.shape
+@functools.lru_cache(maxsize=8)
+def _tables(kind: str, n_params: int, R: int, shape: tuple, data: bytes):
+    """Everything R circuits of ``kind`` with ``n_params`` parameters on the
+    float64 feature rows ``data`` (B, nf) need besides their angles: one
+    layer's angle map ``block`` (B, g, per), as its two contraction views,
+    the layer count, and the ``_Sweep`` of all their gates."""
+    X = np.frombuffer(data).reshape(shape)
+    B, nf = shape
     per = layer_size(kind, nf)
     if n_params % per != 0:
         raise ValueError(
@@ -98,10 +112,49 @@ def gate_table(kind: str, n_params: int, X: np.ndarray):
         block[:, 0, nf] = 2.0
         block[:, 1, -1] = 2.0
         layer_axes = (False, True)
-    return layer_axes, block, n_params // per
+    layers = n_params // per
+    return (block.transpose(0, 2, 1), block[None, :, None], layers,
+            _Sweep(layer_axes * layers, R * B))
 
 
-@functools.lru_cache(maxsize=64)
+class _Sweep:
+    """The angle-independent part of a sweep of the axis pattern ``axes``
+    over ``rows`` circuits: the merge map of ``_layout``, where each gate's
+    derivative sits, scratch buffers, and the views of them that the sweep
+    reads and writes."""
+
+    def __init__(self, axes: tuple, rows: int):
+        gate_slot, self.merge = _layout(axes)
+        pairs = self.merge.shape[0] // 2
+        # slot half angles, and cos and sin of pair k's Rz (slot 2k) and
+        # Ry (slot 2k + 1) half angles
+        self.half = np.empty((2 * pairs, rows))
+        cos, sin = np.empty((2, 2 * pairs, rows))
+        self.cos, self.sin = cos, sin
+        self.trig = cos[::2], sin[::2], cos[1::2], sin[1::2]
+        # e^{-i alpha/2} per pair, as one complex array and its two parts
+        self.e = np.empty((pairs, rows), np.complex128)
+        self.e_parts = self.e.real, self.e.imag
+        # pair k's matrix by columns, pair[k, j, i] = u_ij: the views of
+        # p, q, (q, p), the second column and -conj q
+        pair = np.empty((pairs, 2, 2, rows), np.complex128)
+        self.pair = (pair[:, 0, 0], pair[:, 0, 1], pair[:, 0, ::-1],
+                     pair[:, 1], pair[:, 1, 0])
+        # the state at every pair boundary, |0> first, with the final state
+        # and the states before and after each pair
+        st = np.empty((pairs + 1, 2, rows), np.complex128)
+        st[0, 0], st[0, 1] = 1.0, 0.0
+        self.states = (*st[-1], st[:-1, 0], st[:-1, 1], st[1:, 0], st[1:, 1])
+        # one step's terms[j, i] = u_ij psi_j, summed over j
+        self.terms = np.empty((2, 2, rows), np.complex128)
+        self.steps = [(cur[:, None], nxt, u)
+                      for cur, nxt, u in zip(st, st[1:], pair)]
+        # v1 of every slot, Rz slots first: slot 2k + a sits at a * pairs + k
+        self.v1 = np.empty((2, pairs, rows), np.complex128)
+        self.v1_rows = self.v1.reshape(2 * pairs, rows).T[:, None]
+        self.gate_v1 = gate_slot % 2 * pairs + gate_slot // 2
+
+
 def _layout(axes: tuple):
     """Runs and pair slots of one axis pattern, True for Ry.
 
@@ -124,58 +177,57 @@ def _layout(axes: tuple):
     return gate_slot, merge
 
 
-def _sweep(axes, theta: np.ndarray, want_grad: bool, want_sx: bool = True):
-    """Apply the gates with axis flags ``axes`` (True for Ry) at angles
-    ``theta`` (B, G) to |0>.
+def _sweep(plan: _Sweep, theta: np.ndarray, want_grad: bool,
+           want_sx: bool = True):
+    """Apply the gates of ``plan`` at angles ``theta`` (B, G) to |0>.
 
     Returns ``(p0, sx, dtheta)`` where ``dtheta`` (B, k, G) stacks
     dP(0)/dtheta_g and, with ``want_sx`` (k = 2), d<sigma_x>/dtheta_g; it is
     None without ``want_grad``, and ``sx`` is None without ``want_sx``.
     """
-    B = theta.shape[0]
-    gate_slot, merge = _layout(tuple(axes))
-    pairs = merge.shape[0] // 2
     # Rz(a) Rz(b) = Rz(a + b), and so for Ry: a run's angles add
-    half = merge @ theta.T
-    c = np.cos(half).reshape(pairs, 2, B)
-    s = np.sin(half).reshape(pairs, 2, B)
+    np.matmul(plan.merge, theta.T, out=plan.half)
+    np.cos(plan.half, out=plan.cos)
+    np.sin(plan.half, out=plan.sin)
+    cz, sz, cy, sy = plan.trig
     # Ry(beta) Rz(alpha) = [[p, -conj q], [q, conj p]] per row, with
     # (p, q) = (cos beta/2, sin beta/2) e^{-i alpha/2}. e^{-i alpha/2} is
     # written part by part: its imaginary part is 0 - sin, +0 where sin is
     # +-0, bit for bit what cos - 1j * sin gives
-    pair = np.empty((pairs, 2, 2, B), np.complex128)
-    e = np.empty((pairs, B), np.complex128)
-    e.real = c[:, 0]
-    np.subtract(0.0, s[:, 0], out=e.imag)
-    np.multiply(c[:, 1], e, out=pair[:, 0, 0])
-    np.multiply(s[:, 1], e, out=pair[:, 1, 0])
-    np.conj(pair[:, ::-1, 0], out=pair[:, :, 1])
-    pair[:, 0, 1] *= -1.0
-    # the state at every pair boundary, |0> first
-    st = np.empty((pairs + 1, 2, B), np.complex128)
-    st[0, 0], st[0, 1] = 1.0, 0.0
-    terms = np.empty((2, 2, B), np.complex128)
-    col0, col1 = terms[:, 0], terms[:, 1]
-    for cur, nxt, u in zip(st, st[1:], pair):
-        np.multiply(u, cur, out=terms)  # terms[i, j] = u_ij psi_j
-        np.add(col0, col1, out=nxt)
-    a0, a1 = st[-1]
+    e, (e_re, e_im) = plan.e, plan.e_parts
+    p, q, qp, col1, u01 = plan.pair
+    np.copyto(e_re, cz)
+    np.subtract(0.0, sz, out=e_im)
+    np.multiply(cy, e, out=p)
+    np.multiply(sy, e, out=q)
+    np.conj(qp, out=col1)
+    u01 *= -1.0
+    # the state at every pair boundary: psi'_i = u_i0 psi_0 + u_i1 psi_1
+    terms = plan.terms
+    t0, t1 = terms
+    for cur, nxt, u in plan.steps:
+        np.multiply(u, cur, out=terms)
+        np.add(t0, t1, out=nxt)
+    a0, a1, before0, before1, after0, after1 = plan.states
     p0 = np.abs(a0) ** 2
     sx = 2.0 * np.real(np.conj(a0) * a1) if want_sx else None
     if not want_grad:
         return p0, sx, None
     # per slot: a pair's Rz reads the state before the pair, its Ry the
     # state after; v1 as in the module docstring, where Re v0 = 0
-    v1 = np.empty((pairs, 2, B), np.complex128)
-    v1[:, 0] = 1j * st[:-1, 0] * st[:-1, 1]
-    v1[:, 1] = 0.5 * (st[1:, 0] ** 2 + st[1:, 1] ** 2)
+    vz, vy = plan.v1
+    np.multiply(1j, before0, out=vz)
+    np.multiply(vz, before1, out=vz)
+    np.square(after0, out=vy)
+    np.add(vy, np.square(after1, out=e), out=vy)
+    np.multiply(0.5, vy, out=vy)
     # dP(0) = Re(alpha v1), d<sigma_x> = Re(beta v1), per row (alpha, beta)
     ca0, ca1 = np.conj(a0), np.conj(a1)
     alpha = -2.0 * ca0 * ca1
     coef = (np.stack((alpha, 2.0 * (ca0 ** 2 - ca1 ** 2)), axis=1) if want_sx
             else alpha[:, None])
-    dslot = np.real(coef[:, :, None] * v1.reshape(2 * pairs, B).T[:, None])
-    return p0, sx, dslot[:, :, gate_slot]
+    dslot = np.real(coef[:, :, None] * plan.v1_rows)
+    return p0, sx, dslot[:, :, plan.gate_v1]
 
 
 def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
@@ -189,18 +241,18 @@ def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     R, P = values.shape
-    layer_axes, block, layers = gate_table(kind, P, X)
-    B, g, per = block.shape
+    block_t, block_j, layers, plan = _tables(kind, P, R, X.shape,
+                                             X.tobytes())
+    B, per, g = block_t.shape
     # theta[r, b, l*g + k] = values[r] of layer l . block[b, k]
-    theta = values.reshape(R, 1, layers, per) @ block.transpose(0, 2, 1)
-    p0, sx, dtheta = _sweep(layer_axes * layers,
-                            theta.reshape(R * B, layers * g), want_grad,
-                            want_sx)
+    theta = values.reshape(R, 1, layers, per) @ block_t
+    p0, sx, dtheta = _sweep(plan, theta.reshape(R * B, layers * g),
+                            want_grad, want_sx)
     if dtheta is None:
         shape = (R * B, P)
         return p0, sx, np.zeros(shape), np.zeros(shape) if want_sx else None
     # einsum('rbklg,bgp->rbklp', dtheta, block) over each layer's gates
     k = dtheta.shape[1]
-    jac = dtheta.reshape(R, B, k, layers, g) @ block[None, :, None]
+    jac = dtheta.reshape(R, B, k, layers, g) @ block_j
     jac = jac.reshape(R * B, k, P)
     return p0, sx, jac[:, 0], jac[:, 1] if want_sx else None

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ from .hamiltonian import (
 
 DEFAULT_SITES = 6
 DEFAULT_BOSONS = 5
+DEFAULT_LAYERS = 6
 
 
 def main(argv=None) -> int:
@@ -149,6 +151,9 @@ def _exact_options(p) -> list:
 def _train_options(p) -> list:
     _common(p)
     _train_flags(p)
+    p.add_argument("--layers", type=int, default=None,
+                   help=f"circuit layers (default {DEFAULT_LAYERS}); "
+                        "not for --ansatz nn")
     p.add_argument("--basis", default="reduced",
                    choices=[k.value for k in basis_mod.BasisKind],
                    help="full reproduces the network's 252-state baseline")
@@ -235,7 +240,6 @@ def _common(p, seeded: bool = True) -> None:
 
 def _train_flags(p, ansatz_choices=("nn", "compressed", "quat")) -> None:
     p.add_argument("--ansatz", default=None, choices=list(ansatz_choices))
-    p.add_argument("--layers", type=int, default=6)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--U", type=float, default=None)
     p.add_argument("--steps", type=int, default=None,
@@ -308,24 +312,64 @@ def _default_steps(args) -> int:
     return 1500 if args.ansatz == "nn" else 1200
 
 
-def _make_ansatz(args, h: HamiltonianMatrix):
-    complex_mode = args.complex_mode or args.phi != 0.0
+def _circuit_layers(args) -> int | None:
+    """The circuit layer count of ``train``; None for the network, which
+    takes no --layers."""
     if args.ansatz == "nn":
-        return vr.MlpAnsatz(h, complex_mode=complex_mode,
-                            raw_features=args.raw_features)
-    return vr.CircuitAnsatz(h, args.ansatz, args.layers,
-                            complex_mode=complex_mode,
-                            raw_features=args.raw_features)
+        if args.layers is not None:
+            raise ValueError("--layers sets a circuit's layer count; "
+                             "--ansatz nn has no layers")
+        return None
+    return DEFAULT_LAYERS if args.layers is None else args.layers
+
+
+def _train_config(args) -> vr.TrainConfig:
+    if not 0.0 < args.lr < math.inf:
+        raise ValueError(f"--lr must be a finite number > 0, got {args.lr!r}")
+    return vr.TrainConfig(steps=_default_steps(args), learning_rate=args.lr,
+                          seed=args.seed, restarts=args.restarts)
+
+
+def _int_list(args, name: str, what: str, minimum: int) -> list[int]:
+    """Option ``name`` as distinct comma-separated integers, each at least
+    ``minimum`` (``what`` names one in that message)."""
+    option, text = "--" + name.replace("_", "-"), str(getattr(args, name))
+    try:
+        values = [int(item) for item in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} must be comma-separated integers, "
+                         f"got {text!r}") from None
+    if len(set(values)) < len(values):
+        raise ValueError(f"{option} repeats a value: {text!r}")
+    if min(values) < minimum:
+        raise ValueError(f"{what} must be >= {minimum}")
+    return values
+
+
+def _error_range(args) -> tuple[float, float]:
+    """The readout flip-rate range, 0 <= --error-min <= --error-max < 0.5."""
+    low, high = args.error_min, args.error_max
+    if not 0.0 <= low <= high < 0.5:
+        raise ValueError(
+            f"--error-min and --error-max need 0 <= --error-min <= "
+            f"--error-max < 0.5, got {low!r} and {high!r}")
+    return low, high
 
 
 def cmd_train(args) -> int:
     _require(args, "ansatz", "U")
+    layers = _circuit_layers(args)
+    cfg = _train_config(args)
     complex_mode = args.complex_mode or args.phi != 0.0
     h = _resolve_hamiltonian(args, kind=args.basis)
     exact = ground_state(h).energy
-    ansatz = _make_ansatz(args, h)
-    cfg = vr.TrainConfig(steps=_default_steps(args), learning_rate=args.lr,
-                         seed=args.seed, restarts=args.restarts)
+    if layers is None:
+        ansatz = vr.MlpAnsatz(h, complex_mode=complex_mode,
+                              raw_features=args.raw_features)
+    else:
+        ansatz = vr.CircuitAnsatz(h, args.ansatz, layers,
+                                  complex_mode=complex_mode,
+                                  raw_features=args.raw_features)
     result = vr.train(ansatz, h, cfg)
     print(f"{result.final_energy:.5f}")
 
@@ -338,7 +382,7 @@ def cmd_train(args) -> int:
         vr.write_trace_csv(result, exact, args.out_dir / f"{stem}_trace.csv")
         summary = _summary("train", {
             "ansatz": args.ansatz,
-            "layers": None if args.ansatz == "nn" else args.layers,
+            "layers": layers,
             "t": args.t, "U": args.U, "phi": args.phi,
             "complex": complex_mode,
             "steps": cfg.steps, "learning_rate": cfg.learning_rate,
@@ -356,10 +400,9 @@ def cmd_train(args) -> int:
 
 def cmd_study_layers(args) -> int:
     _require(args, "ansatz", "U")
+    cfg = _train_config(args)
+    counts = _int_list(args, "layer_grid", "layer count", 0)
     h = _resolve_hamiltonian(args)
-    cfg = vr.TrainConfig(steps=_default_steps(args), learning_rate=args.lr,
-                         seed=args.seed, restarts=args.restarts)
-    counts = [int(s) for s in args.layer_grid.split(",")]
     rows = vr.layer_study(args.ansatz, counts, h, cfg,
                           complex_mode=args.complex_mode or args.phi != 0.0,
                           raw_features=args.raw_features)
@@ -377,9 +420,9 @@ def cmd_study_layers(args) -> int:
 
 def cmd_study_shots(args) -> int:
     _require(args, "checkpoint", "U")
+    grid = _int_list(args, "grid", "shots", 1)
     params = qc.from_json(args.checkpoint.read_text())
     h = _resolve_hamiltonian(args, phi=0.0)
-    grid = [int(s) for s in args.grid.split(",")]
     rows = ro.shot_study(params, h, grid, trials=args.trials, seed=args.seed)
     for shots, median, std in rows:
         print(f"{shots} {median:.5f} {std:.5f}")
@@ -393,14 +436,15 @@ def cmd_study_noise(args) -> int:
     _require(args, "checkpoint", "U")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
+    error_range = _error_range(args)
     u_values = [float(s) for s in str(args.U).split(",")]
     checkpoints = (args.checkpoint if isinstance(args.checkpoint, list)
                    else [args.checkpoint])
     if len(checkpoints) != len(u_values):
         raise ValueError("need one checkpoint per U value")
     modes = [ro.CorrectionMode(m) for m in args.modes.split(",")]
-    device = ro.SimulatedDevice.random(
-        args.qubits, (args.error_min, args.error_max), seed=args.seed)
+    device = ro.SimulatedDevice.random(args.qubits, error_range,
+                                       seed=args.seed)
     layout = ro.replica_layout(n_qubits=args.qubits)
 
     descriptor = basis_mod.reduced_basis(args.sites, args.bosons)
@@ -436,10 +480,11 @@ def cmd_study_noise(args) -> int:
 
 def cmd_noise_run(args) -> int:
     _require(args, "checkpoint", "U")
+    error_range = _error_range(args)
     params = qc.from_json(args.checkpoint.read_text())
     h = _resolve_hamiltonian(args, phi=0.0)
-    device = ro.SimulatedDevice.random(
-        args.qubits, (args.error_min, args.error_max), seed=args.seed)
+    device = ro.SimulatedDevice.random(args.qubits, error_range,
+                                       seed=args.seed)
     layout = ro.replica_layout(n_qubits=args.qubits)
     energy = ro.noisy_energy_run(params, h, device, layout, args.shots,
                                  ro.CorrectionMode(args.mode), args.seed)

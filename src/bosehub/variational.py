@@ -14,7 +14,6 @@ member's trajectory is bitwise the one it would follow alone.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +48,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -93,6 +92,7 @@ class MlpAnsatz:
         self.features = feature_matrix(h.basis, raw=raw_features)
         self.sizes = (self.features.shape[1],) + tuple(hidden)
         self.complex_mode = complex_mode
+        self._dtype = np.complex128 if complex_mode else np.float64
         self._template = neural.MlpParams.initialize(
             self.sizes, outputs=2 if complex_mode else 1, rng=0)
 
@@ -108,31 +108,31 @@ class MlpAnsatz:
 
     def coefficients(self, thetas):
         """Coefficients (R, B) of the members' parameters (R, P)."""
-        rows = []
-        for theta in thetas:
+        coeffs = np.empty((len(thetas), len(self.features)), self._dtype)
+        for k, theta in enumerate(thetas):
             out, _ = neural.mlp_forward(self._template.with_flat(theta),
                                         self.features)
-            rows.append(neural.output_to_coefficient(out))
-        return np.array(rows)
+            coeffs[k] = neural.output_to_coefficient(out)
+        return coeffs
 
     def energy_gradient(self, thetas, h: HamiltonianMatrix):
         """Energies (R,), dE/dtheta (R, P) and coefficients (R, B) of the
         members' parameters (R, P), one network pass per member."""
-        energies, grads, coeffs = [], [], []
-        for theta in thetas:
+        energies = np.empty(len(thetas))
+        grads = np.empty(np.shape(thetas))
+        coeffs = np.empty((len(thetas), len(self.features)), self._dtype)
+        for k, theta in enumerate(thetas):
             params = self._template.with_flat(theta)
             out, cache = neural.mlp_forward(params, self.features)
-            c = neural.output_to_coefficient(out)
-            r, energy = rayleigh_residual(c, h)
+            c = coeffs[k] = neural.output_to_coefficient(out)
+            r, energies[k] = rayleigh_residual(c, h)
             if self.complex_mode:
                 rc = np.conj(r) * c
                 upstream = np.stack([2.0 * rc.real, -2.0 * rc.imag], axis=1)
             else:
                 upstream = (2.0 * (r * c))[:, None]
-            energies.append(energy)
-            grads.append(neural.mlp_backward(params, cache, upstream))
-            coeffs.append(c)
-        return np.array(energies), np.array(grads), np.array(coeffs)
+            grads[k] = neural.mlp_backward(params, cache, upstream)
+        return energies, grads, coeffs
 
     def export(self, theta) -> str:
         return neural.to_json(self._template.with_flat(theta))
@@ -198,8 +198,8 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
 
     Adam works in buffers allocated once, with the operations of the
     textbook update in the same order, so each step rounds as the
-    allocating form would. ``theta`` is a fresh array every step: the best
-    iterate may alias it.
+    allocating form would. ``theta`` is updated in place and the best
+    iterates are copied into a buffer of their own.
     """
     if not h.is_real and not ansatz.complex_mode:
         raise ValueError("complex Hamiltonian needs a complex-mode ansatz")
@@ -209,15 +209,12 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
     # moments, and the scratch buffers of one update
     m, v, m_hat, v_hat = (np.zeros_like(theta) for _ in range(4))
     energies = np.empty((cfg.restarts, cfg.steps + 1))
-    best_energy, best_theta = np.full(cfg.restarts, np.inf), theta
+    best_energy, best_theta = np.full(cfg.restarts, np.inf), theta.copy()
     for step in range(1, cfg.steps + 1):
         energy, grad, _ = ansatz.energy_gradient(theta, h)
         energies[:, step - 1] = energy
         _check_finite(energy, seeds, f"at step {step}", energies[:, :step])
-        better = energy < best_energy
-        if better.any():
-            best_energy = np.where(better, energy, best_energy)
-            best_theta = np.where(better[:, None], theta, best_theta)
+        _keep_better(energy, theta, best_energy, best_theta)
         # m = BETA1 m + (1 - BETA1) g
         m *= BETA1
         np.multiply(grad, 1.0 - BETA1, out=m_hat)
@@ -234,17 +231,24 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
         v_hat += EPSILON
         m_hat *= cfg.learning_rate
         m_hat /= v_hat
-        theta = theta - m_hat
+        theta -= m_hat
     energy = np.array([rayleigh_energy(c, h)
                        for c in ansatz.coefficients(theta)])
     energies[:, cfg.steps] = energy
     _check_finite(energy, seeds, "at the final step", energies[:, :-1])
-    better = energy < best_energy
-    best_energy = np.where(better, energy, best_energy)
-    best_theta = np.where(better[:, None], theta, best_theta)
+    _keep_better(energy, theta, best_energy, best_theta)
     win = int(np.argmin(best_energy))  # the first of equal minima
     return TrainResult(best_theta[win], energies[win], seeds[win],
                        float(best_energy[win]))
+
+
+def _keep_better(energy, theta, best_energy, best_theta) -> None:
+    """Copy each member's energy and parameters into the best buffers where
+    the energy is below its best so far."""
+    better = energy < best_energy
+    if better.any():
+        np.copyto(best_energy, energy, where=better)
+        np.copyto(best_theta, theta, where=better[:, None])
 
 
 def _check_finite(energy, seeds, when: str, traces) -> None:
@@ -272,9 +276,11 @@ def layer_study(kind: str, layer_counts, h: HamiltonianMatrix,
 
 def write_trace_csv(result: TrainResult, exact_energy: float, path) -> None:
     """Per-step CSV (step, energy, loss) with loss = exact - estimate."""
+    energies = np.asarray(result.energies, dtype=float)
+    losses = exact_energy - energies
+    # the rows csv.writer writes: no field needs quoting, lines end in \r\n
+    rows = (f"{step},{energy!r},{loss!r}\r\n" for step, (energy, loss) in
+            enumerate(zip(energies.tolist(), losses.tolist())))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "energy", "loss"])
-        for step, energy in enumerate(result.energies):
-            writer.writerow([step, repr(float(energy)),
-                             repr(float(exact_energy - energy))])
+        fh.write("step,energy,loss\r\n")
+        fh.write("".join(rows))

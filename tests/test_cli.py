@@ -145,6 +145,43 @@ def test_train_rejects_negative_layers(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_layers_is_a_circuit_flag(tmp_path, capsys):
+    out = tmp_path / "artifacts"
+    code, stdout, err = run(capsys, "train", "--ansatz", "nn", "--layers",
+                            "3", "--U", "2", "--out-dir", str(out))
+    assert code == 1 and stdout == ""
+    assert err == ("error: --layers sets a circuit's layer count; "
+                   "--ansatz nn has no layers\n")
+    assert not out.exists()
+    # a circuit without the flag has the default six layers
+    code, _, _ = run(capsys, "train", "--ansatz", "quat", "--U", "5",
+                     "--steps", "2", "--out-dir", str(out))
+    assert code == 0
+    doc = json.loads((out / "quat_U5_summary.json").read_text())
+    assert doc["config"]["layers"] == 6
+    # study layers takes its layer counts from --layer-grid alone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["study", "layers", "--ansatz", "quat", "--U", "5",
+                  "--layers", "3"])
+    assert exc.value.code == 2
+    assert "--layers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.01"])
+@pytest.mark.parametrize("command", ["train", "study layers"])
+def test_training_commands_check_the_learning_rate(command, lr, tmp_path,
+                                                   capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *command.split(), "--ansatz", "quat",
+                            "--U", "5", "--steps", "2", "--lr", lr,
+                            "--out-dir" if command == "train" else "--out",
+                            str(out))
+    assert code == 1 and stdout == ""
+    assert err == (f"error: --lr must be a finite number > 0, "
+                   f"got {float(lr)!r}\n")
+    assert not out.exists()
+
+
 def test_train_nn(tmp_path, capsys):
     code, stdout, _ = run(capsys, "train", "--ansatz", "nn", "--U", "2",
                           "--steps", "200", "--out-dir", str(tmp_path))
@@ -204,6 +241,39 @@ def test_study_shots_rejects_bad_counts(flags, message, tmp_path, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("grid,message", [
+    ("", "--grid must be comma-separated integers, got ''"),
+    ("100,abc", "--grid must be comma-separated integers, got '100,abc'"),
+    ("100,100", "--grid repeats a value: '100,100'"),
+])
+def test_study_shots_rejects_a_bad_grid(grid, message, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(qc.to_json(qc.CircuitParams("compressed", 1,
+                                                np.zeros(7))))
+    out = tmp_path / "shots.csv"
+    code, stdout, err = run(capsys, "study", "shots", "--checkpoint",
+                            str(ckpt), "--U", "5", "--grid", grid,
+                            "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("3,3", "--layer-grid repeats a value: '3,3'"),
+    ("2,x", "--layer-grid must be comma-separated integers, got '2,x'"),
+    ("1,-1", "layer count must be >= 0"),
+])
+def test_study_layers_rejects_a_bad_grid(grid, message, tmp_path, capsys):
+    out = tmp_path / "layers.csv"
+    code, stdout, err = run(capsys, "study", "layers", "--ansatz", "quat",
+                            "--U", "5", "--layer-grid", grid, "--steps", "2",
+                            "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_study_shots_is_the_same_at_one_and_two_blas_threads(tmp_path):
     # the trials' Rayleigh quotients are one matrix product, so BLAS runs them
     ckpt = tmp_path / "ckpt.json"
@@ -236,6 +306,28 @@ def test_study_noise_rejects_zero_trials(tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert err == "error: trials must be >= 1\n"
     assert not out.exists() and not cal.exists()
+
+
+@pytest.mark.parametrize("low,high", [
+    ("0.05", "0.01"), ("0.3", "0.6"), ("-0.01", "0.05"), ("0.01", "0.5"),
+    ("nan", "0.05")])
+@pytest.mark.parametrize("command", ["study noise", "noise-run"])
+def test_readout_commands_check_the_error_range(command, low, high, tmp_path,
+                                                capsys):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(qc.to_json(qc.CircuitParams("compressed", 1,
+                                                np.zeros(7))))
+    argv = [*command.split(), "--checkpoint", str(ckpt), "--U", "5",
+            "--error-min", low, "--error-max", high]
+    if command == "study noise":
+        argv += ["--out", str(tmp_path / "noise.csv"),
+                 "--calibration-out", str(tmp_path / "cal.csv")]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err == (f"error: --error-min and --error-max need 0 <= "
+                   f"--error-min <= --error-max < 0.5, got {float(low)!r} "
+                   f"and {float(high)!r}\n")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_study_noise_and_noise_run(tmp_path, capsys):

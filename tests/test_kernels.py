@@ -145,6 +145,34 @@ def test_population_rows_equal_single_calls(kind, layers, want_grad, want_sx):
                 assert np.array_equal(got[11 * r:11 * (r + 1)], want)
 
 
+@pytest.mark.parametrize("want_grad,want_sx", [
+    (False, False), (False, True), (True, False), (True, True)])
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("kind", ["compressed", "quat"])
+def test_a_later_call_leaves_earlier_results_alone(kind, R, want_grad,
+                                                   want_sx):
+    # the kernel reuses its scratch across calls on the same features, so
+    # every array it returns must be a fresh one
+    rng = np.random.default_rng(R)
+    X = rng.uniform(-2.0, 2.0, (11, 6))
+    values = np.array([init_params(kind, 3, rng, scale=1.5).values
+                       for _ in range(R)])
+    if R == 1:
+        values = values[0]  # the single-vector form
+    first = _kernels.circuit_batch(kind, values, X, want_grad, want_sx)
+    kept = [None if out is None else out.copy() for out in first]
+    second = _kernels.circuit_batch(kind, values + 0.5, X, want_grad,
+                                    want_sx)
+    for got, want, later in zip(first, kept, second):
+        if want is None:
+            assert got is None and later is None
+        else:
+            assert np.array_equal(got, want)
+            assert not np.shares_memory(got, later)
+    # the second call did compute something else
+    assert not np.array_equal(first[0], second[0])
+
+
 def test_restarts_share_one_kernel_call_per_step(h_reduced, monkeypatch):
     h = h_reduced(U=5.0)
     rows = []
@@ -201,9 +229,9 @@ def _dense_sweep(axes, theta):
     "Y" if ry else "Z" for ry in a) or "empty")
 def test_sweep_matches_dense_product(axes):
     theta = np.random.default_rng(len(axes)).uniform(-4.0, 4.0, (5, len(axes)))
-    p0, sx, none = _kernels._sweep(axes, theta, False)
+    p0, sx, none = _kernels._sweep(_kernels._Sweep(axes, 5), theta, False)
     assert none is None
-    gp0, gsx, dtheta = _kernels._sweep(axes, theta, True)
+    gp0, gsx, dtheta = _kernels._sweep(_kernels._Sweep(axes, 5), theta, True)
     # one forward pass serves both modes
     assert np.array_equal(gp0, p0) and np.array_equal(gsx, sx)
     ref_p0, ref_sx = _dense_sweep(axes, theta)

@@ -22,6 +22,7 @@ PINS = json.loads((Path(__file__).parent / "trajectories.json").read_text())
 # name -> (ansatz factory, U, phi, restarts)
 CASES = {
     "nn": (MlpAnsatz, 2.0, 0.0, 1),
+    "nn-restarts-2": (MlpAnsatz, 5.0, 0.0, 2),
     "quat": (lambda h: CircuitAnsatz(h, "quat", 6), 5.0, 0.0, 1),
     "compressed-restarts-2": (lambda h: CircuitAnsatz(h, "compressed", 6),
                               8.0, 0.0, 2),

@@ -224,6 +224,13 @@ def test_restarts_never_hurt(h_reduced):
     assert multi.final_energy <= single.final_energy + 1e-12
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.02, np.nan, np.inf])
+def test_config_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="learning_rate must be finite and "
+                                         "positive"):
+        TrainConfig(steps=5, learning_rate=lr)
+
+
 def test_real_ansatz_rejected_on_complex_hamiltonian(reduced26):
     h = build_deformed(ModelParams(1.0, 5.0, 6, 5, phi=np.pi / 2), reduced26)
     with pytest.raises(ValueError):
