@@ -22,13 +22,14 @@ descriptor, such as ``study noise`` at several U, reuses them.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import comb
 
 import numpy as np
+
+from ._table import write_csv
 
 
 class BasisKind(str, Enum):
@@ -273,10 +274,9 @@ def occupation_string(state) -> str:
 
 def write_basis_csv(descriptor: BasisDescriptor, path) -> None:
     """Dump classes as (class_index, representative_occ, multiplicity, kind)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class_index", "representative_occ", "multiplicity", "kind"])
-        writer.writerows(zip(range(descriptor.dim),
-                             map(occupation_string, descriptor.representatives()),
-                             np.bincount(descriptor.class_of),
-                             [descriptor.kind.value] * descriptor.dim))
+    write_csv(path, ("class_index", "representative_occ", "multiplicity",
+                     "kind"),
+              zip(range(descriptor.dim),
+                  map(occupation_string, descriptor.representatives()),
+                  np.bincount(descriptor.class_of),
+                  [descriptor.kind.value] * descriptor.dim))

@@ -76,28 +76,19 @@ class ShotResult:
 
 def weight_of(params: CircuitParams, features) -> float:
     """Wave-function weight P(0) = (1+<sigma_z>)/2 of the prepared state."""
-    x = _check_features(params, features)
-    p0, _, _, _ = _kernels.circuit_batch(params.kind, params.values,
-                                         x[None, :], want_grad=False,
-                                         want_sx=False)
-    return float(p0[0])
+    return float(batch_weights(params, _check_features(params, features))[0])
 
 
 def complex_weight_of(params: CircuitParams, features) -> complex:
     """Complex weight P(0) * exp(i*pi*<sigma_x>), both on the same state."""
-    x = _check_features(params, features)
-    p0, sx, _, _ = _kernels.circuit_batch(params.kind, params.values,
-                                          x[None, :], want_grad=False)
-    return complex(p0[0] * np.exp(1j * np.pi * sx[0]))
+    return complex(batch_complex_weights(
+        params, _check_features(params, features))[0])
 
 
 def gradient(params: CircuitParams, features) -> np.ndarray:
     """Exact dP(0)/dtheta for every flat parameter (closed-form kernel)."""
-    x = _check_features(params, features)
-    _, _, dp0, _ = _kernels.circuit_batch(params.kind, params.values,
-                                          x[None, :], want_grad=True,
-                                          want_sx=False)
-    return dp0[0].copy()
+    return batch_weights_and_jacobian(
+        params, _check_features(params, features))[1][0]
 
 
 def batch_weights(params: CircuitParams, features_matrix) -> np.ndarray:
@@ -151,7 +142,8 @@ def weights_and_jacobian(kind: str, values: np.ndarray, X: np.ndarray,
 def _rows(kind: str, values: np.ndarray, X: np.ndarray, want_grad: bool,
           want_sx: bool):
     """The kernel's rows as (B,) and (B, P), or (R, B) and (R, B, P); the
-    sigma_x outputs are None without ``want_sx``."""
+    sigma_x outputs are None without ``want_sx``. The package's one call
+    into ``_kernels.circuit_batch``."""
     p0, sx, dp0, dsx = _kernels.circuit_batch(kind, values, X, want_grad,
                                               want_sx)
     rows = values.shape[:-1] + (X.shape[0],)
@@ -204,7 +196,10 @@ def from_json(text: str) -> CircuitParams:
 
 
 def _check_features(params: CircuitParams, features) -> np.ndarray:
-    x = np.asarray(features, dtype=float).ravel()
+    """One circuit's features as the (1, nf) row the batch functions take."""
+    if params.values.ndim != 1:
+        raise ValueError("a population of circuits takes the batch functions")
+    x = np.asarray(features, dtype=float).reshape(1, -1)
     if x.size != params.n_features:
         raise ValueError(
             f"expected {params.n_features} features, got {x.size}"

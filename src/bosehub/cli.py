@@ -8,7 +8,6 @@ with 5 decimals; files carry full precision.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -22,6 +21,7 @@ from . import basis as basis_mod
 from . import circuit as qc
 from . import readout as ro
 from . import variational as vr
+from ._table import write_csv
 from .hamiltonian import (
     HamiltonianMatrix,
     ModelParams,
@@ -330,30 +330,41 @@ def _train_config(args) -> vr.TrainConfig:
                           seed=args.seed, restarts=args.restarts)
 
 
-def _int_list(args, name: str, what: str, minimum: int) -> list[int]:
-    """Option ``name`` as distinct comma-separated integers, each at least
-    ``minimum`` (``what`` names one in that message)."""
+def _comma_list(args, name: str, convert=int, what: str = "integers") -> list:
+    """Option ``name`` as distinct comma-separated items, each through
+    ``convert``; a bad or repeated item fails naming the option (``what``
+    says what it takes)."""
     option, text = "--" + name.replace("_", "-"), str(getattr(args, name))
     try:
-        values = [int(item) for item in text.split(",")]
+        values = [convert(item) for item in text.split(",")]
     except ValueError:
-        raise ValueError(f"{option} must be comma-separated integers, "
+        raise ValueError(f"{option} must be comma-separated {what}, "
                          f"got {text!r}") from None
     if len(set(values)) < len(values):
         raise ValueError(f"{option} repeats a value: {text!r}")
-    if min(values) < minimum:
-        raise ValueError(f"{what} must be >= {minimum}")
     return values
 
 
-def _error_range(args) -> tuple[float, float]:
-    """The readout flip-rate range, 0 <= --error-min <= --error-max < 0.5."""
+def _noise_setup(args, dim: int):
+    """The simulated device of --qubits qubits with flip rates in
+    [--error-min, --error-max], and the replica layout that measures all
+    ``dim`` basis classes but the pinned anchor on it."""
     low, high = args.error_min, args.error_max
     if not 0.0 <= low <= high < 0.5:
         raise ValueError(
             f"--error-min and --error-max need 0 <= --error-min <= "
             f"--error-max < 0.5, got {low!r} and {high!r}")
-    return low, high
+    if dim < 2:
+        raise ValueError("a noisy readout needs 2 or more basis classes, "
+                         "since one is pinned")
+    need = (dim - 1) * ro.DEFAULT_REPLICAS
+    if args.qubits < need:
+        raise ValueError(f"--qubits must be >= {need} for {dim - 1} "
+                         f"coefficients x {ro.DEFAULT_REPLICAS} replicas, "
+                         f"got {args.qubits}")
+    device = ro.SimulatedDevice.random(args.qubits, (low, high),
+                                       seed=args.seed)
+    return device, ro.replica_layout(dim - 1, n_qubits=args.qubits)
 
 
 def cmd_train(args) -> int:
@@ -401,7 +412,9 @@ def cmd_train(args) -> int:
 def cmd_study_layers(args) -> int:
     _require(args, "ansatz", "U")
     cfg = _train_config(args)
-    counts = _int_list(args, "layer_grid", "layer count", 0)
+    counts = _comma_list(args, "layer_grid")
+    if min(counts) < 0:
+        raise ValueError("layer count must be >= 0")
     h = _resolve_hamiltonian(args)
     rows = vr.layer_study(args.ansatz, counts, h, cfg,
                           complex_mode=args.complex_mode or args.phi != 0.0,
@@ -409,18 +422,14 @@ def cmd_study_layers(args) -> int:
     for layers, energy in rows:
         print(f"{layers} {energy:.5f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layers", "energy"])
-            for layers, energy in rows:
-                writer.writerow([layers, repr(energy)])
+        write_csv(args.out, ("layers", "energy"), rows)
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_study_shots(args) -> int:
     _require(args, "checkpoint", "U")
-    grid = _int_list(args, "grid", "shots", 1)
+    grid = _comma_list(args, "grid")
     params = qc.from_json(args.checkpoint.read_text())
     h = _resolve_hamiltonian(args, phi=0.0)
     rows = ro.shot_study(params, h, grid, trials=args.trials, seed=args.seed)
@@ -436,18 +445,15 @@ def cmd_study_noise(args) -> int:
     _require(args, "checkpoint", "U")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    error_range = _error_range(args)
-    u_values = [float(s) for s in str(args.U).split(",")]
+    u_values = _comma_list(args, "U", float, "numbers")
     checkpoints = (args.checkpoint if isinstance(args.checkpoint, list)
                    else [args.checkpoint])
     if len(checkpoints) != len(u_values):
         raise ValueError("need one checkpoint per U value")
-    modes = [ro.CorrectionMode(m) for m in args.modes.split(",")]
-    device = ro.SimulatedDevice.random(args.qubits, error_range,
-                                       seed=args.seed)
-    layout = ro.replica_layout(n_qubits=args.qubits)
-
+    modes = _comma_list(args, "modes", ro.CorrectionMode, "modes of " +
+                        ", ".join(m.value for m in ro.CorrectionMode))
     descriptor = basis_mod.reduced_basis(args.sites, args.bosons)
+    device, layout = _noise_setup(args, descriptor.dim)
     rows = []
     for ui, (u, ckpt) in enumerate(zip(u_values, checkpoints)):
         params = qc.from_json(Path(ckpt).read_text())
@@ -480,12 +486,9 @@ def cmd_study_noise(args) -> int:
 
 def cmd_noise_run(args) -> int:
     _require(args, "checkpoint", "U")
-    error_range = _error_range(args)
     params = qc.from_json(args.checkpoint.read_text())
     h = _resolve_hamiltonian(args, phi=0.0)
-    device = ro.SimulatedDevice.random(args.qubits, error_range,
-                                       seed=args.seed)
-    layout = ro.replica_layout(n_qubits=args.qubits)
+    device, layout = _noise_setup(args, h.dim)
     energy = ro.noisy_energy_run(params, h, device, layout, args.shots,
                                  ro.CorrectionMode(args.mode), args.seed)
     print(f"{energy:.5f}")

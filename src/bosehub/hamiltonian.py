@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import write_csv
 from .basis import BasisDescriptor, BasisKind, full_basis
 
 HERMITICITY_TOL = 1e-12
@@ -307,9 +308,5 @@ def write_matrix_coo(h: HamiltonianMatrix, path) -> None:
 
 def write_ground_state_csv(state: GroundState, path) -> None:
     amps = np.asarray(state.amplitudes, dtype=complex)
-    # the rows csv.writer writes: no field needs quoting, lines end in \r\n
-    rows = (f"{i},{re!r},{im!r}\r\n" for i, (re, im) in
-            enumerate(zip(amps.real.tolist(), amps.imag.tolist())))
-    with open(path, "w", newline="") as fh:
-        fh.write("class_index,amplitude_re,amplitude_im\r\n")
-        fh.write("".join(rows))
+    write_csv(path, ("class_index", "amplitude_re", "amplitude_im"),
+              zip(range(amps.size), amps.real.tolist(), amps.imag.tolist()))

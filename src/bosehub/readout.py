@@ -13,13 +13,13 @@ inversion are one array operation each over all qubits.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._table import write_csv
 from .basis import feature_matrix
 from .circuit import CircuitParams, ShotResult, batch_weights
 from .hamiltonian import HamiltonianMatrix
@@ -184,11 +184,12 @@ def _best_replicas(groups: list[dict[int, InverseConfusion]]) -> list[int]:
 
 def replica_layout(n_coeffs: int = 25, n_replicas: int = DEFAULT_REPLICAS,
                    n_qubits: int = DEFAULT_QUBITS) -> np.ndarray:
-    """Qubit ids (n_coeffs, n_replicas); replica r occupies one 25-qubit block."""
+    """Qubit ids (n_coeffs, n_replicas); replica r occupies the block of
+    n_coeffs qubits that starts at qubit r * n_coeffs."""
     if n_coeffs * n_replicas > n_qubits:
         raise ValueError("layout does not fit on the device")
-    return np.array([[r * n_coeffs + k for r in range(n_replicas)]
-                     for k in range(n_coeffs)])
+    blocks = np.arange(n_replicas * n_coeffs).reshape(n_replicas, n_coeffs)
+    return blocks.T.copy()
 
 
 def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
@@ -332,28 +333,17 @@ def calibration_report(device: SimulatedDevice, shots: int, seed: int,
 
 
 def write_calibration_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["qubit", "p00", "p01", "p10", "p11",
-                         "figure_of_merit", "selected"])
-        for row in rows:
-            writer.writerow([row[0]] + [repr(float(v)) for v in row[1:6]]
-                            + [row[6]])
+    write_csv(path, ("qubit", "p00", "p01", "p10", "p11", "figure_of_merit",
+                     "selected"),
+              ((row[0], *map(float, row[1:6]), row[6]) for row in rows))
 
 
 def write_shot_study_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shots", "median_frac_dev", "std"])
-        for shots, median, std in rows:
-            writer.writerow([shots, repr(median), repr(std)])
+    write_csv(path, ("shots", "median_frac_dev", "std"), rows)
 
 
 def write_energy_report_csv(rows, path) -> None:
     """Rows of (run, mode, U, energy, ideal_energy)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "mode", "U", "energy", "ideal_energy"])
-        for run, mode, u, energy, ideal in rows:
-            writer.writerow([run, mode, repr(float(u)), repr(float(energy)),
-                             repr(float(ideal))])
+    write_csv(path, ("run", "mode", "U", "energy", "ideal_energy"),
+              ((run, mode, float(u), float(energy), float(ideal))
+               for run, mode, u, energy, ideal in rows))

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import circuit as qc
 from . import neural
+from ._table import write_csv
 from .basis import feature_matrix
 from .hamiltonian import HamiltonianMatrix
 
@@ -278,9 +279,5 @@ def write_trace_csv(result: TrainResult, exact_energy: float, path) -> None:
     """Per-step CSV (step, energy, loss) with loss = exact - estimate."""
     energies = np.asarray(result.energies, dtype=float)
     losses = exact_energy - energies
-    # the rows csv.writer writes: no field needs quoting, lines end in \r\n
-    rows = (f"{step},{energy!r},{loss!r}\r\n" for step, (energy, loss) in
-            enumerate(zip(energies.tolist(), losses.tolist())))
-    with open(path, "w", newline="") as fh:
-        fh.write("step,energy,loss\r\n")
-        fh.write("".join(rows))
+    write_csv(path, ("step", "energy", "loss"),
+              zip(range(energies.size), energies.tolist(), losses.tolist()))

@@ -292,6 +292,15 @@ def test_feature_arity_checked():
         qc.weight_of(params, np.ones(5))
 
 
+@pytest.mark.parametrize("entry", [qc.weight_of, qc.complex_weight_of,
+                                   qc.gradient])
+def test_one_circuit_entry_points_reject_a_population(entry):
+    values = qc.init_params("quat", 2, 0).values
+    params = qc.CircuitParams("quat", 2, np.stack([values, 2 * values]))
+    with pytest.raises(ValueError, match="population"):
+        entry(params, np.ones(6))
+
+
 # --- serialization -------------------------------------------------------------
 
 @pytest.mark.parametrize("kind,layers", [("compressed", 6), ("quat", 3)])

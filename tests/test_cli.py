@@ -355,6 +355,69 @@ def test_study_noise_and_noise_run(tmp_path, capsys):
     float(stdout.splitlines()[0])  # a bare 5-decimal energy
 
 
+def test_noise_commands_size_the_layout_by_the_basis(tmp_path, capsys):
+    # 6 sites, 4 bosons: 16 classes, so 15 measured coefficients
+    run(capsys, "train", "--ansatz", "compressed", "--layers", "2", "--U", "5",
+        "--sites", "6", "--bosons", "4", "--steps", "30",
+        "--out-dir", str(tmp_path))
+    ckpt = str(tmp_path / "compressed_U5_checkpoint.json")
+    out, cal = tmp_path / "noise.csv", tmp_path / "cal.csv"
+    code, _, err = run(capsys, "study", "noise", "--checkpoint", ckpt,
+                       "--U", "5", "--sites", "6", "--bosons", "4",
+                       "--shots", "500", "--out", str(out),
+                       "--calibration-out", str(cal))
+    assert (code, err) == (0, "")
+    assert len(out.read_text().splitlines()) == 4  # header + 3 modes
+    cal_lines = cal.read_text().splitlines()
+    assert len(cal_lines) == 126
+    assert sum(int(line.split(",")[-1]) for line in cal_lines[1:]) == 15
+    code, stdout, err = run(capsys, "noise-run", "--checkpoint", ckpt,
+                            "--U", "5", "--sites", "6", "--bosons", "4",
+                            "--shots", "500", "--qubits", "75")
+    assert (code, err) == (0, "")
+    float(stdout)
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--qubits", "10"],
+     "--qubits must be >= 125 for 25 coefficients x 5 replicas, got 10"),
+    (["--sites", "2", "--bosons", "1"],
+     "a noisy readout needs 2 or more basis classes, since one is pinned"),
+])
+@pytest.mark.parametrize("command", ["study noise", "noise-run"])
+def test_noise_commands_check_the_device_holds_the_layout(command, flags,
+                                                          message, tmp_path,
+                                                          capsys):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(qc.to_json(qc.CircuitParams("compressed", 1,
+                                                np.zeros(7))))
+    argv = [*command.split(), "--checkpoint", str(ckpt), "--U", "5", *flags]
+    if command == "study noise":
+        argv += ["--out", str(tmp_path / "noise.csv")]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--U", "2,,5"], "--U must be comma-separated numbers, got '2,,5'"),
+    (["--U", "5,5"], "--U repeats a value: '5,5'"),
+    (["--U", "5", "--modes", "bogus"],
+     "--modes must be comma-separated modes of uncorrected, corrected, "
+     "postselected, postselected-corrected, got 'bogus'"),
+])
+def test_study_noise_lists_name_their_option(flags, message, tmp_path,
+                                             capsys):
+    ckpt = str(tmp_path / "ckpt.json")
+    Path(ckpt).write_text(qc.to_json(qc.CircuitParams("compressed", 1,
+                                                      np.zeros(7))))
+    code, stdout, err = run(capsys, "study", "noise", "--checkpoint", ckpt,
+                            *flags)
+    assert code == 1 and stdout == ""
+    assert err == f"error: {message}\n"
+
+
 def test_study_noise_checkpoint_count_mismatch(tmp_path, capsys):
     run(capsys, "train", "--ansatz", "compressed", "--layers", "2", "--U", "5",
         "--steps", "30", "--out-dir", str(tmp_path))

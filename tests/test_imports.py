@@ -46,9 +46,6 @@ ALLOWED_UNREFERENCED = {
     "basis.translation_orbits": "perfbench wraps it (ROADMAP item 1)",
     "circuit.sample": "perfbench wraps it (ROADMAP item 1)",
     "circuit.complex_weight_of": "perfbench wraps it (ROADMAP item 1)",
-    "circuit.batch_complex_weights": "perfbench wraps it (ROADMAP item 1)",
-    "circuit.batch_weights_and_jacobian":
-        "perfbench wraps it (ROADMAP item 1)",
     "readout.ConfusionMatrix.invert":
         "the scalar oracle the array inverse is tested against",
     "neural.from_json":
