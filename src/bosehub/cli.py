@@ -266,8 +266,7 @@ def _resolve_hamiltonian(args, kind="reduced", orientation="interaction",
                          phi=None) -> HamiltonianMatrix:
     phi = getattr(args, "phi", 0.0) if phi is None else phi
     params = ModelParams(args.t, args.U, args.sites, args.bosons, phi)
-    descriptor = basis_mod.reduced_basis(args.sites, args.bosons,
-                                         basis_mod.BasisKind(kind))
+    descriptor = _basis(args, kind)
     if phi != 0.0:
         if basis_mod.BasisKind(kind) is not basis_mod.BasisKind.REDUCED:
             raise ValueError("the deformed model lives in the reduced basis")
@@ -277,9 +276,36 @@ def _resolve_hamiltonian(args, kind="reduced", orientation="interaction",
     return build_reduced(params, descriptor)
 
 
+def _basis(args, kind="reduced",
+           matrix: bool = True) -> basis_mod.BasisDescriptor:
+    """The --sites/--bosons basis of ``kind``, built only once a lower bound
+    on what the command must hold fits in physical memory: the Fock table,
+    C(N+M-1, N) states of M one-byte occupations, and with ``matrix`` a
+    dense D x D Hamiltonian, D at least the states over the largest class
+    size of ``kind`` (1, M or 2M)."""
+    kind = basis_mod.BasisKind(kind)
+    sites, bosons = args.sites, args.bosons
+    if sites >= 1 and bosons >= 0:  # else the basis names the bad size
+        states = math.comb(bosons + sites - 1, bosons)
+        need = states * sites
+        if matrix:
+            largest = {basis_mod.BasisKind.FULL: 1,
+                       basis_mod.BasisKind.TRANSLATION: sites,
+                       basis_mod.BasisKind.REDUCED: 2 * sites}[kind]
+            need += 8 * (-(-states // largest)) ** 2  # ceil, in integers
+        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > budget:
+            what = " and its dense Hamiltonian" if matrix else ""
+            raise ValueError(
+                f"--sites {sites} --bosons {bosons} needs at least "
+                f"{min(need, 2**1000) / 2**30:.3g} GiB for the {kind.value} "
+                f"basis{what}, more than the {budget / 2**30:.3g} GiB of "
+                f"physical memory")
+    return basis_mod.reduced_basis(sites, bosons, kind)
+
+
 def cmd_basis(args) -> int:
-    descriptor = basis_mod.reduced_basis(args.sites, args.bosons,
-                                         basis_mod.BasisKind(args.kind))
+    descriptor = _basis(args, args.kind, matrix=False)
     print(f"kind={descriptor.kind.value} classes={descriptor.dim} "
           f"states={int(descriptor.multiplicities().sum())}")
     if args.out:
@@ -452,7 +478,7 @@ def cmd_study_noise(args) -> int:
         raise ValueError("need one checkpoint per U value")
     modes = _comma_list(args, "modes", ro.CorrectionMode, "modes of " +
                         ", ".join(m.value for m in ro.CorrectionMode))
-    descriptor = basis_mod.reduced_basis(args.sites, args.bosons)
+    descriptor = _basis(args)
     device, layout = _noise_setup(args, descriptor.dim)
     rows = []
     for ui, (u, ckpt) in enumerate(zip(u_values, checkpoints)):

@@ -11,11 +11,15 @@ triplets depend on neither t nor U, so a descriptor computes them once, and
 the full-basis matrix is never needed for a reduced one. A complex
 "deformed" variant multiplies the reduced hopping entries by conjugate
 phases to exercise complex wave functions while preserving hermiticity.
-The ground state comes from a Lanczos loop that computes only the lowest
-eigenpair.
+No build holds a D x D temporary: the round-off scrub and the phases touch
+only the hop entries, and the Hermiticity check runs one block of rows at a
+time. The ground state comes from a Lanczos loop that computes only the
+lowest eigenpair and checks its residual only where the residual's decay
+predicts convergence (see :func:`_lanczos`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +30,7 @@ from .basis import BasisDescriptor, BasisKind, full_basis
 HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 LANCZOS_TOL = 1e-13  # Ritz residual, relative to max|H|
+_CHECK_ROWS = 32  # rows per block of the Hermiticity check
 
 
 class DiagonalizationError(RuntimeError):
@@ -72,13 +77,8 @@ class HamiltonianMatrix:
             )
         if not m.size:
             return
-        # max|m - m^H| and max|m| through one preallocated D x D temporary
-        tmp = np.empty_like(m)
-        np.conjugate(m.T, out=tmp)
-        np.subtract(m, tmp, out=tmp)
-        dev = np.abs(tmp, out=tmp).real.max()
-        object.__setattr__(self, "scale",
-                           max(1.0, np.abs(m, out=tmp).real.max()))
+        dev, biggest = _hermitian_deviation(m)
+        object.__setattr__(self, "scale", max(1.0, biggest))
         if dev > HERMITICITY_TOL * self.scale:
             raise ValueError(f"matrix is not Hermitian (deviation {dev:.2e})")
 
@@ -89,6 +89,22 @@ class HamiltonianMatrix:
     @property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.matrix)
+
+
+def _hermitian_deviation(m: np.ndarray) -> tuple[float, float]:
+    """max|m - m^H| and max|m|, one block of ``_CHECK_ROWS`` rows at a time.
+
+    |(m - m^H)[i, j]| and |(m - m^H)[j, i]| are the same bits, so a block
+    compares its rows with their mirror columns only from its first column
+    on.
+    """
+    dev = biggest = 0.0
+    for i in range(0, len(m), _CHECK_ROWS):
+        rows = m[i:i + _CHECK_ROWS]
+        mirror = m[i:, i:i + _CHECK_ROWS].T.conj()
+        dev = max(dev, np.abs(rows[:, i:] - mirror).max())
+        biggest = max(biggest, np.abs(rows).max())
+    return dev, biggest
 
 
 @dataclass(frozen=True)
@@ -134,7 +150,12 @@ def build_reduced(params: ModelParams,
         raise ValueError("use build_deformed for phi != 0")
     h = _assemble(params, basis)
     if basis.kind is not BasisKind.FULL:
-        h = 0.5 * (h + h.T)  # scrub round-off between mirrored entries
+        # scrub round-off between mirrored entries: 0.5 * (h + h.T) on the
+        # hop pattern, the only off-diagonal entries that are not zero
+        row, col = basis.hops[:2]
+        mirrored = 0.5 * (h[row, col] + h[col, row])
+        h[row, col] = mirrored
+        h[col, row] = mirrored
     return HamiltonianMatrix(h, basis, params)
 
 
@@ -176,9 +197,14 @@ def build_deformed(params: ModelParams, basis: BasisDescriptor,
         return base
     ranks = deformation_ranks(basis.representatives(), orientation)
     phase = np.exp(1j * params.phi)
-    factor = np.where(ranks[:, None] < ranks[None, :], phase, np.conj(phase))
-    np.fill_diagonal(factor, 1.0)
-    deformed = base.matrix.astype(complex) * factor
+    row, col = basis.hops[:2]
+    off = row != col
+    row, col = row[off], col[off]
+    # the phases go on the hop entries alone, each mirror taking the other
+    factor = np.where(ranks[row] < ranks[col], phase, np.conj(phase))
+    deformed = base.matrix.astype(complex)
+    deformed[row, col] = base.matrix[row, col] * factor
+    deformed[col, row] = base.matrix[col, row] * np.conj(factor)
     return HamiltonianMatrix(deformed, basis, params)
 
 
@@ -210,7 +236,7 @@ def ground_state(h: HamiltonianMatrix) -> GroundState:
     makes the dominant component positive.
     """
     m, scale = h.matrix, h.scale
-    vec = _lanczos(m, LANCZOS_TOL * scale)
+    vec, _ = _lanczos(m, LANCZOS_TOL * scale)
     hv = m @ vec
     # the Rayleigh quotient, not the Ritz value, whose round-off has either
     # sign: on the t=0 spectrum (ground energy 0) a negative one prints as
@@ -225,22 +251,34 @@ def ground_state(h: HamiltonianMatrix) -> GroundState:
     return GroundState(energy, vec * (abs(vec[k]) / vec[k]))
 
 
-def _lanczos(m: np.ndarray, tol: float) -> np.ndarray:
-    """Unit lowest eigenvector of the Hermitian matrix ``m``.
+def _lanczos(m: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    """Unit lowest eigenvector of the Hermitian matrix ``m``, and the number
+    of Krylov vectors it is built from.
 
     The Krylov basis starts from a fixed-seed random vector, so the result is
     deterministic and every eigenspace is reached, and grows one vector per
-    step, each orthogonalized twice against all the others. Every few steps
-    the tridiagonal T is diagonalized. The loop stops once the lowest Ritz
-    pair's residual |beta_k y_k| is at most ``tol``, at a breakdown (beta ~ 0:
-    the Krylov space is invariant, so its Ritz values are exact) or after D
-    steps, when the Krylov space is the whole space.
+    step, each orthogonalized twice against all the others. The loop may
+    stop only at every fourth step, at a breakdown (beta ~ 0: the Krylov
+    space is invariant, so its Ritz values are exact) or after D steps, when
+    the Krylov space is the whole space; at the first of those steps where
+    the lowest Ritz pair's residual |beta_k y_k| is at most ``tol``, or at
+    the other two in any case.
+
+    A check is an eigensolve of the tridiagonal T, so after the first two
+    fourth steps the next check goes where the residual's geometric decay
+    between the last two checks reaches ``tol`` (:func:`_steps_ahead`).
+    When a check passes, the fourth steps skipped since the last one are
+    checked latest first while they pass: each one's T is a leading block
+    and its Krylov vectors a prefix, so the loop returns what checking every
+    fourth step returns, as long as the residual, once at most ``tol``,
+    stays there over the skipped steps.
     """
     n = m.shape[0]
     q = np.random.default_rng(0).standard_normal(n).astype(m.dtype)
     basis = np.empty((min(n, 32), n), m.dtype)
     basis[0] = q / np.linalg.norm(q)
     alpha, beta = [], []
+    checks, skipped, due = [], [], 3
     for k in range(n):
         w = m @ basis[k]
         alpha.append(np.real(np.vdot(basis[k], w)))
@@ -248,19 +286,50 @@ def _lanczos(m: np.ndarray, tol: float) -> np.ndarray:
         for _ in range(2):
             w -= (krylov.conj() @ w) @ krylov
         beta.append(np.linalg.norm(w))
-        if k + 1 == n or k % 4 == 3 or beta[-1] <= tol:
-            t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
-            try:
-                _, y = np.linalg.eigh(t)
-            except np.linalg.LinAlgError as exc:
-                raise DiagonalizationError(f"Lanczos failed: {exc}") from exc
-            if k + 1 == n or abs(beta[-1] * y[-1, 0]) <= tol:
+        if k + 1 == n or k == due or beta[-1] <= tol:
+            y, residual = _ritz(alpha, beta, k)
+            if k + 1 == n or residual <= tol:
+                for step in reversed(skipped):
+                    y_step, residual = _ritz(alpha, beta, step)
+                    if not residual <= tol:
+                        break
+                    y, k = y_step, step
                 break
+            checks.append((k, residual))
+            skipped, due = [], k + _steps_ahead(checks, tol)
+        elif k % 4 == 3:
+            skipped.append(k)
         if k + 1 == len(basis):
             basis = np.concatenate([basis, np.empty_like(basis)])[:n]
         basis[k + 1] = w / beta[-1]
-    vec = y[:, 0] @ krylov
-    return vec / np.linalg.norm(vec)
+    vec = y[:, 0] @ basis[:k + 1]
+    return vec / np.linalg.norm(vec), k + 1
+
+
+def _ritz(alpha: list, beta: list, k: int) -> tuple[np.ndarray, float]:
+    """Eigenvectors of the leading (k+1)-square block of the Lanczos
+    tridiagonal T, and the lowest Ritz pair's residual |beta_k y_k|."""
+    t = np.zeros((k + 1, k + 1))
+    t.flat[::k + 2] = alpha[:k + 1]
+    t.flat[1::k + 2] = t.flat[k + 1::k + 2] = beta[:k]
+    try:
+        _, y = np.linalg.eigh(t)
+    except np.linalg.LinAlgError as exc:
+        raise DiagonalizationError(f"Lanczos failed: {exc}") from exc
+    return y, abs(beta[k] * y[k, 0])
+
+
+def _steps_ahead(checks: list, tol: float) -> int:
+    """Steps from the last check to the next: 4 after the first check, then
+    where the last two checks' residuals, decaying geometrically, reach
+    ``tol``, rounded up to a multiple of 4 and kept within 4 to 16."""
+    if len(checks) < 2:
+        return 4
+    (k0, r0), (k1, r1) = checks[-2:]
+    decay = (math.log(r0) - math.log(r1)) / (k1 - k0)  # per step
+    if not decay > 0.0:
+        return 16
+    return 4 * min(4, max(1, math.ceil(math.log(r1 / tol) / decay / 4)))
 
 
 def min_eigenvalue_power(h: HamiltonianMatrix, max_iter: int = 20000,

@@ -69,6 +69,43 @@ def test_exact_defaults_to_the_reduced_basis(tmp_path, capsys):
     assert len((tmp_path / "run_ground.csv").read_text().splitlines()) == 27
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact", "--sites", "16", "--bosons", "16", "--U", "5"],
+    ["exact", "--sites", "14", "--bosons", "14", "--U", "5", "--basis",
+     "full"],
+    ["train", "--ansatz", "nn", "--sites", "16", "--bosons", "16", "--U",
+     "5"],
+    ["basis", "--sites", "30", "--bosons", "30"],
+])
+def test_oversized_basis_fails_before_enumerating(argv, capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "Traceback" not in err
+    sites, bosons = argv[argv.index("--sites") + 1], argv[
+        argv.index("--bosons") + 1]
+    assert f"--sites {sites} --bosons {bosons}" in err
+    assert "GiB" in err and "physical memory" in err
+    assert peak < 1e6
+
+
+def test_size_check_lets_12_sites_10_bosons_through(monkeypatch):
+    # 14,938 classes: a 1.78 GB matrix, which the check must not refuse
+    built = []
+    monkeypatch.setattr(cli.basis_mod, "reduced_basis",
+                        lambda *args: built.append(args))
+    args = cli._build_parser(command="exact").parse_args(
+        ["exact", "--sites", "12", "--bosons", "10", "--U", "5"])
+    cli._basis(args, args.basis)
+    assert built == [(12, 10, cli.basis_mod.BasisKind.REDUCED)]
+
+
 def test_exact_writes_artifacts(tmp_path, capsys):
     prefix = tmp_path / "run"
     code, _, _ = run(capsys, "exact", "--U", "5", "--basis", "reduced",

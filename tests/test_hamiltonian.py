@@ -2,6 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import lanczos_oracle
 
 from bosehub.basis import (
     BasisDescriptor,
@@ -26,7 +31,13 @@ from bosehub.hamiltonian import (
     write_ground_state_csv,
     write_matrix_coo,
 )
-from bosehub.hamiltonian import _assemble
+from bosehub.hamiltonian import (
+    LANCZOS_TOL,
+    _CHECK_ROWS,
+    _assemble,
+    _hermitian_deviation,
+    _lanczos,
+)
 
 TABLE1 = {2.0: -7.54752, 5.0: -5.46241, 8.0: -4.37439}
 
@@ -285,6 +296,11 @@ def _eigh_ground(h):
 def _lanczos_case(name):
     if name == "6/5 full":
         return build_full(ModelParams(1.0, 5.0, 6, 5))
+    if name == "t=0":
+        return build_full(ModelParams(0.0, 5.0, 6, 5))
+    if name == "8/8 deformed":
+        return build_deformed(ModelParams(1.0, 5.0, 8, 8, phi=0.7),
+                              reduced_basis(8, 8))
     if name == "D=2":
         # t < 0: the ground state (1, -1)/sqrt(2) is orthogonal to the
         # uniform vector, so a uniform start would find +2
@@ -351,6 +367,48 @@ def test_no_dense_eigh_of_the_hamiltonian(name, eigh_sizes):
     assert eigh_sizes and max(eigh_sizes) < h.dim // 2
 
 
+@pytest.mark.parametrize("name", ["6/5 full", "8/8 U=2", "8/8 U=5",
+                                  "8/8 U=8", "10/8 U=5", "6/5 deformed",
+                                  "D=1", "D=2", "t=0", "8/8 deformed"])
+def test_lanczos_matches_the_every_fourth_step_oracle(name):
+    # the loop that checks every fourth step stops at the same step and
+    # returns the same bytes
+    h = _lanczos_case(name)
+    tol = LANCZOS_TOL * h.scale
+    vec, steps = _lanczos(h.matrix, tol)
+    ref_vec, ref_steps = lanczos_oracle.lanczos(h.matrix, tol)
+    assert steps == ref_steps
+    assert vec.tobytes() == ref_vec.tobytes()
+
+
+@pytest.mark.parametrize("name", ["8/8 U=5", "6/5 full"])
+def test_lanczos_skips_most_tridiagonal_eigensolves(name, eigh_sizes):
+    # the every-fourth-step loop makes 15 (8/8 U=5) and 13 (6/5 full)
+    ground_state(_lanczos_case(name))
+    assert 1 <= len(eigh_sizes) <= 8
+
+
+def _hermitian(draw_real, draw_imag, n, is_complex):
+    m = np.asarray(draw_real, dtype=float).reshape(n, n)
+    if is_complex:
+        m = m + 1j * np.asarray(draw_imag, dtype=float).reshape(n, n)
+    return (m + m.conj().T) / 2
+
+
+ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@given(st.data(), st.integers(1, 40), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_lanczos_matches_dense_eigh_on_drawn_matrices(data, n, is_complex):
+    real = data.draw(arrays(float, n * n, elements=ENTRIES))
+    imag = data.draw(arrays(float, n * n, elements=ENTRIES))
+    m = _hermitian(real, imag, n, is_complex)
+    h = HamiltonianMatrix(m, full_basis(n, 1), ModelParams(1.0, 0.0, n, 1))
+    state = ground_state(h)
+    assert abs(state.energy - np.linalg.eigh(m)[0][0]) <= 1e-10
+
+
 def test_non_finite_matrix_fails_the_residual_check(reduced26):
     m = build_reduced(ModelParams(1.0, 5.0, 6, 5), reduced26).matrix.copy()
     m[0, 1] = m[1, 0] = np.nan
@@ -411,6 +469,102 @@ def test_hop_triplet_assembly_is_bit_identical(sites, bosons, kind, t, u):
     basis = reduced_basis(sites, bosons, kind)
     built = _assemble(params, basis)
     assert built.tobytes() == _assemble_bond_by_bond(params, basis).tobytes()
+
+
+# --- builds against the dense formulas ----------------------------------
+
+def _dense_reduced(params, basis):
+    """The mirror scrub over the whole D x D matrix."""
+    h = _assemble(params, basis)
+    return h if basis.kind is BasisKind.FULL else 0.5 * (h + h.T)
+
+
+def _dense_deformed(params, basis):
+    """The phases through a dense complex factor."""
+    base = _dense_reduced(
+        ModelParams(params.t, params.U, params.sites, params.bosons), basis)
+    ranks = deformation_ranks(basis.representatives())
+    phase = np.exp(1j * params.phi)
+    factor = np.where(ranks[:, None] < ranks[None, :], phase, np.conj(phase))
+    np.fill_diagonal(factor, 1.0)
+    return base.astype(complex) * factor
+
+
+BUILD_CASES = [(6, 5, "full"), (6, 5, "translation"), (6, 5, "reduced"),
+               (8, 8, "reduced"), (10, 8, "reduced")]
+
+
+@pytest.mark.parametrize("sites,bosons,kind", BUILD_CASES)
+def test_build_is_bitwise_the_dense_scrub(sites, bosons, kind):
+    params = ModelParams(1.0, 5.0, sites, bosons)
+    basis = reduced_basis(sites, bosons, kind)
+    built = (build_full if kind == "full" else build_reduced)(params, basis)
+    assert built.matrix.tobytes() == _dense_reduced(params, basis).tobytes()
+
+
+@pytest.mark.parametrize("sites,bosons", [(6, 5), (8, 8), (10, 8)])
+@pytest.mark.parametrize("phi", [np.pi / 2, -0.7, 0.3])
+def test_deformed_build_is_bitwise_the_dense_factor(sites, bosons, phi):
+    params = ModelParams(1.0, 5.0, sites, bosons, phi)
+    basis = reduced_basis(sites, bosons)
+    built = build_deformed(params, basis).matrix
+    assert built.tobytes() == _dense_deformed(params, basis).tobytes()
+
+
+@pytest.mark.parametrize("phi", [2.2, -2.5])
+def test_deformed_build_at_negative_cosine_differs_only_in_signed_zeros(phi):
+    # with cos(phi) < 0 the dense product gives the zero entries a -0.0
+    # part on one side of the rank order; the build leaves them +0.0. Equal
+    # finite values can differ in their bytes only by the sign of a zero.
+    params = ModelParams(1.0, 5.0, 8, 8, phi)
+    basis = reduced_basis(8, 8)
+    built = build_deformed(params, basis).matrix
+    dense = _dense_deformed(params, basis)
+    np.testing.assert_array_equal(built, dense)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("col", ["next", "first block"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_blockwise_hermiticity_check_matches_the_dense_one(where, col,
+                                                           is_complex):
+    # 6/5 full has 252 rows: seven whole blocks and a partial last one. The
+    # deviation sits beside the diagonal, inside the row's own block, or
+    # below it in the first block's columns.
+    m = build_full(ModelParams(1.0, 5.0, 6, 5)).matrix.astype(
+        complex if is_complex else float)
+    n = len(m)
+    assert n % _CHECK_ROWS
+    row = {"first": 1, "middle": n // 2, "last": n - 2}[where]
+    assert row // _CHECK_ROWS == (row + 1) // _CHECK_ROWS
+    m[row, row + 1 if col == "next" else 3] += 2.5e-3 * (
+        1 + 1j if is_complex else 1)
+    dense = np.abs(m - m.conj().T).max(), np.abs(m).max()
+    got = _hermitian_deviation(m)
+    assert np.float64(got[0]).tobytes() == dense[0].tobytes()
+    assert np.float64(got[1]).tobytes() == dense[1].tobytes()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HamiltonianMatrix(m, full_basis(6, 5), ModelParams(1.0, 5.0, 6, 5))
+
+
+def _build_peak(build, *args):
+    tracemalloc.start()
+    try:
+        h = build(*args)
+        return h, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_builds_hold_no_dense_temporary():
+    # 10 sites / 8 bosons: 1282 classes. The dense scrub and check held two
+    # D x D matrices at once, the dense phase factor more.
+    basis = reduced_basis(10, 8)
+    h, peak = _build_peak(build_reduced, ModelParams(1.0, 5.0, 10, 8), basis)
+    assert peak <= 1.25 * h.matrix.nbytes
+    h, peak = _build_peak(build_deformed,
+                          ModelParams(1.0, 5.0, 10, 8, phi=0.7), basis)
+    assert peak <= 1.25 * (h.matrix.nbytes + h.matrix.real.nbytes)
 
 
 def test_matrix_keeps_its_scale(reduced26):

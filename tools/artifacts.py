@@ -45,6 +45,13 @@ COMMANDS = {
                        "--dump-matrix", "--out-prefix", "exact_deformed"],
     "exact_8_8": ["exact", "--sites", "8", "--bosons", "8", "--U", "5",
                   "--out-prefix", "exact_8_8"],
+    "exact_8_8_deformed": ["exact", "--sites", "8", "--bosons", "8",
+                           "--U", "5", "--phi", "0.7", "--dump-matrix",
+                           "--out-prefix", "exact_8_8_deformed"],
+    "exact_10_8": ["exact", "--sites", "10", "--bosons", "8", "--U", "5",
+                   "--out-prefix", "exact_10_8"],
+    "exact_t0": ["exact", "--t", "0", "--U", "5", "--basis", "full",
+                 "--out-prefix", "exact_t0"],
     "train_nn": ["train", "--ansatz", "nn", "--U", "5",
                  "--out-dir", "train_nn"],
     "train_quat": ["train", "--ansatz", "quat", "--U", "5",
