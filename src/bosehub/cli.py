@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -42,60 +43,136 @@ DEFAULT_LAYERS = 6
 def main(argv=None) -> int:
     bootstrap = argparse.ArgumentParser(add_help=False)
     bootstrap.add_argument("--config", type=Path, default=None)
-    bootstrap.add_argument("command", nargs="?")
+    bootstrap.add_argument("command", nargs="*")
     known, _ = bootstrap.parse_known_args(argv)
     try:
-        parser = _build_parser(_read_config(known.config), known.command)
+        config = json.loads(known.config.read_text()) if known.config else {}
+        if not isinstance(config, dict):
+            raise ValueError(
+                f"expected a JSON object, got {type(config).__name__}")
+        parser = _build_parser(config, " ".join(known.command) or None)
     except (OSError, ValueError) as exc:
         print(f"error: config file {known.config}: {exc}", file=sys.stderr)
         return 1
     args = parser.parse_args(argv)
-    if args.check:
-        failures = run_oracle_checks()
-        if failures:
-            return 1
-        if args.command is None:
-            return 0
-    if args.command is None:
+    if args.command is None and not args.check:
         parser.print_help()
         return 2
     try:
-        _seed_from_env(args)
-        return args.func(args)
+        _check_values(args)
+        if args.check and run_oracle_checks():
+            return 1
+        return args.func(args) if args.command else 0
     except Exception as exc:  # surfaced with nonzero status per contract
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def _read_config(path: Path | None) -> dict:
-    """The defaults a --config file sets ({} without one)."""
-    if path is None:
-        return {}
-    config = json.loads(path.read_text())
-    if not isinstance(config, dict):
-        raise ValueError(
-            f"expected a JSON object, got {type(config).__name__}")
-    return config
+# One command-line option. ``type`` is int, float, str, Path, bool (a
+# switch) or the tuple of a str option's choices. ``bound`` is the rule a
+# number meets beyond its type (">= 1", "> 0"); a float must also be
+# finite, except the error rates, whose rule needs both of them. A
+# ``required`` option must be given, by a flag or the config file.
+_Option = namedtuple("_Option", "flag type default help bound nargs required",
+                     defaults=(None, None, None, None, False))
+_ERROR_RANGE = "0 <= --error-min <= --error-max < 0.5"
+_BASIS_KINDS = tuple(k.value for k in basis_mod.BasisKind)
+
+# every option of every command, keyed by the dest it sets
+_OPTIONS = {
+    "sites": _Option("--sites", int, DEFAULT_SITES, bound=">= 1"),
+    "bosons": _Option("--bosons", int, DEFAULT_BOSONS, bound=">= 0"),
+    "seed": _Option("--seed", int, help="default: BOSEHUB_SEED, then 0",
+                    bound=">= 0"),
+    "kind": _Option("--kind", _BASIS_KINDS, "reduced"),
+    "basis": _Option("--basis", _BASIS_KINDS, "reduced"),
+    "t": _Option("--t", float, 1.0),
+    "U": _Option("--U", float, required=True),
+    "phi": _Option("--phi", float, 0.0),
+    "orientation": _Option("--orientation", ("interaction", "lex"),
+                           "interaction"),
+    "out": _Option("--out", Path),
+    "out_prefix": _Option("--out-prefix", Path, help="write "
+                          "<prefix>_ground.csv (and _matrix.txt)"),
+    "out_dir": _Option("--out-dir", Path),
+    "dump_matrix": _Option("--dump-matrix", bool, False),
+    "ansatz": _Option("--ansatz", ("nn", "compressed", "quat"),
+                      required=True),
+    "steps": _Option("--steps", int, help="default: 1500 for nn, 1200 for "
+                     "circuits, 2400 in complex mode", bound=">= 0"),
+    "lr": _Option("--lr", float, 0.02, bound="> 0"),
+    "restarts": _Option("--restarts", int, 1, bound=">= 1"),
+    "complex_mode": _Option("--complex", bool, False, help="complex "
+                            "coefficients (required when phi != 0)"),
+    "raw_features": _Option("--raw-features", bool, False, help="feed "
+                            "occupations without mean subtraction"),
+    "layers": _Option("--layers", int, help=f"circuit layers (default "
+                      f"{DEFAULT_LAYERS}); not for --ansatz nn", bound=">= 0"),
+    "layer_grid": _Option("--layer-grid", str, "3,4,5,6",
+                          help="comma-separated layer counts"),
+    "checkpoint": _Option("--checkpoint", Path, required=True),
+    "grid": _Option("--grid", str, "100,1000,10000,20000,100000"),
+    "trials": _Option("--trials", int, 100, bound=">= 1"),
+    "modes": _Option("--modes", str,
+                     "uncorrected,corrected,postselected-corrected"),
+    "mode": _Option("--mode", tuple(m.value for m in ro.CorrectionMode),
+                    "corrected"),
+    "shots": _Option("--shots", int, 20000, bound=">= 1"),
+    "qubits": _Option("--qubits", int, ro.DEFAULT_QUBITS, bound=">= 1"),
+    "error_min": _Option("--error-min", float, ro.DEFAULT_ERROR_RANGE[0],
+                         bound=_ERROR_RANGE),
+    "error_max": _Option("--error-max", float, ro.DEFAULT_ERROR_RANGE[1],
+                         bound=_ERROR_RANGE),
+    "calibration_out": _Option(
+        "--calibration-out", Path, help="write an independent calibration "
+        "of every qubit at --shots/--seed; its selected column is what that "
+        "calibration would postselect, not what any trial chose"),
+}
 
 
-def _seed_from_env(args) -> None:
-    """Give a seeded command whose --seed came from neither a flag nor the
-    config file the value of BOSEHUB_SEED (then 0), read on every call."""
-    if getattr(args, "seed", 0) is not None:
-        return
-    text = os.environ.get("BOSEHUB_SEED", "0")
-    try:
-        args.seed = int(text)
-    except ValueError:
-        raise ValueError(
-            f"BOSEHUB_SEED must be an integer, got {text!r}") from None
+def _commands() -> tuple:
+    """(name, help, function, options) of every command, "study <kind>" for
+    a study; the study group itself has no function. An option is a key of
+    _OPTIONS, or a key and the fields that differ for this command. Built on
+    each call, so a ``cmd_*`` patched on this module is the one run."""
+    seeded = ("sites", "bosons", "seed")
+    training = ("t", "U", "steps", "lr", "restarts", "phi", "complex_mode",
+                "raw_features")
+    return (
+        ("basis", "enumerate and dump a basis", cmd_basis,
+         ("sites", "bosons", "kind", "out")),
+        ("exact", "exact diagonalization", cmd_exact,
+         ("sites", "bosons", "t", "U", "phi", "basis", "orientation",
+          "out_prefix", "dump_matrix")),
+        ("train", "train a variational ansatz", cmd_train,
+         (*seeded, "ansatz", *training, "layers",
+          ("basis", {"help": "full reproduces the network's 252-state "
+                             "baseline"}), "out_dir")),
+        ("study", "layer / shots / noise studies", None, ()),
+        ("study layers", "energy vs layer count", cmd_study_layers,
+         (*seeded, ("ansatz", {"type": ("compressed", "quat")}), *training,
+          "layer_grid", "out")),
+        ("study shots", "finite-shot energy deviations", cmd_study_shots,
+         (*seeded, "checkpoint", "t", "U", "grid", "trials", "out")),
+        ("study noise", "noisy-device energies per mode", cmd_study_noise,
+         (*seeded, ("checkpoint", {
+             "nargs": "+",
+             "help": "one trained circuit checkpoint per U value"}),
+          "t", ("U", {"type": str, "help": "comma-separated U values"}),
+          "modes", "shots", ("trials", {"default": 1}), "qubits",
+          "error_min", "error_max", "out", "calibration_out")),
+        ("noise-run", "single noisy energy evaluation", cmd_noise_run,
+         (*seeded, "checkpoint", "t", "U", "mode", "shots", "qubits",
+          "error_min", "error_max")),
+    )
 
 
 def _build_parser(config: dict | None = None,
                   command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser with ``config``'s defaults. Every subcommand
-    is listed, but only ``command``'s options are added (None: all of
-    them); a config file is checked against every command's options."""
+    is listed, but only the options of the commands that ``command`` ("exact",
+    "study", "study noise") names are added (None: all of them); a config
+    key must be an option of some command."""
     parser = argparse.ArgumentParser(
         prog="bosehub",
         description="Bose-Hubbard ground states: exact, neural and "
@@ -105,161 +182,78 @@ def _build_parser(config: dict | None = None,
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file of flag defaults, overridden by "
                              "explicit flags")
-    sub = parser.add_subparsers(dest="command")
-    leaves = []
-    for name, help, add_options in _COMMANDS:
-        p = sub.add_parser(name, help=help)
-        if config or command in (None, name):
-            leaves += add_options(p)
-
-    if config:
-        options = set().union(*(vars(leaf.parse_known_args([])[0])
-                                for leaf in leaves)) - {"func"}
-        for key in config:
-            if key not in options:
-                raise ValueError(f"key {key!r} is no option of any command")
-        for leaf in leaves:
-            leaf.set_defaults(**config)
+    config = config or {}
+    for key in config:
+        if key not in _OPTIONS:
+            raise ValueError(f"key {key!r} is no option of any command")
+    words = command.split() if command else []
+    groups = {"": parser.add_subparsers(dest="command")}
+    for name, help, func, items in _commands():
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            continue  # a study, and the command is another one
+        p = groups[group].add_parser(leaf, help=help)
+        path = name.split()
+        if path[:len(words)] != words[:len(path)]:
+            continue
+        if func is None:
+            groups[name] = p.add_subparsers(dest="study_kind", required=True)
+            continue
+        options = {}
+        for item in items:
+            dest, changes = (item, {}) if isinstance(item, str) else item
+            options[dest] = option = _OPTIONS[dest]._replace(**changes)
+            kind = option.type
+            p.add_argument(option.flag, dest=dest, default=option.default,
+                           help=option.help, **(
+                               {"action": "store_true"} if kind is bool else
+                               {"choices": kind} if isinstance(kind, tuple)
+                               else {"type": kind, "nargs": option.nargs}))
+        p.set_defaults(func=func, options=options, **{
+            key: value for key, value in config.items() if key in options})
     return parser
 
 
-def _basis_options(p) -> list:
-    _common(p, seeded=False)
-    p.add_argument("--kind", default="reduced",
-                   choices=[k.value for k in basis_mod.BasisKind])
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=cmd_basis)
-    return [p]
-
-
-def _exact_options(p) -> list:
-    _common(p, seeded=False)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--U", type=float, default=None)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--basis", default="reduced",
-                   choices=[k.value for k in basis_mod.BasisKind])
-    p.add_argument("--orientation", default="interaction",
-                   choices=["interaction", "lex"])
-    p.add_argument("--out-prefix", type=Path, default=None,
-                   help="write <prefix>_ground.csv (and _matrix.txt)")
-    p.add_argument("--dump-matrix", action="store_true")
-    p.set_defaults(func=cmd_exact)
-    return [p]
-
-
-def _train_options(p) -> list:
-    _common(p)
-    _train_flags(p)
-    p.add_argument("--layers", type=int, default=None,
-                   help=f"circuit layers (default {DEFAULT_LAYERS}); "
-                        "not for --ansatz nn")
-    p.add_argument("--basis", default="reduced",
-                   choices=[k.value for k in basis_mod.BasisKind],
-                   help="full reproduces the network's 252-state baseline")
-    p.add_argument("--out-dir", type=Path, default=None)
-    p.set_defaults(func=cmd_train)
-    return [p]
-
-
-def _study_options(p) -> list:
-    study = p.add_subparsers(dest="study_kind", required=True)
-
-    layers = study.add_parser("layers", help="energy vs layer count")
-    _common(layers)
-    _train_flags(layers, ansatz_choices=("compressed", "quat"))
-    layers.add_argument("--layer-grid", default="3,4,5,6",
-                        help="comma-separated layer counts")
-    layers.add_argument("--out", type=Path, default=None)
-    layers.set_defaults(func=cmd_study_layers)
-
-    ps = study.add_parser("shots", help="finite-shot energy deviations")
-    _common(ps)
-    ps.add_argument("--checkpoint", type=Path, default=None)
-    ps.add_argument("--t", type=float, default=1.0)
-    ps.add_argument("--U", type=float, default=None)
-    ps.add_argument("--grid", default="100,1000,10000,20000,100000")
-    ps.add_argument("--trials", type=int, default=100)
-    ps.add_argument("--out", type=Path, default=None)
-    ps.set_defaults(func=cmd_study_shots)
-
-    pn = study.add_parser("noise", help="noisy-device energies per mode")
-    _common(pn)
-    pn.add_argument("--checkpoint", type=Path, nargs="+", default=None,
-                    help="one trained circuit checkpoint per U value")
-    pn.add_argument("--t", type=float, default=1.0)
-    pn.add_argument("--U", default=None, help="comma-separated U values")
-    pn.add_argument("--modes",
-                    default="uncorrected,corrected,postselected-corrected")
-    pn.add_argument("--shots", type=int, default=20000)
-    pn.add_argument("--trials", type=int, default=1)
-    pn.add_argument("--qubits", type=int, default=ro.DEFAULT_QUBITS)
-    pn.add_argument("--error-min", type=float, default=ro.DEFAULT_ERROR_RANGE[0])
-    pn.add_argument("--error-max", type=float, default=ro.DEFAULT_ERROR_RANGE[1])
-    pn.add_argument("--out", type=Path, default=None)
-    pn.add_argument("--calibration-out", type=Path, default=None,
-                    help="write an independent calibration of every qubit "
-                    "at --shots/--seed; its selected column is what that "
-                    "calibration would postselect, not what any trial chose")
-    pn.set_defaults(func=cmd_study_noise)
-    return [layers, ps, pn]
-
-
-def _noise_run_options(p) -> list:
-    _common(p)
-    p.add_argument("--checkpoint", type=Path, default=None)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--U", type=float, default=None)
-    p.add_argument("--mode", default="corrected",
-                   choices=[m.value for m in ro.CorrectionMode])
-    p.add_argument("--shots", type=int, default=20000)
-    p.add_argument("--qubits", type=int, default=ro.DEFAULT_QUBITS)
-    p.add_argument("--error-min", type=float, default=ro.DEFAULT_ERROR_RANGE[0])
-    p.add_argument("--error-max", type=float, default=ro.DEFAULT_ERROR_RANGE[1])
-    p.set_defaults(func=cmd_noise_run)
-    return [p]
-
-
-# (name, help, function adding the options and returning the leaf parsers)
-_COMMANDS = (
-    ("basis", "enumerate and dump a basis", _basis_options),
-    ("exact", "exact diagonalization", _exact_options),
-    ("train", "train a variational ansatz", _train_options),
-    ("study", "layer / shots / noise studies", _study_options),
-    ("noise-run", "single noisy energy evaluation", _noise_run_options),
-)
-
-
-def _common(p, seeded: bool = True) -> None:
-    p.add_argument("--sites", type=int, default=DEFAULT_SITES)
-    p.add_argument("--bosons", type=int, default=DEFAULT_BOSONS)
-    if seeded:
-        p.add_argument("--seed", type=int, default=None,
-                       help="default: BOSEHUB_SEED, then 0")
-
-
-def _train_flags(p, ansatz_choices=("nn", "compressed", "quat")) -> None:
-    p.add_argument("--ansatz", default=None, choices=list(ansatz_choices))
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--U", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None,
-                   help="default: 1500 for nn, 1200 for circuits, "
-                        "2400 in complex mode")
-    p.add_argument("--lr", type=float, default=0.02)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--complex", dest="complex_mode", action="store_true",
-                   help="complex coefficients (required when phi != 0)")
-    p.add_argument("--raw-features", action="store_true",
-                   help="feed occupations without mean subtraction")
-
-
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(
-                f"missing required option --{name.replace('_', '-')} "
-                f"(flag or config file)")
+def _check_values(args) -> None:
+    """Refuse, before any work, a missing required option of the running
+    command, or a value of its options that the flag could not give or that
+    breaks the option's bound, whether it came from a flag, the config file
+    or (for --seed) BOSEHUB_SEED."""
+    for dest, option in getattr(args, "options", {}).items():
+        value, name, kind = getattr(args, dest), option.flag, option.type
+        if dest == "seed" and value is None:
+            name, text = "BOSEHUB_SEED", os.environ.get("BOSEHUB_SEED", "0")
+            try:
+                value = args.seed = int(text)
+            except ValueError:
+                raise ValueError(f"BOSEHUB_SEED must be an integer, "
+                                 f"got {text!r}") from None
+        if value is None and option.required:
+            raise ValueError(f"missing required option {name} (flag or "
+                             f"config file)")
+        if value is None and option.default is None or kind is str:
+            continue  # unset, or a comma list, which parses its own text
+        if isinstance(kind, tuple):
+            ok, rule = value in kind, "one of " + ", ".join(kind)
+        elif kind is bool:
+            ok, rule = type(value) is bool, "true or false"
+        elif kind is Path:  # a list only for nargs; a config gives strings
+            items = value if option.nargs and isinstance(value, list) \
+                else [value]
+            ok = all(isinstance(item, (str, Path)) for item in items)
+            rule = "a path"
+        elif option.bound == _ERROR_RANGE:  # _noise_device checks the range
+            ok, rule = type(value) in (int, float), "a number"
+        else:  # no bool, and no float for an int
+            op, low = (option.bound or ">= -inf").split()
+            ok = (type(value) in (int, kind) and abs(value) < math.inf
+                  and (value >= float(low) if op == ">=" else
+                       value > float(low)))
+            rule = " ".join(filter(None, (
+                "an integer" if kind is int else "a finite number",
+                option.bound)))
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def _resolve_hamiltonian(args, kind="reduced", orientation="interaction",
@@ -279,28 +273,31 @@ def _resolve_hamiltonian(args, kind="reduced", orientation="interaction",
 def _basis(args, kind="reduced",
            matrix: bool = True) -> basis_mod.BasisDescriptor:
     """The --sites/--bosons basis of ``kind``, built only once a lower bound
-    on what the command must hold fits in physical memory: the Fock table,
-    C(N+M-1, N) states of M one-byte occupations, and with ``matrix`` a
-    dense D x D Hamiltonian, D at least the states over the largest class
-    size of ``kind`` (1, M or 2M)."""
+    on what the command must hold fits in physical memory: the larger of
+    enumerate_fock's last growth step, an int64 array of (N+1) x
+    C(N+M-2, N) sums, and the Fock table, C(N+M-1, N) states of M one-byte
+    occupations, plus with ``matrix`` a dense D x D Hamiltonian, D at least
+    the states over the largest class size of ``kind`` (1, M or 2M)."""
     kind = basis_mod.BasisKind(kind)
     sites, bosons = args.sites, args.bosons
-    if sites >= 1 and bosons >= 0:  # else the basis names the bad size
-        states = math.comb(bosons + sites - 1, bosons)
-        need = states * sites
-        if matrix:
-            largest = {basis_mod.BasisKind.FULL: 1,
-                       basis_mod.BasisKind.TRANSLATION: sites,
-                       basis_mod.BasisKind.REDUCED: 2 * sites}[kind]
-            need += 8 * (-(-states // largest)) ** 2  # ceil, in integers
-        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > budget:
-            what = " and its dense Hamiltonian" if matrix else ""
-            raise ValueError(
-                f"--sites {sites} --bosons {bosons} needs at least "
-                f"{min(need, 2**1000) / 2**30:.3g} GiB for the {kind.value} "
-                f"basis{what}, more than the {budget / 2**30:.3g} GiB of "
-                f"physical memory")
+    states = math.comb(bosons + sites - 1, bosons)
+    need = states * sites
+    if matrix:
+        largest = {basis_mod.BasisKind.FULL: 1,
+                   basis_mod.BasisKind.TRANSLATION: sites,
+                   basis_mod.BasisKind.REDUCED: 2 * sites}[kind]
+        need += 8 * (-(-states // largest)) ** 2  # ceil, in integers
+    if sites > 1:
+        need = max(need, 8 * (bosons + 1) * math.comb(bosons + sites - 2,
+                                                      bosons))
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > budget:
+        what = " and its dense Hamiltonian" if matrix else ""
+        raise ValueError(
+            f"--sites {sites} --bosons {bosons} needs at least "
+            f"{min(need, 2**1000) / 2**30:.3g} GiB for the {kind.value} "
+            f"basis{what}, more than the {budget / 2**30:.3g} GiB of "
+            f"physical memory")
     return basis_mod.reduced_basis(sites, bosons, kind)
 
 
@@ -315,9 +312,12 @@ def cmd_basis(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    _require(args, "U")
-    if args.dump_matrix:
-        _require(args, "out_prefix")
+    if args.dump_matrix and args.out_prefix is None:
+        raise ValueError("missing required option --out-prefix (flag or "
+                         "config file)")
+    if args.orientation != _OPTIONS["orientation"].default and args.phi == 0:
+        raise ValueError(f"--orientation {args.orientation} orders the "
+                         f"phases of --phi, which is 0")
     h = _resolve_hamiltonian(args, kind=args.basis,
                              orientation=args.orientation)
     state = ground_state(h)
@@ -328,14 +328,6 @@ def cmd_exact(args) -> int:
         if args.dump_matrix:
             write_matrix_coo(h, f"{args.out_prefix}_matrix.txt")
     return 0
-
-
-def _default_steps(args) -> int:
-    if args.steps is not None:
-        return args.steps
-    if getattr(args, "complex_mode", False) or args.phi != 0.0:
-        return 2400
-    return 1500 if args.ansatz == "nn" else 1200
 
 
 def _circuit_layers(args) -> int | None:
@@ -350,9 +342,13 @@ def _circuit_layers(args) -> int | None:
 
 
 def _train_config(args) -> vr.TrainConfig:
-    if not 0.0 < args.lr < math.inf:
-        raise ValueError(f"--lr must be a finite number > 0, got {args.lr!r}")
-    return vr.TrainConfig(steps=_default_steps(args), learning_rate=args.lr,
+    """Adam's settings; --steps defaults to 1500 for the network, 1200 for
+    a circuit and 2400 in complex mode."""
+    steps = args.steps
+    if steps is None:
+        steps = (2400 if args.complex_mode or args.phi != 0.0 else
+                 1500 if args.ansatz == "nn" else 1200)
+    return vr.TrainConfig(steps=steps, learning_rate=args.lr,
                           seed=args.seed, restarts=args.restarts)
 
 
@@ -360,7 +356,7 @@ def _comma_list(args, name: str, convert=int, what: str = "integers") -> list:
     """Option ``name`` as distinct comma-separated items, each through
     ``convert``; a bad or repeated item fails naming the option (``what``
     says what it takes)."""
-    option, text = "--" + name.replace("_", "-"), str(getattr(args, name))
+    option, text = _OPTIONS[name].flag, str(getattr(args, name))
     try:
         values = [convert(item) for item in text.split(",")]
     except ValueError:
@@ -371,15 +367,20 @@ def _comma_list(args, name: str, convert=int, what: str = "integers") -> list:
     return values
 
 
-def _noise_setup(args, dim: int):
+def _noise_device(args) -> ro.SimulatedDevice:
     """The simulated device of --qubits qubits with flip rates in
-    [--error-min, --error-max], and the replica layout that measures all
-    ``dim`` basis classes but the pinned anchor on it."""
+    [--error-min, --error-max], checked before any basis is built."""
     low, high = args.error_min, args.error_max
     if not 0.0 <= low <= high < 0.5:
-        raise ValueError(
-            f"--error-min and --error-max need 0 <= --error-min <= "
-            f"--error-max < 0.5, got {low!r} and {high!r}")
+        raise ValueError(f"--error-min and --error-max need {_ERROR_RANGE}, "
+                         f"got {low!r} and {high!r}")
+    return ro.SimulatedDevice.random(args.qubits, (low, high),
+                                     seed=args.seed)
+
+
+def _noise_layout(args, dim: int):
+    """The replica layout that measures all ``dim`` basis classes but the
+    pinned anchor on the --qubits qubits."""
     if dim < 2:
         raise ValueError("a noisy readout needs 2 or more basis classes, "
                          "since one is pinned")
@@ -388,13 +389,10 @@ def _noise_setup(args, dim: int):
         raise ValueError(f"--qubits must be >= {need} for {dim - 1} "
                          f"coefficients x {ro.DEFAULT_REPLICAS} replicas, "
                          f"got {args.qubits}")
-    device = ro.SimulatedDevice.random(args.qubits, (low, high),
-                                       seed=args.seed)
-    return device, ro.replica_layout(dim - 1, n_qubits=args.qubits)
+    return ro.replica_layout(dim - 1, n_qubits=args.qubits)
 
 
 def cmd_train(args) -> int:
-    _require(args, "ansatz", "U")
     layers = _circuit_layers(args)
     cfg = _train_config(args)
     complex_mode = args.complex_mode or args.phi != 0.0
@@ -436,7 +434,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_study_layers(args) -> int:
-    _require(args, "ansatz", "U")
     cfg = _train_config(args)
     counts = _comma_list(args, "layer_grid")
     if min(counts) < 0:
@@ -454,7 +451,6 @@ def cmd_study_layers(args) -> int:
 
 
 def cmd_study_shots(args) -> int:
-    _require(args, "checkpoint", "U")
     grid = _comma_list(args, "grid")
     params = qc.from_json(args.checkpoint.read_text())
     h = _resolve_hamiltonian(args, phi=0.0)
@@ -468,9 +464,6 @@ def cmd_study_shots(args) -> int:
 
 
 def cmd_study_noise(args) -> int:
-    _require(args, "checkpoint", "U")
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
     u_values = _comma_list(args, "U", float, "numbers")
     checkpoints = (args.checkpoint if isinstance(args.checkpoint, list)
                    else [args.checkpoint])
@@ -478,8 +471,9 @@ def cmd_study_noise(args) -> int:
         raise ValueError("need one checkpoint per U value")
     modes = _comma_list(args, "modes", ro.CorrectionMode, "modes of " +
                         ", ".join(m.value for m in ro.CorrectionMode))
+    device = _noise_device(args)
     descriptor = _basis(args)
-    device, layout = _noise_setup(args, descriptor.dim)
+    layout = _noise_layout(args, descriptor.dim)
     rows = []
     for ui, (u, ckpt) in enumerate(zip(u_values, checkpoints)):
         params = qc.from_json(Path(ckpt).read_text())
@@ -511,10 +505,10 @@ def cmd_study_noise(args) -> int:
 
 
 def cmd_noise_run(args) -> int:
-    _require(args, "checkpoint", "U")
+    device = _noise_device(args)
     params = qc.from_json(args.checkpoint.read_text())
     h = _resolve_hamiltonian(args, phi=0.0)
-    device, layout = _noise_setup(args, h.dim)
+    layout = _noise_layout(args, h.dim)
     energy = ro.noisy_energy_run(params, h, device, layout, args.shots,
                                  ro.CorrectionMode(args.mode), args.seed)
     print(f"{energy:.5f}")

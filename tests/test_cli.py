@@ -1,12 +1,19 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from tempfile import TemporaryDirectory
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosehub import circuit as qc
 from bosehub import cli
@@ -178,7 +185,7 @@ def test_train_rejects_negative_layers(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--ansatz", "quat", "--layers", "-1",
                        "--U", "2", "--out-dir", str(out))
     assert code == 1
-    assert "layer count must be >= 0, got -1" in err
+    assert "--layers must be an integer >= 0, got -1" in err
     assert not out.exists()
 
 
@@ -262,7 +269,7 @@ def test_study_shots(tmp_path, capsys):
 @pytest.mark.parametrize("flags,message", [
     (["--grid", "0,100"], "shots must be >= 1"),
     (["--grid", "100,-5"], "shots must be >= 1"),
-    (["--trials", "0"], "trials must be >= 1"),
+    (["--trials", "0"], "--trials must be an integer >= 1, got 0"),
     # t = U = 0: every energy is 0, so no fractional deviation exists
     (["--t", "0", "--U", "0"], "ideal energy is 0, so |dE/E| is undefined"),
 ])
@@ -341,7 +348,7 @@ def test_study_noise_rejects_zero_trials(tmp_path, capsys):
                             str(ckpt), "--U", "5", "--trials", "0",
                             "--out", str(out), "--calibration-out", str(cal))
     assert code == 1 and stdout == ""
-    assert err == "error: trials must be >= 1\n"
+    assert err == "error: --trials must be an integer >= 1, got 0\n"
     assert not out.exists() and not cal.exists()
 
 
@@ -649,6 +656,38 @@ def test_parser_for_one_command_parses_it_like_the_full_parser(argv):
     assert lean.format_help() == full.format_help()
 
 
+@pytest.mark.parametrize("argv", [
+    ["study", "noise", "--U", "2,5", "--checkpoint", "a.json", "b.json"],
+    ["study", "layers", "--ansatz", "quat"],
+    ["study", "shots", "--trials", "3"],
+])
+def test_parser_for_one_study_parses_it_like_the_full_parser(argv):
+    full, lean = cli._build_parser(), cli._build_parser(None, " ".join(
+        argv[:2]))
+    assert vars(lean.parse_args(argv)) == vars(full.parse_args(argv))
+    assert lean.format_help() == full.format_help()
+    # the other studies are listed, but get no options
+    other = "shots" if argv[1] == "layers" else "layers"
+    assert not hasattr(lean.parse_args(["study", other]), "func")
+
+
+def test_main_names_the_study_kind_to_the_parser(tmp_path, monkeypatch):
+    built, build = [], cli._build_parser
+
+    def spy(config, command):
+        built.append(command)
+        return build(config, command)
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    monkeypatch.setattr(cli, "cmd_study_shots", lambda args: 0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    assert cli.main(["--config", str(cfg), "study", "shots", "--checkpoint",
+                     "a.json", "--U", "5"]) == 0
+    assert cli.main(["exact", "--U", "5", "--t", "0"]) == 0
+    assert built == ["study shots", "exact"]
+
+
 def test_command_help_lists_its_options(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["exact", "--help"])
@@ -691,3 +730,223 @@ def test_config_file_paths(tmp_path, capsys):
     # header, then 2 U values x the 3 default modes
     assert len((tmp_path / "noise.csv").read_text().splitlines()) == 7
     assert len((tmp_path / "cal.csv").read_text().splitlines()) == 126
+
+
+def test_size_check_counts_the_enumeration(capsys, monkeypatch):
+    # on an 8 GiB machine the 16/16 table (4.48 GiB) fits, but the last
+    # growth step of the enumeration sums an 18.4 GiB int64 array
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+
+    def enumerate_fock(sites, bosons):
+        raise RuntimeError(f"enumerated {sites}/{bosons}")
+
+    monkeypatch.setattr(cli.basis_mod, "enumerate_fock", enumerate_fock)
+    code, stdout, err = run(capsys, "basis", "--sites", "16", "--bosons", "16")
+    assert code == 1 and stdout == "" and "Traceback" not in err
+    assert err == ("error: --sites 16 --bosons 16 needs at least 18.4 GiB "
+                   "for the reduced basis, more than the 8 GiB of physical "
+                   "memory\n")
+    for argv in (["exact", "--sites", "12", "--bosons", "10", "--U", "5"],
+                 ["basis", "--sites", "14", "--bosons", "12"]):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (1, f"error: enumerated {argv[2]}/{argv[4]}\n")
+
+
+def test_orientation_needs_a_phase(capsys):
+    code, stdout, err = run(capsys, "exact", "--U", "5", "--orientation",
+                            "lex")
+    assert code == 1 and stdout == ""
+    assert err == ("error: --orientation lex orders the phases of --phi, "
+                   "which is 0\n")
+    code, stdout, _ = run(capsys, "exact", "--U", "5", "--phi", "0.7",
+                          "--orientation", "lex")
+    assert code == 0
+
+
+# --- the option table ------------------------------------------------------
+
+# per command, the options that make a fast, valid call writing only into
+# {out}; {ckpt} is a checkpoint outside it
+BASE = {
+    "basis": {"out": "{out}/basis.csv"},
+    "exact": {"U": "5", "out_prefix": "{out}/run"},
+    "train": {"ansatz": "quat", "U": "5", "layers": "1", "steps": "2",
+              "out_dir": "{out}"},
+    "study layers": {"ansatz": "quat", "U": "5", "steps": "2",
+                     "layer_grid": "1", "out": "{out}/layers.csv"},
+    "study shots": {"checkpoint": "{ckpt}", "U": "5", "grid": "10",
+                    "trials": "2", "out": "{out}/shots.csv"},
+    "study noise": {"checkpoint": "{ckpt}", "U": "5", "shots": "100",
+                    "out": "{out}/noise.csv",
+                    "calibration_out": "{out}/cal.csv"},
+    "noise-run": {"checkpoint": "{ckpt}", "U": "5", "shots": "100"},
+}
+
+
+def command_options():
+    """(command, function, dest, option) for every option of every
+    command, as the command's parser holds them."""
+    for name, _, func, _ in cli._commands():
+        if func is not None:
+            args = cli._build_parser(None, name.split()[0]).parse_args(
+                name.split())
+            for dest, option in args.options.items():
+                yield name, func, dest, option
+
+
+NUMERIC = [(name, func, dest, option)
+           for name, func, dest, option in command_options()
+           if option.type in (int, float)]
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def out_of_bound(option):
+    """Strategies for a value past the option's bound, and for a float
+    option a non-finite one."""
+    if option.type is int:
+        return [st.integers(max_value=int(option.bound.split()[1]) - 1)]
+    if option.bound == "> 0":
+        return [st.floats(max_value=0.0, allow_infinity=False), NON_FINITE]
+    return [NON_FINITE]
+
+
+def in_bound(option):
+    if option.type is int:
+        return st.integers(min_value=int(option.bound.split()[1]))
+    if option.bound == "> 0":
+        return st.floats(min_value=0.0, exclude_min=True,
+                         allow_infinity=False)
+    return st.floats(allow_nan=False, allow_infinity=False)
+
+
+def call(name, dest, value, via_config, root):
+    """Run command ``name`` with ``dest`` set to ``value`` by a flag or a
+    config file; (exit code, stdout, stderr)."""
+    out = root / "out"
+    out.mkdir()
+    ckpt = root / "ckpt.json"
+    if "checkpoint" in BASE[name]:
+        ckpt.write_text(qc.to_json(qc.CircuitParams("compressed", 1,
+                                                    np.zeros(7))))
+    argv = name.split()
+    for key, text in BASE[name].items():
+        if key != dest:
+            argv += [cli._OPTIONS[key].flag,
+                     text.format(out=out, ckpt=ckpt)]
+    if via_config:
+        cfg = root / "cfg.json"
+        cfg.write_text(json.dumps({dest: value}))
+        argv = ["--config", str(cfg), *argv]
+    else:
+        argv.append(f"{cli._OPTIONS[dest].flag}={value!r}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+CASES = pytest.mark.parametrize(
+    "name,func,dest,option", NUMERIC,
+    ids=[f"{name}-{dest}" for name, _, dest, _ in NUMERIC])
+
+
+@CASES
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_out_of_bound_values_fail_naming_their_option(name, func, dest,
+                                                      option, data):
+    values = [data.draw(strategy) for strategy in out_of_bound(option)]
+    calls = [(value, via_config) for value in values
+             for via_config in (False, True)]
+    # a config value of the wrong type, which no flag can give
+    calls.append((data.draw(st.sampled_from(
+        [True, False, 1.5, 2.0, [1]] if option.type is int
+        else [True, [1.0]])), True))
+    for value, via_config in calls:
+        with TemporaryDirectory() as tmp:
+            code, stdout, err = call(name, dest, value, via_config,
+                                     Path(tmp))
+            assert code == 1 and stdout == ""
+            assert option.flag in err and "Traceback" not in err
+            assert not any((Path(tmp) / "out").iterdir())
+
+
+@CASES
+@given(data=st.data())
+@settings(max_examples=2, deadline=None)
+def test_in_bound_values_reach_the_command(name, func, dest, option, data):
+    value = data.draw(in_bound(option))
+    for via_config in (False, True):
+        seen = []
+        with TemporaryDirectory() as tmp, mock.patch.object(
+                cli, func.__name__, lambda args: seen.append(args) or 0):
+            code, _, err = call(name, dest, value, via_config, Path(tmp))
+        assert (code, err) == (0, "")
+        assert len(seen) == 1 and getattr(seen[0], dest) == value
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["exact"], {"U": True}, "--U must be a finite number, got True"),
+    (["exact"], {"U": [5]}, "--U must be a finite number, got [5]"),
+    (["train", "--ansatz", "quat", "--U", "5"], {"steps": True},
+     "--steps must be an integer >= 0, got True"),
+    (["train", "--ansatz", "quat", "--U", "5"], {"steps": 1.5},
+     "--steps must be an integer >= 0, got 1.5"),
+    (["train", "--ansatz", "quat", "--U", "5"], {"layers": 2.0},
+     "--layers must be an integer >= 0, got 2.0"),
+    (["train", "--ansatz", "quat", "--U", "5", "--seed", "-1"], {},
+     "--seed must be an integer >= 0, got -1"),
+    (["train", "--ansatz", "quat", "--U", "5", "--steps", "-1"], {},
+     "--steps must be an integer >= 0, got -1"),
+    (["train", "--ansatz", "quat", "--U", "5", "--restarts", "0"], {},
+     "--restarts must be an integer >= 1, got 0"),
+    (["basis", "--sites", "0"], {}, "--sites must be an integer >= 1, got 0"),
+    (["exact", "--U", "5", "--sites", "0"], {},
+     "--sites must be an integer >= 1, got 0"),
+    (["exact", "--U", "5"], {"basis": "bogus"},
+     "--basis must be one of full, translation, reduced, got 'bogus'"),
+    (["train", "--ansatz", "quat", "--U", "5"], {"complex_mode": "false"},
+     "--complex must be true or false, got 'false'"),
+    (["basis"], {"out": 1.5}, "--out must be a path, got 1.5"),
+])
+def test_bad_values_fail_before_any_work(argv, config, message, tmp_path,
+                                         capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "out_dir": str(out)}))
+    code, stdout, err = run(capsys, "--config", str(cfg), *argv)
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not any(out.iterdir())
+
+
+def test_seed_env_is_checked_like_the_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BOSEHUB_SEED", "-1")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "train", "--ansatz", "quat", "--U", "5",
+                            "--steps", "2", "--out-dir", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "error: BOSEHUB_SEED must be an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_every_table_option_belongs_to_a_command():
+    used = {dest for _, _, dest, _ in command_options()}
+    assert used == set(cli._OPTIONS)
+
+
+@pytest.mark.parametrize("command", ["study noise", "noise-run"])
+def test_error_range_fails_before_any_basis(command, tmp_path, capsys,
+                                            monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("built a basis before checking the rates")
+
+    monkeypatch.setattr(cli.basis_mod, "reduced_basis", no_basis)
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(qc.to_json(qc.CircuitParams("compressed", 1,
+                                                np.zeros(7))))
+    code, stdout, err = run(capsys, *command.split(), "--checkpoint",
+                            str(ckpt), "--U", "5", "--error-min", "nan")
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: --error-min and --error-max need ")
