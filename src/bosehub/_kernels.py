@@ -4,13 +4,19 @@ Both Ansatz kinds are sequences of Rz/Ry rotations whose angles are linear
 in the flat parameters, and every layer has the same gates. This module is
 the only code in the package that knows each kind's layer layout:
 ``layer_size`` gives the parameters per layer, and ``_tables`` describes
-one layer for a batch of B circuits: an axis flag per gate and a map
-``block`` of shape (B, g, per) from the layer's ``per`` parameters to its
-gate angles.
+one layer for a batch of B circuits: an axis flag per gate, which of the g
+gates each of the layer's ``per`` parameters moves (``feeds``, g x per, 0
+or 1) and by how much on each feature row (``factor``, B x per). Their
+product is the layer's angle map ``block``, g x B x per.
 
 * compressed: ``nf`` gates per layer; gate ``fi`` is an Ry when
   ``fi % 3 == 1`` and an Rz otherwise, at angle ``b + w_fi * x_fi``;
 * quat: ``Rz(2 (w.x + b))`` then ``Ry(2 phi)`` per layer.
+
+The angles of all R·B circuits are one matrix product, (R·layers, per) @
+(per, g·B), into the (R, G, B) layout from which each member's merge
+product below reads its gates. A one-layer circuit keeps one
+vector-matrix product per row instead: BLAS sums those in another order.
 
 ``_sweep`` runs the gates forward on |0> in Rz·Ry pairs. Adjacent same-axis
 gates, also across a layer boundary, merge into one run, since
@@ -24,13 +30,14 @@ compressed layers (36 gates, 25 runs) take 13 steps and six quat layers 6.
 Nothing of this but the angles changes during a training run: the kind,
 the parameter count, the population size R and the features stay fixed.
 So ``_tables`` builds, once per such call shape and keyed by the features'
-content, the gate table, the sweep layout (``_layout``) and a ``_Sweep``:
-the scratch buffers of the pair matrices, the boundary states and v1 below,
-with the views each step reads and writes. A small bounded cache keeps the
-recent call shapes, and each call does only the angle-dependent work. The
-scratch is all that is reused: every array ``circuit_batch`` returns is
-freshly allocated, so a later call leaves an earlier call's results alone.
-Two threads must not run calls of one shape at the same time.
+content, the angle tables, ``feeds`` and ``factor``, the sweep layout
+(``_layout``) and a ``_Sweep``: the scratch buffers of the angles, the pair
+matrices, the boundary states and v1 below, with the views each step reads
+and writes. A small bounded cache keeps the recent call shapes, and each
+call does only the angle-dependent work. The scratch is all that is
+reused: every array ``circuit_batch`` returns is freshly allocated, so a
+later call leaves an earlier call's results alone. Two threads must not
+run calls of one shape at the same time.
 
 With gradients the sweep keeps the state at every pair boundary. A gate's
 generator commutes with its rotation, so the derivative may read the state
@@ -44,8 +51,10 @@ v1 = i psi0 psi1 for an Rz, (psi0^2 + psi1^2) / 2 for an Ry. With
 d<sigma_x>/dtheta = Re(beta v1) for every gate, with alpha = -2 conj(a0 a1)
 and beta = 2 (conj(a0)^2 - conj(a1)^2) per row: closed forms, with no
 backward pass (the per-gate terms of adjoint differentiation, Jones & Gacon,
-arXiv:2009.02823). A gate outside SU(2) would break this. Contracting each
-layer's slice with ``block`` gives the Jacobians.
+arXiv:2009.02823). A gate outside SU(2) would break this. The Jacobians
+are one product of all gates' derivatives with ``feeds``, times each row's
+``factor``: the terms of the per-row products with ``block``, summed in
+the same order.
 
 Kernel contract: ``(p0, sx, dp0, dsx) = circuit_batch(kind, values,
 features, want_grad, want_sx)`` where ``p0`` is P(0)=|amp0|^2 per batch row,
@@ -91,9 +100,12 @@ def layer_size(kind: str, nf: int) -> int:
 @functools.lru_cache(maxsize=8)
 def _tables(kind: str, n_params: int, R: int, shape: tuple, data: bytes):
     """Everything R circuits of ``kind`` with ``n_params`` parameters on the
-    float64 feature rows ``data`` (B, nf) need besides their angles: one
-    layer's angle map ``block`` (B, g, per), as its two contraction views,
-    the layer count, and the ``_Sweep`` of all their gates."""
+    float64 feature rows ``data`` (B, nf) need besides their angles: the
+    layer count; one layer's angle map, block[k, b, p] = feeds[k, p] *
+    factor[b, p], as the (per, g·B) table of the angle product and, for a
+    single layer, as one (per, g) map per row; ``feeds``; ``factor`` over
+    all members and layers, (R·B, 1, P); and the ``_Sweep`` of all their
+    gates."""
     X = np.frombuffer(data).reshape(shape)
     B, nf = shape
     per = layer_size(kind, nf)
@@ -102,56 +114,69 @@ def _tables(kind: str, n_params: int, R: int, shape: tuple, data: bytes):
             f"{kind} layers of {nf} features hold {per} values each, "
             f"got {n_params}")
     if kind == "compressed":
-        block = np.zeros((B, nf, per))
-        block[:, np.arange(nf), np.arange(nf)] = X
-        block[:, :, nf] = 1.0
+        feeds = np.hstack([np.eye(nf), np.ones((nf, 1))])
+        factor = np.hstack([X, np.ones((B, 1))])
         layer_axes = tuple(fi % 3 == 1 for fi in range(nf))
     else:
-        block = np.zeros((B, 2, per))
-        block[:, 0, :nf] = 2.0 * X
-        block[:, 0, nf] = 2.0
-        block[:, 1, -1] = 2.0
+        feeds = np.zeros((2, per))
+        feeds[0, :nf + 1] = feeds[1, -1] = 1.0
+        factor = np.hstack([2.0 * X, np.full((B, 2), 2.0)])
         layer_axes = (False, True)
+    # +0 where a parameter moves no gate (feeds * factor would give -0)
+    block = np.where(feeds[:, None] == 1.0, factor, 0.0)
+    g = len(layer_axes)
     layers = n_params // per
-    return (block.transpose(0, 2, 1), block[None, :, None], layers,
-            _Sweep(layer_axes * layers, R * B))
+    return (layers, np.ascontiguousarray(block.reshape(g * B, per).T),
+            block.transpose(1, 2, 0), feeds,
+            np.tile(factor, (R, layers))[:, None],
+            _Sweep(layer_axes * layers, R, B))
 
 
 class _Sweep:
     """The angle-independent part of a sweep of the axis pattern ``axes``
-    over ``rows`` circuits: the merge map of ``_layout``, where each gate's
-    derivative sits, scratch buffers, and the views of them that the sweep
-    reads and writes."""
+    over R members on B rows each: the merge map of ``_layout``, where each
+    gate's derivative sits, scratch buffers, and the views of them that the
+    sweep reads and writes."""
 
-    def __init__(self, axes: tuple, rows: int):
+    def __init__(self, axes: tuple, R: int, B: int):
         gate_slot, self.merge = _layout(axes)
-        pairs = self.merge.shape[0] // 2
-        # slot half angles, and cos and sin of pair k's Rz (slot 2k) and
-        # Ry (slot 2k + 1) half angles
-        self.half = np.empty((2 * pairs, rows))
-        cos, sin = np.empty((2, 2 * pairs, rows))
-        self.cos, self.sin = cos, sin
-        self.trig = cos[::2], sin[::2], cos[1::2], sin[1::2]
+        slots = self.merge.shape[0]
+        pairs, rows = slots // 2, R * B
+        # the gate angles, member by member, and the slot half angles, whose
+        # rows are member-major: each member's merge product writes its own
+        self.theta = np.empty((R, len(axes), B))
+        self.half = np.empty((slots, rows))
+        self.half_of = self.half.reshape(slots, R, B).transpose(1, 0, 2)
+        # cos and sin of pair k's Rz (slot 2k) and Ry (slot 2k + 1) half
+        # angles, and (cos, sin) of the Ry half angles
+        trig = np.empty((2, slots, rows))
+        self.cos, self.sin = trig
+        self.trig = trig[0, ::2], trig[1, ::2]
+        self.ry = trig[:, 1::2]
         # e^{-i alpha/2} per pair, as one complex array and its two parts
         self.e = np.empty((pairs, rows), np.complex128)
         self.e_parts = self.e.real, self.e.imag
-        # pair k's matrix by columns, pair[k, j, i] = u_ij: the views of
-        # p, q, (q, p), the second column and -conj q
-        pair = np.empty((pairs, 2, 2, rows), np.complex128)
-        self.pair = (pair[:, 0, 0], pair[:, 0, 1], pair[:, 0, ::-1],
-                     pair[:, 1], pair[:, 1, 0])
-        # the state at every pair boundary, |0> first, with the final state
-        # and the states before and after each pair
+        # the pair matrices by columns, pair[j, i, k] = u_ij of pair k: the
+        # first column (p, q), (q, p), the second column and -conj q
+        pair = np.empty((2, 2, pairs, rows), np.complex128)
+        self.pair = pair[0], pair[0, ::-1], pair[1], pair[1, 0]
+        # the state at every pair boundary, |0> first, and the final state;
+        # with gradients, the states again part by part, and the states
+        # before and after each pair
         st = np.empty((pairs + 1, 2, rows), np.complex128)
         st[0, 0], st[0, 1] = 1.0, 0.0
-        self.states = (*st[-1], st[:-1, 0], st[:-1, 1], st[1:, 0], st[1:, 1])
+        self.final = st[-1]
+        self.by_state = st.transpose(1, 0, 2)
+        self.by_part = np.empty((2, pairs + 1, rows), np.complex128)
+        self.before, self.after = self.by_part[:, :-1], self.by_part[:, 1:]
+        self.squares = np.empty((2, pairs, rows), np.complex128)
         # one step's terms[j, i] = u_ij psi_j, summed over j
         self.terms = np.empty((2, 2, rows), np.complex128)
-        self.steps = [(cur[:, None], nxt, u)
-                      for cur, nxt, u in zip(st, st[1:], pair)]
+        self.steps = [(cur[:, None], nxt, pair[:, :, k])
+                      for k, (cur, nxt) in enumerate(zip(st, st[1:]))]
         # v1 of every slot, Rz slots first: slot 2k + a sits at a * pairs + k
         self.v1 = np.empty((2, pairs, rows), np.complex128)
-        self.v1_rows = self.v1.reshape(2 * pairs, rows).T[:, None]
+        self.v1_slots = self.v1.reshape(slots, rows)
         self.gate_v1 = gate_slot % 2 * pairs + gate_slot // 2
 
 
@@ -179,55 +204,59 @@ def _layout(axes: tuple):
 
 def _sweep(plan: _Sweep, theta: np.ndarray, want_grad: bool,
            want_sx: bool = True):
-    """Apply the gates of ``plan`` at angles ``theta`` (B, G) to |0>.
+    """Apply the gates of ``plan`` at angles ``theta`` (R, G, B) to |0>.
 
-    Returns ``(p0, sx, dtheta)`` where ``dtheta`` (B, k, G) stacks
-    dP(0)/dtheta_g and, with ``want_sx`` (k = 2), d<sigma_x>/dtheta_g; it is
-    None without ``want_grad``, and ``sx`` is None without ``want_sx``.
+    Returns ``(p0, sx, dtheta)`` over the R·B rows, member-major, where
+    ``dtheta`` (R·B, k, G) stacks dP(0)/dtheta_g and, with ``want_sx``
+    (k = 2), d<sigma_x>/dtheta_g; it is None without ``want_grad``, and
+    ``sx`` is None without ``want_sx``.
     """
     # Rz(a) Rz(b) = Rz(a + b), and so for Ry: a run's angles add
-    np.matmul(plan.merge, theta.T, out=plan.half)
+    np.matmul(plan.merge, theta, out=plan.half_of)
     np.cos(plan.half, out=plan.cos)
     np.sin(plan.half, out=plan.sin)
-    cz, sz, cy, sy = plan.trig
+    cz, sz = plan.trig
     # Ry(beta) Rz(alpha) = [[p, -conj q], [q, conj p]] per row, with
     # (p, q) = (cos beta/2, sin beta/2) e^{-i alpha/2}. e^{-i alpha/2} is
     # written part by part: its imaginary part is 0 - sin, +0 where sin is
     # +-0, bit for bit what cos - 1j * sin gives
     e, (e_re, e_im) = plan.e, plan.e_parts
-    p, q, qp, col1, u01 = plan.pair
+    pq, qp, col1, u01 = plan.pair
     np.copyto(e_re, cz)
     np.subtract(0.0, sz, out=e_im)
-    np.multiply(cy, e, out=p)
-    np.multiply(sy, e, out=q)
+    np.multiply(plan.ry, e, out=pq)
     np.conj(qp, out=col1)
     u01 *= -1.0
     # the state at every pair boundary: psi'_i = u_i0 psi_0 + u_i1 psi_1
     terms = plan.terms
     t0, t1 = terms
+    multiply, add = np.multiply, np.add
     for cur, nxt, u in plan.steps:
-        np.multiply(u, cur, out=terms)
-        np.add(t0, t1, out=nxt)
-    a0, a1, before0, before1, after0, after1 = plan.states
+        multiply(u, cur, terms)
+        add(t0, t1, nxt)
+    a0, a1 = plan.final
     p0 = np.abs(a0) ** 2
-    sx = 2.0 * np.real(np.conj(a0) * a1) if want_sx else None
+    sx = 2.0 * (np.conj(a0) * a1).real if want_sx else None
     if not want_grad:
         return p0, sx, None
+    np.copyto(plan.by_part, plan.by_state)
+    before0, before1 = plan.before
     # per slot: a pair's Rz reads the state before the pair, its Ry the
     # state after; v1 as in the module docstring, where Re v0 = 0
     vz, vy = plan.v1
     np.multiply(1j, before0, out=vz)
     np.multiply(vz, before1, out=vz)
-    np.square(after0, out=vy)
-    np.add(vy, np.square(after1, out=e), out=vy)
+    after0_sq, after1_sq = np.square(plan.after, out=plan.squares)
+    np.add(after0_sq, after1_sq, out=vy)
     np.multiply(0.5, vy, out=vy)
-    # dP(0) = Re(alpha v1), d<sigma_x> = Re(beta v1), per row (alpha, beta)
-    ca0, ca1 = np.conj(a0), np.conj(a1)
+    # dP(0) = Re(alpha v1), d<sigma_x> = Re(beta v1), per row
+    ca0, ca1 = np.conj(plan.final)
     alpha = -2.0 * ca0 * ca1
-    coef = (np.stack((alpha, 2.0 * (ca0 ** 2 - ca1 ** 2)), axis=1) if want_sx
-            else alpha[:, None])
-    dslot = np.real(coef[:, :, None] * plan.v1_rows)
-    return p0, sx, dslot[:, :, plan.gate_v1]
+    coef = (np.stack((alpha, 2.0 * (ca0 ** 2 - ca1 ** 2))) if want_sx
+            else alpha[None])
+    dslot = (coef[:, None] * plan.v1_slots).real
+    # each gate's slot, gathered row by row
+    return p0, sx, dslot.transpose(2, 0, 1)[:, :, plan.gate_v1]
 
 
 def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
@@ -238,21 +267,36 @@ def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
     with shapes (R·B,), (R·B,), (R·B, P), (R·B, P), member-major; ``sx``
     and ``dsx`` are None without ``want_sx``.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    values = np.asarray(values, dtype=np.float64)
+    values = values[None] if values.ndim == 1 else values
+    X = np.asarray(features, dtype=np.float64)
+    X = X[None] if X.ndim == 1 else X
     R, P = values.shape
-    block_t, block_j, layers, plan = _tables(kind, P, R, X.shape,
-                                             X.tobytes())
-    B, per, g = block_t.shape
-    # theta[r, b, l*g + k] = values[r] of layer l . block[b, k]
-    theta = values.reshape(R, 1, layers, per) @ block_t
-    p0, sx, dtheta = _sweep(plan, theta.reshape(R * B, layers * g),
-                            want_grad, want_sx)
+    layers, table, block_t, feeds, factor, plan = _tables(
+        kind, P, R, X.shape, X.tobytes())
+    (g, per), B = feeds.shape, X.shape[0]
+    theta = plan.theta
+    # theta[r, l*g + k, b] = values[r] of layer l . block[k, b]; one layer
+    # is a vector-matrix product per row, which BLAS sums in another order
+    # than the matrix product, so it keeps the per-row form
+    if layers == 1:
+        np.matmul(values[:, None, None], block_t,
+                  out=theta.transpose(0, 2, 1)[:, :, None])
+    else:
+        np.matmul(values.reshape(R * layers, per), table,
+                  out=theta.reshape(R * layers, g * B))
+    p0, sx, dtheta = _sweep(plan, theta, want_grad, want_sx)
     if dtheta is None:
         shape = (R * B, P)
         return p0, sx, np.zeros(shape), np.zeros(shape) if want_sx else None
-    # einsum('rbklg,bgp->rbklp', dtheta, block) over each layer's gates
-    k = dtheta.shape[1]
-    jac = dtheta.reshape(R, B, k, layers, g) @ block_j
-    jac = jac.reshape(R * B, k, P)
+    # d/dvalue_p = sum over the layer's gates k of dtheta_k block[k, b, p],
+    # in one product: the derivatives times feeds, summed in gate order,
+    # then the row's factor. Every column but the compressed bias's has one
+    # term, so this rounds as the product with block does; that product
+    # starts its sums at +0, so an exact zero comes out +0 here too
+    rows, k, _ = dtheta.shape
+    jac = np.matmul(dtheta.reshape(rows * k * layers, g), feeds)
+    jac = jac.reshape(rows, k, P)
+    jac *= factor
+    jac += 0.0
     return p0, sx, jac[:, 0], jac[:, 1] if want_sx else None

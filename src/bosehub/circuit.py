@@ -186,7 +186,7 @@ def to_json(params: CircuitParams) -> str:
 
 def from_json(text: str) -> CircuitParams:
     data = json.loads(text)
-    if data.get("format") != "bosehub-circuit":
+    if not isinstance(data, dict) or data.get("format") != "bosehub-circuit":
         raise ValueError("not a circuit parameter document")
     if data.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported version {data.get('version')}")

@@ -341,6 +341,24 @@ def _circuit_layers(args) -> int | None:
     return DEFAULT_LAYERS if args.layers is None else args.layers
 
 
+def _read_checkpoint(path) -> qc.CircuitParams:
+    """The circuit a ``--checkpoint`` file holds; a file that cannot be read
+    or is not a circuit document fails naming the option and the path."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"--checkpoint {path}: cannot read it "
+                         f"({exc.strerror or exc})") from None
+    try:
+        return qc.from_json(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--checkpoint {path}: not JSON ({exc})") from None
+    except KeyError as exc:
+        raise ValueError(f"--checkpoint {path}: no {exc} field") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"--checkpoint {path}: {exc}") from None
+
+
 def _train_config(args) -> vr.TrainConfig:
     """Adam's settings; --steps defaults to 1500 for the network, 1200 for
     a circuit and 2400 in complex mode."""
@@ -452,7 +470,7 @@ def cmd_study_layers(args) -> int:
 
 def cmd_study_shots(args) -> int:
     grid = _comma_list(args, "grid")
-    params = qc.from_json(args.checkpoint.read_text())
+    params = _read_checkpoint(args.checkpoint)
     h = _resolve_hamiltonian(args, phi=0.0)
     rows = ro.shot_study(params, h, grid, trials=args.trials, seed=args.seed)
     for shots, median, std in rows:
@@ -469,14 +487,14 @@ def cmd_study_noise(args) -> int:
                    else [args.checkpoint])
     if len(checkpoints) != len(u_values):
         raise ValueError("need one checkpoint per U value")
+    circuits = [_read_checkpoint(path) for path in checkpoints]
     modes = _comma_list(args, "modes", ro.CorrectionMode, "modes of " +
                         ", ".join(m.value for m in ro.CorrectionMode))
     device = _noise_device(args)
     descriptor = _basis(args)
     layout = _noise_layout(args, descriptor.dim)
     rows = []
-    for ui, (u, ckpt) in enumerate(zip(u_values, checkpoints)):
-        params = qc.from_json(Path(ckpt).read_text())
+    for ui, (u, params) in enumerate(zip(u_values, circuits)):
         h = build_reduced(ModelParams(args.t, u, args.sites, args.bosons),
                           descriptor)
         # the ideal circuit is evaluated once per U, for every trial
@@ -505,8 +523,8 @@ def cmd_study_noise(args) -> int:
 
 
 def cmd_noise_run(args) -> int:
+    params = _read_checkpoint(args.checkpoint)
     device = _noise_device(args)
-    params = qc.from_json(args.checkpoint.read_text())
     h = _resolve_hamiltonian(args, phi=0.0)
     layout = _noise_layout(args, h.dim)
     energy = ro.noisy_energy_run(params, h, device, layout, args.shots,

@@ -370,9 +370,11 @@ def write_matrix_coo(h: HamiltonianMatrix, path) -> None:
         fh.write(f"# dim={h.dim} t={p.t!r} U={p.U!r} phi={p.phi!r} "
                  f"basis={h.basis.kind.value}\n")
         rows, cols = np.nonzero(h.matrix)
-        for r, c in zip(rows, cols):
-            v = complex(h.matrix[r, c])
-            fh.write(f"{r} {c} {v.real!r} {v.imag!r}\n")
+        values = h.matrix[rows, cols]
+        fh.write("".join([
+            f"{r} {c} {re!r} {im!r}\n" for r, c, re, im in zip(
+                rows.tolist(), cols.tolist(), values.real.tolist(),
+                values.imag.tolist())]))
 
 
 def write_ground_state_csv(state: GroundState, path) -> None:

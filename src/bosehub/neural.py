@@ -8,6 +8,7 @@ ground state has uniform sign), magnitude-and-phase e^{x0 + i x1} for two.
 """
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ class MlpParams:
     def n_outputs(self) -> int:
         return self.output.shape[1]
 
-    @property
+    @functools.cached_property
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in self.hidden) + self.output.size
 
@@ -74,7 +75,9 @@ class MlpParams:
             hidden.append((flat[pos:end].reshape(w.shape),
                            flat[end:end + b.size]))
             pos = end + b.size
-        return MlpParams(hidden, flat[pos:].reshape(self.output.shape))
+        params = MlpParams(hidden, flat[pos:].reshape(self.output.shape))
+        params.n_params = flat.size  # the same shapes, so the same count
+        return params
 
 
 def mlp_forward(params: MlpParams, features):
@@ -86,7 +89,7 @@ def mlp_forward(params: MlpParams, features):
     """
     x = np.asarray(features, dtype=float)
     single = x.ndim == 1
-    X = np.atleast_2d(x)
+    X = x.reshape(1, -1) if x.ndim < 2 else x
     if X.shape[1] != params.n_inputs:
         raise ValueError(
             f"expected {params.n_inputs} inputs, got {X.shape[1]}"
@@ -108,7 +111,9 @@ def mlp_backward(params: MlpParams, activations, upstream) -> np.ndarray:
     ``upstream`` holds d(loss)/d(output) per batch row; the result is the
     gradient of the scalar loss with respect to every weight and bias.
     """
-    dout = np.atleast_2d(np.asarray(upstream, dtype=float))
+    dout = np.asarray(upstream, dtype=float)
+    if dout.ndim < 2:
+        dout = dout.reshape(1, -1)
     # filled from the output back, each block in place
     grad = np.empty(params.n_params)
     end = grad.size - params.output.size
@@ -134,7 +139,7 @@ def mlp_backward(params: MlpParams, activations, upstream) -> np.ndarray:
 def output_to_coefficient(out: np.ndarray) -> np.ndarray:
     """Map network outputs (batch, 1 or 2) to coefficients (batch,)."""
     mag = out[:, 0]
-    if np.any(np.abs(mag) > EXP_CLAMP):
+    if np.abs(mag).max(initial=0.0) > EXP_CLAMP:
         warnings.warn(
             "network output exceeded the exponent clamp; magnitude limited "
             f"to e^{EXP_CLAMP:g}", RuntimeWarning, stacklevel=2)

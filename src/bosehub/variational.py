@@ -14,6 +14,7 @@ member's trajectory is bitwise the one it would follow alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +78,11 @@ def rayleigh_energy(coeffs, h: HamiltonianMatrix) -> float:
 def rayleigh_residual(coeffs, h: HamiltonianMatrix):
     """dE/d(conj c) = (Hc - Ec)/(c^dag c); vanishes at any eigenvector."""
     c = np.asarray(coeffs)
-    norm = np.real(np.vdot(c, c))
+    norm = np.vdot(c, c).real
     if norm == 0.0:
         raise ValueError("zero coefficient vector")
     hc = h.matrix @ c
-    energy = np.real(np.vdot(c, hc)) / norm
+    energy = np.vdot(c, hc).real / norm
     return (hc - energy * c) / norm, float(energy)
 
 
@@ -175,7 +176,7 @@ class CircuitAnsatz:
             r, energies[k] = rayleigh_residual(ck, h)
             if self.complex_mode:
                 r = np.conj(r)
-            grads[k] = 2.0 * np.real(r @ jk)
+            np.multiply(2.0, (r @ jk).real, out=grads[k])
         return energies, grads, c
 
     def export(self, theta) -> str:
@@ -214,8 +215,9 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
     for step in range(1, cfg.steps + 1):
         energy, grad, _ = ansatz.energy_gradient(theta, h)
         energies[:, step - 1] = energy
-        _check_finite(energy, seeds, f"at step {step}", energies[:, :step])
-        _keep_better(energy, theta, best_energy, best_theta)
+        if not _keep_better(energy, theta, best_energy, best_theta):
+            raise _diverged(energy, seeds, f"at step {step}",
+                            energies[:, :step])
         # m = BETA1 m + (1 - BETA1) g
         m *= BETA1
         np.multiply(grad, 1.0 - BETA1, out=m_hat)
@@ -236,28 +238,31 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
     energy = np.array([rayleigh_energy(c, h)
                        for c in ansatz.coefficients(theta)])
     energies[:, cfg.steps] = energy
-    _check_finite(energy, seeds, "at the final step", energies[:, :-1])
-    _keep_better(energy, theta, best_energy, best_theta)
+    if not _keep_better(energy, theta, best_energy, best_theta):
+        raise _diverged(energy, seeds, "at the final step", energies[:, :-1])
     win = int(np.argmin(best_energy))  # the first of equal minima
     return TrainResult(best_theta[win], energies[win], seeds[win],
                        float(best_energy[win]))
 
 
-def _keep_better(energy, theta, best_energy, best_theta) -> None:
+def _keep_better(energy, theta, best_energy, best_theta) -> bool:
     """Copy each member's energy and parameters into the best buffers where
-    the energy is below its best so far."""
-    better = energy < best_energy
-    if better.any():
-        np.copyto(best_energy, energy, where=better)
-        np.copyto(best_theta, theta, where=better[:, None])
+    the energy is below its best so far. Returns False, having copied
+    nothing, if some energy is not finite."""
+    values = energy.tolist()
+    if not all(map(math.isfinite, values)):
+        return False
+    for k, (e, best) in enumerate(zip(values, best_energy.tolist())):
+        if e < best:
+            best_energy[k] = e
+            best_theta[k] = theta[k]
+    return True
 
 
-def _check_finite(energy, seeds, when: str, traces) -> None:
-    """Raise ``TrainingDiverged`` with the first non-finite member's trace."""
-    if np.isfinite(energy).all():
-        return
+def _diverged(energy, seeds, when: str, traces) -> TrainingDiverged:
+    """``TrainingDiverged`` with the first non-finite member's trace."""
     k = np.flatnonzero(~np.isfinite(energy))[0]
-    raise TrainingDiverged(
+    return TrainingDiverged(
         f"energy of the restart from seed {seeds[k]} became non-finite "
         f"{when}", traces[k].copy())
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosehub import circuit as qc
-from bosehub import cli
+from bosehub import cli, neural
 
 
 def run(capsys, *argv):
@@ -337,6 +337,88 @@ def test_study_shots_is_the_same_at_one_and_two_blas_threads(tmp_path):
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1]
     assert len(csvs[0].splitlines()) == 4
+
+
+def test_training_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    # the circuit angles are one matrix product over all rows, and the
+    # Jacobians and the network pass through BLAS too: each dot product
+    # must come out the same whether one thread or two compute it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    commands = [["--ansatz", "nn", "--U", "2"],
+                ["--ansatz", "quat", "--U", "5"],
+                ["--ansatz", "compressed", "--U", "8", "--restarts", "2"]]
+    script = ("import json, sys\n"
+              "from bosehub.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        argvs = [["train", *flags, "--steps", "60", "--out-dir", str(out)]
+                 for flags in commands]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                       env=env, check=True, capture_output=True)
+        outputs.append({path.name: path.read_bytes()
+                        for path in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    # a checkpoint, a trace and a summary per command
+    assert len(outputs[0]) == 9
+
+
+@pytest.mark.parametrize("missing_first", [False, True],
+                         ids=["missing second", "missing first"])
+def test_study_noise_reads_every_checkpoint_first(missing_first, tmp_path,
+                                                  capsys):
+    good = tmp_path / "good.json"
+    good.write_text(qc.to_json(qc.init_params("compressed", 2, 0)))
+    missing = tmp_path / "missing.json"
+    paths = [missing, good] if missing_first else [good, missing]
+    out, cal = tmp_path / "noise.csv", tmp_path / "cal.csv"
+    # neither the device nor the basis may be built before the check
+    with mock.patch.object(cli, "_noise_device", side_effect=AssertionError(
+            "built the device")), mock.patch.object(
+            cli, "_basis", side_effect=AssertionError("built the basis")):
+        code, stdout, err = run(capsys, "study", "noise", "--checkpoint",
+                                *map(str, paths), "--U", "2,5", "--trials",
+                                "25", "--out", str(out),
+                                "--calibration-out", str(cal))
+    assert code == 1 and stdout == ""
+    assert err == (f"error: --checkpoint {missing}: cannot read it "
+                   f"(No such file or directory)\n")
+    assert not out.exists() and not cal.exists()
+
+
+@pytest.mark.parametrize("content,reason", [
+    (None, "cannot read it (No such file or directory)"),
+    ("[]", "not a circuit parameter document"),
+    ("{", "not JSON (Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1))"),
+    ("mlp", "not a circuit parameter document"),
+], ids=["missing", "a list", "not JSON", "a network"])
+@pytest.mark.parametrize("command", [
+    ["study", "shots", "--grid", "100", "--trials", "2"], ["noise-run"]],
+    ids=["study shots", "noise-run"])
+def test_a_bad_checkpoint_fails_before_any_work(command, content, reason,
+                                                tmp_path, capsys):
+    path = tmp_path / "ckpt.json"
+    if content == "mlp":
+        content = neural.to_json(neural.MlpParams.initialize())
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out.csv"
+    argv = [*command, "--checkpoint", str(path), "--U", "5"]
+    if command[0] == "study":
+        argv += ["--out", str(out)]
+    with mock.patch.object(cli, "_noise_device", side_effect=AssertionError(
+            "built the device")), mock.patch.object(
+            cli, "_basis", side_effect=AssertionError("built the basis")):
+        code, stdout, err = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err == f"error: --checkpoint {path}: {reason}\n"
+    assert not out.exists()
 
 
 def test_study_noise_rejects_zero_trials(tmp_path, capsys):

@@ -5,11 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosehub import _kernels
+from bosehub.basis import feature_matrix, reduced_basis
 from bosehub.circuit import init_params
 from bosehub.variational import CircuitAnsatz, TrainConfig, train
 
+import kernel_oracle
 from circuit_oracle import run_circuit
 
 # the last two are long circuits (360 and 400 gates): the closed-form
@@ -229,9 +233,12 @@ def _dense_sweep(axes, theta):
     "Y" if ry else "Z" for ry in a) or "empty")
 def test_sweep_matches_dense_product(axes):
     theta = np.random.default_rng(len(axes)).uniform(-4.0, 4.0, (5, len(axes)))
-    p0, sx, none = _kernels._sweep(_kernels._Sweep(axes, 5), theta, False)
+    # one member on five rows: the sweep reads the angles as (R, G, B)
+    angles = theta.T[None]
+    p0, sx, none = _kernels._sweep(_kernels._Sweep(axes, 1, 5), angles, False)
     assert none is None
-    gp0, gsx, dtheta = _kernels._sweep(_kernels._Sweep(axes, 5), theta, True)
+    gp0, gsx, dtheta = _kernels._sweep(_kernels._Sweep(axes, 1, 5), angles,
+                                       True)
     # one forward pass serves both modes
     assert np.array_equal(gp0, p0) and np.array_equal(gsx, sx)
     ref_p0, ref_sx = _dense_sweep(axes, theta)
@@ -263,11 +270,62 @@ def test_sweep_steps_once_per_rz_ry_pair(axes, pairs):
     np.testing.assert_array_equal(gate_slot % 2, np.array(axes, dtype=int))
 
 
-def test_oracle_imports_no_bosehub_module():
-    tree = ast.parse((Path(__file__).parent / "circuit_oracle.py").read_text())
+def _package_imports(name: str) -> list[str]:
+    """The bosehub and relative imports of the test module ``name``."""
+    tree = ast.parse((Path(__file__).parent / name).read_text())
     modules = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names]
     # a relative import would reach into whatever package holds the file
     modules += ["." * node.level + (node.module or "")
                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert not [m for m in modules if m.startswith(("bosehub", "."))], modules
+    return [m for m in modules if m.startswith(("bosehub", "."))]
+
+
+def test_oracle_imports_no_bosehub_module():
+    assert not _package_imports("circuit_oracle.py")
+
+
+def test_kernel_oracle_imports_no_bosehub_module():
+    assert not _package_imports("kernel_oracle.py")
+
+
+# the 6-site, 5-boson classes' features, mean-subtracted and raw; the raw
+# occupations hold exact zeros, whose products can come out -0
+FEATURES = [feature_matrix(reduced_basis(6, 5), raw=raw)
+            for raw in (False, True)]
+
+
+def _layout_and_bytes(out):
+    """An output's shape and bytes; the bytes tell -0 from +0."""
+    if out is None:
+        return None
+    return out.shape, np.ascontiguousarray(out).tobytes()
+
+
+@given(kind=st.sampled_from(["compressed", "quat"]),
+       layers=st.integers(0, 8), members=st.integers(1, 3),
+       single=st.booleans(), log_scale=st.floats(-3.0, 1.0),
+       zeros=st.sampled_from(["none", "some", "all"]), raw=st.booleans(),
+       rows=st.sampled_from([26, 5, 1]), want_grad=st.booleans(),
+       want_sx=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_kernel_returns_the_oracle_bytes(kind, layers, members, single,
+                                         log_scale, zeros, raw, rows,
+                                         want_grad, want_sx, seed):
+    # the old kernel's per-row products, kept in kernel_oracle, fix every
+    # bit the kernel returns, zeros' signs included
+    rng = np.random.default_rng(seed)
+    X = FEATURES[raw][:rows]
+    scale = 10.0 ** log_scale
+    values = rng.uniform(-scale, scale,
+                         (members, layers * _kernels.layer_size(kind, 6)))
+    if zeros != "none":
+        hit = (rng.random(values.shape) < 0.5 if zeros == "some"
+               else np.ones(values.shape, dtype=bool))
+        values[hit] = np.copysign(0.0, values[hit])
+    if single and members == 1:
+        values = values[0]
+    got = _kernels.circuit_batch(kind, values, X, want_grad, want_sx)
+    want = kernel_oracle.circuit_batch(kind, values, X, want_grad, want_sx)
+    assert ([_layout_and_bytes(out) for out in got]
+            == [_layout_and_bytes(out) for out in want])

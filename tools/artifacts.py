@@ -60,6 +60,13 @@ COMMANDS = {
                          "--restarts", "2", "--out-dir", "train_compressed"],
     "train_quat_complex": ["train", "--ansatz", "quat", "--U", "5",
                            "--complex", "--out-dir", "train_quat_complex"],
+    "train_compressed_phi": ["train", "--ansatz", "compressed", "--U", "5",
+                             "--phi", "1.5707963", "--complex",
+                             "--out-dir", "train_compressed_phi"],
+    "train_nn_complex": ["train", "--ansatz", "nn", "--U", "5", "--complex",
+                         "--out-dir", "train_nn_complex"],
+    "train_quat_raw": ["train", "--ansatz", "quat", "--U", "5",
+                       "--raw-features", "--out-dir", "train_quat_raw"],
     "study_layers": ["study", "layers", "--ansatz", "quat", "--U", "5",
                      "--layer-grid", "3,4", "--steps", "300",
                      "--out", "layers.csv"],
