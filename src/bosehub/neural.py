@@ -42,11 +42,11 @@ class MlpParams:
 
     @property
     def n_inputs(self) -> int:
-        return self.hidden[0][0].shape[0]
+        return self.hidden[0][0].shape[-2]
 
     @property
     def n_outputs(self) -> int:
-        return self.output.shape[1]
+        return self.output.shape[-1]
 
     @functools.cached_property
     def n_params(self) -> int:
@@ -58,7 +58,8 @@ class MlpParams:
         return np.concatenate(parts)
 
     def with_flat(self, flat: np.ndarray) -> "MlpParams":
-        """Parameters of this shape as read-only views into a flat vector.
+        """Parameters of this shape as read-only views into a flat vector,
+        or into the rows of an (R, P) array with a leading member axis.
 
         Nothing is copied: the result reads ``flat`` (or its float copy,
         when it is not a float array), so ``flat`` must not change while the
@@ -66,17 +67,23 @@ class MlpParams:
         # slices of a read-only view are read-only; the caller's array is not
         flat = np.asarray(flat, dtype=float).view()
         flat.flags.writeable = False
-        if flat.size != self.n_params:
-            raise ValueError(f"expected {self.n_params} values, got {flat.size}")
+        return self._views(flat)
+
+    def _views(self, flat: np.ndarray) -> "MlpParams":
+        """Parameters of this shape as views into the last axis of flat."""
+        lead, size = flat.shape[:-1], flat.shape[-1]
+        if size != self.n_params:
+            raise ValueError(f"expected {self.n_params} values, got {size}")
         pos = 0
         hidden = []
         for w, b in self.hidden:
-            end = pos + w.size
-            hidden.append((flat[pos:end].reshape(w.shape),
-                           flat[end:end + b.size]))
-            pos = end + b.size
-        params = MlpParams(hidden, flat[pos:].reshape(self.output.shape))
-        params.n_params = flat.size  # the same shapes, so the same count
+            end = pos + w.shape[-2] * w.shape[-1]
+            hidden.append((flat[..., pos:end].reshape(lead + w.shape[-2:]),
+                           flat[..., end:end + b.shape[-1]]))
+            pos = end + b.shape[-1]
+        params = MlpParams(
+            hidden, flat[..., pos:].reshape(lead + self.output.shape[-2:]))
+        params.n_params = size  # the same shapes, so the same count
         return params
 
 
@@ -85,7 +92,8 @@ def mlp_forward(params: MlpParams, features):
 
     Accepts a single feature vector or a (batch, M) matrix; returns the
     output(s) with matching leading shape plus the activation cache used by
-    :func:`mlp_backward`.
+    :func:`mlp_backward`. Parameters with a member axis R run every member
+    on the same features at once, and the outputs gain that axis in front.
     """
     x = np.asarray(features, dtype=float)
     single = x.ndim == 1
@@ -98,55 +106,52 @@ def mlp_forward(params: MlpParams, features):
     a = X
     for w, b in params.hidden:
         a = a @ w
-        a += b
+        a += b[..., None, :]
         np.tanh(a, out=a)
         activations.append(a)
     out = a @ params.output
-    return (out[0] if single else out), activations
+    return (out[..., 0, :] if single else out), activations
 
 
 def mlp_backward(params: MlpParams, activations, upstream) -> np.ndarray:
     """Reverse-mode gradient, flattened in parameter order.
 
     ``upstream`` holds d(loss)/d(output) per batch row; the result is the
-    gradient of the scalar loss with respect to every weight and bias.
+    gradient of the scalar loss with respect to every weight and bias. A
+    member axis R leads both: (R, batch, outputs) in, (R, P) out.
     """
     dout = np.asarray(upstream, dtype=float)
     if dout.ndim < 2:
         dout = dout.reshape(1, -1)
-    # filled from the output back, each block in place
-    grad = np.empty(params.n_params)
-    end = grad.size - params.output.size
-    np.matmul(activations[-1].T, dout,
-              out=grad[end:].reshape(params.output.shape))
-    da = dout @ params.output.T
+    # each block is written in place through a view of its own
+    grad = np.empty(dout.shape[:-2] + (params.n_params,))
+    blocks = params._views(grad)
+    np.matmul(activations[-1].swapaxes(-1, -2), dout, out=blocks.output)
+    da = dout @ params.output.swapaxes(-1, -2)
     for layer in reversed(range(len(params.hidden))):
-        w, b = params.hidden[layer]
+        gw, gb = blocks.hidden[layer]
         # dz = da * (1 - a_out^2)
         dz = np.square(activations[layer + 1])
         np.subtract(1.0, dz, out=dz)
         dz *= da
-        end -= b.size
-        dz.sum(axis=0, out=grad[end:end + b.size])
-        end -= w.size
-        np.matmul(activations[layer].T, dz,
-                  out=grad[end:end + w.size].reshape(w.shape))
+        dz.sum(axis=-2, out=gb)
+        np.matmul(activations[layer].swapaxes(-1, -2), dz, out=gw)
         if layer:  # the input layer passes nothing further back
-            da = dz @ w.T
+            da = dz @ params.hidden[layer][0].swapaxes(-1, -2)
     return grad
 
 
 def output_to_coefficient(out: np.ndarray) -> np.ndarray:
-    """Map network outputs (batch, 1 or 2) to coefficients (batch,)."""
-    mag = out[:, 0]
+    """Network outputs (..., batch, 1 or 2) to coefficients (..., batch)."""
+    mag = out[..., 0]
     if np.abs(mag).max(initial=0.0) > EXP_CLAMP:
         warnings.warn(
             "network output exceeded the exponent clamp; magnitude limited "
             f"to e^{EXP_CLAMP:g}", RuntimeWarning, stacklevel=2)
         mag = np.clip(mag, -EXP_CLAMP, EXP_CLAMP)
-    if out.shape[1] == 1:
+    if out.shape[-1] == 1:
         return np.exp(mag)
-    return np.exp(mag) * np.exp(1j * out[:, 1])
+    return np.exp(mag) * np.exp(1j * out[..., 1])
 
 
 def to_json(params: MlpParams) -> str:

@@ -7,10 +7,11 @@ no mini-batches, recording the energy at every step. Gradients chain the
 quotient derivative through the ansatz Jacobian analytically.
 
 Training runs every restart at once, as a population: the ansatz methods
-take the members' parameters as an (R, P) array, a circuit population is one
-kernel call per step, and Adam updates all R rows together. Each member's
-Rayleigh quotient and gradient contraction run on their own, so every
-member's trajectory is bitwise the one it would follow alone.
+take the members' parameters as an (R, P) array, a step is one kernel call
+or one network forward and backward pass over all members, and Adam updates
+all R rows together. Only the Rayleigh quotients, which both families share,
+run member by member, so every member's trajectory is bitwise the one it
+would follow alone.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from .basis import feature_matrix
 from .hamiltonian import HamiltonianMatrix
 
 
-# Adam moment decays and denominator guard, and the half-width of the uniform
-# parameter initialization
+# Adam moment decays and denominator guard, and the half-width of a circuit's
+# uniform parameter initialization
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 INIT_SCALE = 0.1
 
@@ -86,6 +87,17 @@ def rayleigh_residual(coeffs, h: HamiltonianMatrix):
     return (hc - energy * c) / norm, float(energy)
 
 
+def _residuals(coeffs, h: HamiltonianMatrix):
+    """Energies (R,) and residuals y (R, B), conjugated so that dE/dtheta =
+    2 Re(y @ dc/dtheta). One quotient per member: one fused over all members
+    rounds differently, and Adam amplifies that into another trajectory."""
+    energies = np.empty(len(coeffs))
+    residuals = np.empty_like(coeffs)
+    for k, c in enumerate(coeffs):
+        residuals[k], energies[k] = rayleigh_residual(c, h)
+    return energies, np.conj(residuals, out=residuals)
+
+
 class MlpAnsatz:
     """Neural coefficients c_C = exp(net(x_C)), complex with two outputs."""
 
@@ -94,7 +106,6 @@ class MlpAnsatz:
         self.features = feature_matrix(h.basis, raw=raw_features)
         self.sizes = (self.features.shape[1],) + tuple(hidden)
         self.complex_mode = complex_mode
-        self._dtype = np.complex128 if complex_mode else np.float64
         self._template = neural.MlpParams.initialize(
             self.sizes, outputs=2 if complex_mode else 1, rng=0)
 
@@ -102,39 +113,29 @@ class MlpAnsatz:
     def n_params(self) -> int:
         return self._template.n_params
 
-    def initial_vector(self, rng, scale: float | None = None) -> np.ndarray:
-        # scale is a circuit knob; the network keeps its fan-in rule
+    def initial_vector(self, rng) -> np.ndarray:
         return neural.MlpParams.initialize(
-            self.sizes, outputs=2 if self.complex_mode else 1, rng=rng
-        ).flatten()
+            self.sizes, self._template.n_outputs, rng).flatten()
 
     def coefficients(self, thetas):
         """Coefficients (R, B) of the members' parameters (R, P)."""
-        coeffs = np.empty((len(thetas), len(self.features)), self._dtype)
-        for k, theta in enumerate(thetas):
-            out, _ = neural.mlp_forward(self._template.with_flat(theta),
-                                        self.features)
-            coeffs[k] = neural.output_to_coefficient(out)
-        return coeffs
+        out, _ = neural.mlp_forward(self._template.with_flat(thetas),
+                                    self.features)
+        return neural.output_to_coefficient(out)
 
     def energy_gradient(self, thetas, h: HamiltonianMatrix):
         """Energies (R,), dE/dtheta (R, P) and coefficients (R, B) of the
-        members' parameters (R, P), one network pass per member."""
-        energies = np.empty(len(thetas))
-        grads = np.empty(np.shape(thetas))
-        coeffs = np.empty((len(thetas), len(self.features)), self._dtype)
-        for k, theta in enumerate(thetas):
-            params = self._template.with_flat(theta)
-            out, cache = neural.mlp_forward(params, self.features)
-            c = coeffs[k] = neural.output_to_coefficient(out)
-            r, energies[k] = rayleigh_residual(c, h)
-            if self.complex_mode:
-                rc = np.conj(r) * c
-                upstream = np.stack([2.0 * rc.real, -2.0 * rc.imag], axis=1)
-            else:
-                upstream = (2.0 * (r * c))[:, None]
-            grads[k] = neural.mlp_backward(params, cache, upstream)
-        return energies, grads, coeffs
+        members' parameters (R, P), from one network pass over all."""
+        params = self._template.with_flat(thetas)
+        out, cache = neural.mlp_forward(params, self.features)
+        c = neural.output_to_coefficient(out)
+        energies, y = _residuals(c, h)
+        yc = y * c
+        if self.complex_mode:
+            upstream = np.stack([2.0 * yc.real, -2.0 * yc.imag], axis=-1)
+        else:
+            upstream = (2.0 * yc)[..., None]
+        return energies, neural.mlp_backward(params, cache, upstream), c
 
     def export(self, theta) -> str:
         return neural.to_json(self._template.with_flat(theta))
@@ -154,8 +155,8 @@ class CircuitAnsatz:
         # checks only that the parameters are finite
         self.n_params = qc.param_count(kind, layers, self.n_features)
 
-    def initial_vector(self, rng, scale: float = 0.1) -> np.ndarray:
-        return qc.init_params(self.kind, self.layers, rng, scale,
+    def initial_vector(self, rng) -> np.ndarray:
+        return qc.init_params(self.kind, self.layers, rng, INIT_SCALE,
                               self.n_features).values
 
     def coefficients(self, thetas):
@@ -168,16 +169,9 @@ class CircuitAnsatz:
         members' parameters (R, P), from one kernel call."""
         c, jac = qc.weights_and_jacobian(self.kind, qc.finite_values(thetas),
                                          self.features, self.complex_mode)
-        energies = np.empty(len(c))
-        grads = np.empty((len(c), jac.shape[-1]))
-        # one Rayleigh quotient per member: one fused over all members
-        # rounds differently, and Adam amplifies that into another trajectory
-        for k, (ck, jk) in enumerate(zip(c, jac)):
-            r, energies[k] = rayleigh_residual(ck, h)
-            if self.complex_mode:
-                r = np.conj(r)
-            np.multiply(2.0, (r @ jk).real, out=grads[k])
-        return energies, grads, c
+        energies, y = _residuals(c, h)
+        # a stacked matmul rounds as each member's y @ J; einsum does not
+        return energies, 2.0 * (y[:, None] @ jac)[:, 0].real, c
 
     def export(self, theta) -> str:
         return qc.to_json(
@@ -206,8 +200,8 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
     if not h.is_real and not ansatz.complex_mode:
         raise ValueError("complex Hamiltonian needs a complex-mode ansatz")
     seeds = range(cfg.seed, cfg.seed + cfg.restarts)
-    theta = np.array([ansatz.initial_vector(np.random.default_rng(seed),
-                                            INIT_SCALE) for seed in seeds])
+    theta = np.array([ansatz.initial_vector(np.random.default_rng(seed))
+                      for seed in seeds])
     # moments, and the scratch buffers of one update
     m, v, m_hat, v_hat = (np.zeros_like(theta) for _ in range(4))
     energies = np.empty((cfg.restarts, cfg.steps + 1))

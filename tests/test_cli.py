@@ -341,12 +341,13 @@ def test_study_shots_is_the_same_at_one_and_two_blas_threads(tmp_path):
 
 def test_training_is_the_same_at_one_and_two_blas_threads(tmp_path):
     # the circuit angles are one matrix product over all rows, and the
-    # Jacobians and the network pass through BLAS too: each dot product
-    # must come out the same whether one thread or two compute it
+    # Jacobians and a population's network pass go through BLAS too: each
+    # dot product must come out the same whether one thread or two compute it
     src = str(Path(__file__).resolve().parents[1] / "src")
     commands = [["--ansatz", "nn", "--U", "2"],
                 ["--ansatz", "quat", "--U", "5"],
-                ["--ansatz", "compressed", "--U", "8", "--restarts", "2"]]
+                ["--ansatz", "compressed", "--U", "8", "--restarts", "2"],
+                ["--ansatz", "nn", "--U", "5", "--complex", "--restarts", "2"]]
     script = ("import json, sys\n"
               "from bosehub.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"
@@ -365,7 +366,7 @@ def test_training_is_the_same_at_one_and_two_blas_threads(tmp_path):
                         for path in sorted(out.iterdir())})
     assert outputs[0] == outputs[1]
     # a checkpoint, a trace and a summary per command
-    assert len(outputs[0]) == 9
+    assert len(outputs[0]) == 12
 
 
 @pytest.mark.parametrize("missing_first", [False, True],

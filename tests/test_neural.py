@@ -179,3 +179,29 @@ def test_with_flat_returns_read_only_views(outputs):
     # the caller's vector stays writable, and flatten() round-trips it
     assert flat.flags.writeable
     assert params.flatten().tobytes() == flat.tobytes()
+
+
+@pytest.mark.parametrize("outputs", [1, 2])
+def test_member_axis_matches_each_member_bit_for_bit(outputs, rng):
+    # a population's pass rounds as each member's own pass, so a trained
+    # member follows the trajectory it would follow alone
+    template = neural.MlpParams.initialize((6, 64, 32), outputs=outputs,
+                                           rng=0)
+    flats = rng.uniform(-0.5, 0.5, (3, template.n_params))
+    X = rng.uniform(-1, 1, (26, 6))
+    upstream = rng.uniform(-1, 1, (3, 26, outputs))
+    params = template.with_flat(flats)
+    assert params.hidden[0][0].shape == (3, 6, 64)
+    assert np.shares_memory(params.output, flats)
+    out, cache = neural.mlp_forward(params, X)
+    grads = neural.mlp_backward(params, cache, upstream)
+    assert out.shape == (3, 26, outputs) and grads.shape == flats.shape
+    for k, flat in enumerate(flats):
+        member = template.with_flat(flat)
+        out_k, cache_k = neural.mlp_forward(member, X)
+        assert np.array_equal(out[k], out_k)
+        assert np.array_equal(grads[k],
+                              neural.mlp_backward(member, cache_k,
+                                                  upstream[k]))
+        assert np.array_equal(neural.output_to_coefficient(out)[k],
+                              neural.output_to_coefficient(out_k))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bosehub import circuit as qc
+from bosehub import neural
 from bosehub.basis import reduced_basis
 from bosehub.hamiltonian import ModelParams, build_deformed, build_full, \
     build_reduced, ground_state
@@ -9,7 +10,6 @@ from bosehub.variational import (
     BETA1,
     BETA2,
     EPSILON,
-    INIT_SCALE,
     CircuitAnsatz,
     MlpAnsatz,
     TrainConfig,
@@ -85,7 +85,7 @@ def _energy(ansatz, theta, h):
 def test_circuit_energy_gradient_vs_fd(kind, layers, h_reduced, rng):
     h = h_reduced(U=5.0)
     ansatz = CircuitAnsatz(h, kind, layers)
-    theta = ansatz.initial_vector(rng, 0.4)
+    theta = qc.init_params(kind, layers, rng, 0.4).values
     grad = ansatz.energy_gradient(theta[None], h)[1][0]
     eps = 1e-6
     for k in range(theta.size):
@@ -115,7 +115,7 @@ def test_mlp_energy_gradient_vs_fd(h_reduced, rng):
 def test_complex_circuit_energy_gradient_vs_fd(reduced26, rng):
     h = build_deformed(ModelParams(1.0, 5.0, 6, 5, phi=np.pi / 2), reduced26)
     ansatz = CircuitAnsatz(h, "compressed", 2, complex_mode=True)
-    theta = ansatz.initial_vector(rng, 0.4)
+    theta = qc.init_params("compressed", 2, rng, 0.4).values
     grad = ansatz.energy_gradient(theta[None], h)[1][0]
     eps = 1e-6
     for k in range(theta.size):
@@ -251,7 +251,7 @@ def test_divergence_aborts_with_trace(h_reduced):
     class Exploder:
         complex_mode = False
 
-        def initial_vector(self, rng, scale=0.1):
+        def initial_vector(self, rng):
             return np.zeros(2)
 
         def energy_gradient(self, thetas, hh):
@@ -278,7 +278,7 @@ class _Scripted:
     def __init__(self, script):
         self.script, self.calls = script, 0
 
-    def initial_vector(self, rng, scale=0.1):
+    def initial_vector(self, rng):
         return np.zeros(2)
 
     def energy_gradient(self, thetas, hh):
@@ -298,7 +298,7 @@ def test_each_member_keeps_its_own_best_iterate(h_reduced):
     seen = []
 
     class Recording(_Scripted):
-        def initial_vector(self, rng, scale=0.1):
+        def initial_vector(self, rng):
             return rng.uniform(-1.0, 1.0, 2)
 
         def energy_gradient(self, thetas, hh):
@@ -340,8 +340,8 @@ class _Recorder:
         self.complex_mode = ansatz.complex_mode
         self.thetas, self.energies = [], []
 
-    def initial_vector(self, rng, scale):
-        return self.ansatz.initial_vector(rng, scale)
+    def initial_vector(self, rng):
+        return self.ansatz.initial_vector(rng)
 
     def energy_gradient(self, thetas, h):
         energy, grad, c = self.ansatz.energy_gradient(thetas, h)
@@ -358,7 +358,7 @@ class _Recorder:
 def _single_start(ansatz, h, seed, steps):
     """One start trained on its own: the Adam loop written out, on a
     population of one. Returns its energy trace and every iterate."""
-    theta = ansatz.initial_vector(np.random.default_rng(seed), INIT_SCALE)
+    theta = ansatz.initial_vector(np.random.default_rng(seed))
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     energies, thetas = [], []
     for step in range(1, steps + 1):
@@ -376,9 +376,11 @@ def _single_start(ansatz, h, seed, steps):
 
 
 def _population_case(name, h_reduced):
-    if name == "complex-compressed":
+    if "complex" in name:
         h = build_deformed(ModelParams(1.0, 5.0, 6, 5, phi=np.pi / 2),
                            reduced_basis(6, 5))
+        if name == "nn-complex":
+            return MlpAnsatz(h, hidden=(7, 4), complex_mode=True), h
         return CircuitAnsatz(h, "compressed", 2, complex_mode=True), h
     h = h_reduced(U=8.0)
     if name == "nn":
@@ -388,7 +390,7 @@ def _population_case(name, h_reduced):
 
 @pytest.mark.parametrize("restarts", [1, 2, 3])
 @pytest.mark.parametrize("name", ["compressed", "quat", "complex-compressed",
-                                  "nn"])
+                                  "nn", "nn-complex"])
 def test_population_members_match_single_starts(name, restarts, h_reduced):
     ansatz, h = _population_case(name, h_reduced)
     seed, steps = 3, 25
@@ -413,6 +415,24 @@ def test_population_members_match_single_starts(name, restarts, h_reduced):
     assert result.final_energy == best[win][0]
     assert np.array_equal(result.theta, best[win][1])
     assert np.array_equal(result.energies, best[win][2])
+
+
+def test_network_population_is_one_forward_and_one_backward_pass(
+        h_reduced, monkeypatch):
+    h = h_reduced(U=8.0)
+    ansatz = MlpAnsatz(h, hidden=(7, 4))
+    thetas = np.array([ansatz.initial_vector(np.random.default_rng(seed))
+                       for seed in range(3)])
+    calls = []
+    for name in ("mlp_forward", "mlp_backward"):
+        def spy(*args, _name=name, _real=getattr(neural, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(neural, name, spy)
+    energies, grads, c = ansatz.energy_gradient(thetas, h)
+    assert calls == ["mlp_forward", "mlp_backward"]
+    assert energies.shape == (3,) and grads.shape == thetas.shape
+    assert c.shape == (3, h.dim)
 
 
 def test_tied_members_pick_the_lowest_seed(h_reduced):

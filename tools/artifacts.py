@@ -54,6 +54,8 @@ COMMANDS = {
                  "--out-prefix", "exact_t0"],
     "train_nn": ["train", "--ansatz", "nn", "--U", "5",
                  "--out-dir", "train_nn"],
+    "train_nn_restarts": ["train", "--ansatz", "nn", "--U", "5",
+                          "--restarts", "2", "--out-dir", "train_nn_restarts"],
     "train_quat": ["train", "--ansatz", "quat", "--U", "5",
                    "--out-dir", "train_quat"],
     "train_compressed": ["train", "--ansatz", "compressed", "--U", "5",
