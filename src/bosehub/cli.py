@@ -98,9 +98,11 @@ _OPTIONS = {
     "dump_matrix": _Option("--dump-matrix", bool, False),
     "ansatz": _Option("--ansatz", ("nn", "compressed", "quat"),
                       required=True),
-    "steps": _Option("--steps", int, help="default: 1500 for nn, 1200 for "
+    "steps": _Option("--steps", int, help="the most steps before a "
+                     "certified stop; default: 1500 for nn, 1200 for "
                      "circuits, 2400 in complex mode", bound=">= 0"),
-    "lr": _Option("--lr", float, 0.02, bound="> 0"),
+    "lr": _Option("--lr", float, 0.02, help="eta, the rate of each "
+                  "natural-gradient step", bound="> 0"),
     "restarts": _Option("--restarts", int, 1, bound=">= 1"),
     "complex_mode": _Option("--complex", bool, False, help="complex "
                             "coefficients (required when phi != 0)"),
@@ -360,8 +362,8 @@ def _read_checkpoint(path) -> qc.CircuitParams:
 
 
 def _train_config(args) -> vr.TrainConfig:
-    """Adam's settings; --steps defaults to 1500 for the network, 1200 for
-    a circuit and 2400 in complex mode."""
+    """The training settings; --steps, the step cap, defaults to 1500 for
+    the network, 1200 for a circuit and 2400 in complex mode."""
     steps = args.steps
     if steps is None:
         steps = (2400 if args.complex_mode or args.phi != 0.0 else
@@ -415,7 +417,8 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     complex_mode = args.complex_mode or args.phi != 0.0
     h = _resolve_hamiltonian(args, kind=args.basis)
-    exact = ground_state(h).energy
+    state = ground_state(h)
+    exact = state.energy
     if layers is None:
         ansatz = vr.MlpAnsatz(h, complex_mode=complex_mode,
                               raw_features=args.raw_features)
@@ -423,7 +426,7 @@ def cmd_train(args) -> int:
         ansatz = vr.CircuitAnsatz(h, args.ansatz, layers,
                                   complex_mode=complex_mode,
                                   raw_features=args.raw_features)
-    result = vr.train(ansatz, h, cfg)
+    result = vr.train(ansatz, h, cfg, state.excited_lower)
     print(f"{result.final_energy:.5f}")
 
     if args.out_dir:
@@ -445,6 +448,12 @@ def cmd_train(args) -> int:
             "exact_energy": exact,
             "loss": exact - result.final_energy,
             "winning_seed": result.seed,
+            "steps_taken": result.steps_taken,
+            "stopped_on": result.stopped_on,
+            "energy_variance": result.energy_variance,
+            # JSON has no infinities: null where there is no bound
+            "temple_lower_bound": _finite(result.temple_lower_bound),
+            "excited_lower": _finite(result.excited_lower),
         })
         (args.out_dir / f"{stem}_summary.json").write_text(summary)
         print(f"wrote artifacts to {args.out_dir}")
@@ -574,6 +583,10 @@ def run_oracle_checks() -> list[str]:
         check(f"{kind} gradient vs finite differences", worst <= 0.0,
               f"worst excess {worst:.2e}")
     return failures
+
+
+def _finite(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _summary(command: str, config: dict, results: dict) -> str:

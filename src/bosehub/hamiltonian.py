@@ -109,10 +109,16 @@ def _hermitian_deviation(m: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Minimum eigenvalue and its unit-norm eigenvector."""
+    """Minimum eigenvalue and its unit-norm eigenvector.
+
+    ``excited_lower`` is the ell of Temple's bound: the second Ritz value of
+    the solve minus its residual |beta_k y_k,1|, a lower estimate of the
+    next eigenvalue above the ground energy (inf for a one-state space).
+    """
 
     energy: float
     amplitudes: np.ndarray = field(repr=False)
+    excited_lower: float = math.inf
 
 
 def interaction_energy(states) -> np.ndarray:
@@ -236,7 +242,7 @@ def ground_state(h: HamiltonianMatrix) -> GroundState:
     makes the dominant component positive.
     """
     m, scale = h.matrix, h.scale
-    vec, _ = _lanczos(m, LANCZOS_TOL * scale)
+    vec, _, excited_lower = _lanczos(m, LANCZOS_TOL * scale)
     hv = m @ vec
     # the Rayleigh quotient, not the Ritz value, whose round-off has either
     # sign: on the t=0 spectrum (ground energy 0) a negative one prints as
@@ -248,12 +254,13 @@ def ground_state(h: HamiltonianMatrix) -> GroundState:
             f"residual {residual:.2e} exceeds tolerance for dim {m.shape[0]}"
         )
     k = int(np.argmax(np.abs(vec)))
-    return GroundState(energy, vec * (abs(vec[k]) / vec[k]))
+    return GroundState(energy, vec * (abs(vec[k]) / vec[k]), excited_lower)
 
 
-def _lanczos(m: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
-    """Unit lowest eigenvector of the Hermitian matrix ``m``, and the number
-    of Krylov vectors it is built from.
+def _lanczos(m: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
+    """Unit lowest eigenvector of the Hermitian matrix ``m``, the number of
+    Krylov vectors it is built from, and the second Ritz value minus its
+    residual |beta_k y_k,1| (inf with one Krylov vector).
 
     The Krylov basis starts from a fixed-seed random vector, so the result is
     deterministic and every eigenspace is reached, and grows one vector per
@@ -287,13 +294,13 @@ def _lanczos(m: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
             w -= (krylov.conj() @ w) @ krylov
         beta.append(np.linalg.norm(w))
         if k + 1 == n or k == due or beta[-1] <= tol:
-            y, residual = _ritz(alpha, beta, k)
+            values, y, residual = _ritz(alpha, beta, k)
             if k + 1 == n or residual <= tol:
                 for step in reversed(skipped):
-                    y_step, residual = _ritz(alpha, beta, step)
-                    if not residual <= tol:
+                    earlier = _ritz(alpha, beta, step)
+                    if not earlier[2] <= tol:
                         break
-                    y, k = y_step, step
+                    (values, y, _), k = earlier, step
                 break
             checks.append((k, residual))
             skipped, due = [], k + _steps_ahead(checks, tol)
@@ -303,20 +310,21 @@ def _lanczos(m: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
             basis = np.concatenate([basis, np.empty_like(basis)])[:n]
         basis[k + 1] = w / beta[-1]
     vec = y[:, 0] @ basis[:k + 1]
-    return vec / np.linalg.norm(vec), k + 1
+    excited_lower = values[1] - abs(beta[k] * y[k, 1]) if k else math.inf
+    return vec / np.linalg.norm(vec), k + 1, float(excited_lower)
 
 
-def _ritz(alpha: list, beta: list, k: int) -> tuple[np.ndarray, float]:
-    """Eigenvectors of the leading (k+1)-square block of the Lanczos
-    tridiagonal T, and the lowest Ritz pair's residual |beta_k y_k|."""
+def _ritz(alpha: list, beta: list, k: int):
+    """Eigenvalues and eigenvectors of the leading (k+1)-square block of the
+    Lanczos tridiagonal T, and the lowest Ritz pair's residual |beta_k y_k|."""
     t = np.zeros((k + 1, k + 1))
     t.flat[::k + 2] = alpha[:k + 1]
     t.flat[1::k + 2] = t.flat[k + 1::k + 2] = beta[:k]
     try:
-        _, y = np.linalg.eigh(t)
+        values, y = np.linalg.eigh(t)
     except np.linalg.LinAlgError as exc:
         raise DiagonalizationError(f"Lanczos failed: {exc}") from exc
-    return y, abs(beta[k] * y[k, 0])
+    return values, y, abs(beta[k] * y[k, 0])
 
 
 def _steps_ahead(checks: list, tol: float) -> int:

@@ -53,9 +53,13 @@ class MlpParams:
         return sum(w.size + b.size for w, b in self.hidden) + self.output.size
 
     def flatten(self) -> np.ndarray:
-        parts = [a.ravel() for w, b in self.hidden for a in (w, b)]
-        parts.append(self.output.ravel())
-        return np.concatenate(parts)
+        """The values in parameter order: (P,), or (R, P) for parameters
+        with a leading member axis R."""
+        lead = self.output.shape[:-2]
+        parts = [a.reshape(lead + (-1,))
+                 for w, b in self.hidden for a in (w, b)]
+        parts.append(self.output.reshape(lead + (-1,)))
+        return np.concatenate(parts, axis=-1)
 
     def with_flat(self, flat: np.ndarray) -> "MlpParams":
         """Parameters of this shape as read-only views into a flat vector,
@@ -139,6 +143,57 @@ def mlp_backward(params: MlpParams, activations, upstream) -> np.ndarray:
         if layer:  # the input layer passes nothing further back
             da = dz @ params.hidden[layer][0].swapaxes(-1, -2)
     return grad
+
+
+def coefficient_gram(params: MlpParams, activations, coeffs) -> np.ndarray:
+    """Gram matrix of the coefficients' parameter Jacobian J = dc/dtheta,
+    without forming J.
+
+    ``coeffs`` is ``output_to_coefficient`` of the outputs that
+    ``activations`` led to: c = e^{out0}, or e^{out0 + i out1} with two
+    outputs. The result is J J^T (..., batch, batch) for real coefficients
+    and J_s J_s^T (..., 2 batch, 2 batch) with J_s = [Re J; Im J] for
+    complex ones. Row b of J is c_b times row b of d(out0 + i out1)/dtheta,
+    so each factor below has its rows turned by c first, and the turn
+    commutes with the backward pass. Weights and biases of hidden layer l
+    add (A A^T + 1) * (D D^T), with A the layer's input rows and D the
+    turned derivatives of the outputs with respect to its pre-activations;
+    the bias-free output matrix adds T T^T, with T the last hidden layer's
+    output turned the same way.
+    """
+    top = activations[-1]
+    slope = 1.0 - np.square(top)
+    weights = params.output.swapaxes(-1, -2)[..., None, :]  # (..., k, 1, H)
+    stacks = params.n_outputs  # 2 for complex coefficients: [Re J; Im J]
+    if stacks == 1:
+        c = coeffs[..., None]
+        rows = c * top
+        delta = (c * slope) * weights[..., 0, :, :]
+    else:
+        re, im = coeffs.real[..., None], coeffs.imag[..., None]
+        rows = np.concatenate([
+            np.concatenate([re * top, -im * top], axis=-1),
+            np.concatenate([im * top, re * top], axis=-1)], axis=-2)
+        d0 = slope * weights[..., 0, :, :]
+        d1 = slope * weights[..., 1, :, :]
+        delta = np.concatenate([re * d0 - im * d1, im * d0 + re * d1],
+                               axis=-2)
+    gram = rows @ rows.swapaxes(-1, -2)
+    for layer in reversed(range(len(params.hidden))):
+        a = activations[layer]
+        inputs = a @ a.swapaxes(-1, -2)
+        inputs += 1.0
+        if stacks > 1:
+            inputs = np.tile(inputs, (stacks, stacks))
+        block = delta @ delta.swapaxes(-1, -2)
+        block *= inputs
+        gram += block
+        if layer:
+            delta = delta @ params.hidden[layer][0].swapaxes(-1, -2)
+            slope = 1.0 - np.square(a)
+            delta *= slope if stacks == 1 else np.concatenate(
+                [slope] * stacks, axis=-2)
+    return gram
 
 
 def output_to_coefficient(out: np.ndarray) -> np.ndarray:

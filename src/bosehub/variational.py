@@ -1,16 +1,28 @@
-"""Energy functional and the Adam training loop shared by all Ansaetze.
+"""Energy functional and the natural-gradient training loop shared by all
+Ansaetze.
 
 Each ansatz maps a flat parameter vector to one coefficient per basis class
 (evaluated on the class representative's features) plus the Jacobian of the
 coefficients. Training minimizes the Rayleigh quotient over the full basis,
-no mini-batches, recording the energy at every step. Gradients chain the
-quotient derivative through the ansatz Jacobian analytically.
+no mini-batches, recording the energy at every step.
+
+A step is stochastic reconfiguration (Sorella, Phys. Rev. Lett. 80, 4558
+(1998)) written in class space (minSR: Chen & Heyl, arXiv 2302.01941).
+With J~ the Jacobian of c/|c| projected off c, and r = (Hc - Ec)/|c|, the
+parameters move by -eta J~^T (J~ J~^T + DAMPING I)^-1 r, a B x B solve per
+member (2B x 2B in complex mode, real and imaginary parts stacked), with the
+step's length capped at MAX_STEP. Each ansatz supplies the Gram matrix
+J J^T of its coefficients and the product of a class-space vector with its
+Jacobian; the projection and the solve are shared. Training stops at the
+first step where some member's energy carries Temple's certificate: with
+variance sigma^2 = |r|^2 and ell a lower estimate of the first excited
+energy, E - sigma^2/(ell - E) >= E - CERTIFIED_GAP.
 
 Training runs every restart at once, as a population: the ansatz methods
 take the members' parameters as an (R, P) array, a step is one kernel call
-or one network forward and backward pass over all members, and Adam updates
-all R rows together. Only the Rayleigh quotients, which both families share,
-run member by member, so every member's trajectory is bitwise the one it
+or one network forward and backward pass over all members, and one update
+of all R rows. The Rayleigh quotients run member by member and every other
+operation row by row, so every member's trajectory is bitwise the one it
 would follow alone.
 """
 from __future__ import annotations
@@ -24,12 +36,16 @@ from . import circuit as qc
 from . import neural
 from ._table import write_csv
 from .basis import feature_matrix
-from .hamiltonian import HamiltonianMatrix
+from .hamiltonian import HamiltonianMatrix, ground_state
 
 
-# Adam moment decays and denominator guard, and the half-width of a circuit's
-# uniform parameter initialization
-BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+# The natural-gradient step: the damping added to the projected class-space
+# Gram matrix, the cap on a step's length in parameter space, and the gap
+# between an energy and its Temple bound that stops training. Then the
+# half-width of a circuit's uniform parameter initialization.
+DAMPING = 1e-3
+MAX_STEP = 0.2
+CERTIFIED_GAP = 1e-5
 INIT_SCALE = 0.1
 
 
@@ -41,7 +57,8 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Adam settings. The learning rate 0.02 is shared by every ansatz."""
+    """Natural-gradient settings shared by every ansatz: at most ``steps``
+    steps, each of rate ``learning_rate`` (eta, 0.02 by default)."""
 
     steps: int
     learning_rate: float = 0.02
@@ -60,9 +77,19 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     theta: np.ndarray  # the parameters that reached final_energy
-    energies: np.ndarray  # energy before each update plus the final one
+    energies: np.ndarray  # energy before each step plus the final one
     seed: int
     final_energy: float  # lowest energy of the run
+    energy_variance: float = math.nan  # sigma^2 of the final_energy state
+    # the highest Temple lower bound on the ground energy of any iterate
+    # (-inf if no energy fell below excited_lower), and the ell it used
+    temple_lower_bound: float = -math.inf
+    excited_lower: float = math.inf
+    stopped_on: str = "step cap"  # or "certificate"
+
+    @property
+    def steps_taken(self) -> int:
+        return len(self.energies) - 1
 
 
 def rayleigh_energy(coeffs, h: HamiltonianMatrix) -> float:
@@ -87,15 +114,68 @@ def rayleigh_residual(coeffs, h: HamiltonianMatrix):
     return (hc - energy * c) / norm, float(energy)
 
 
-def _residuals(coeffs, h: HamiltonianMatrix):
-    """Energies (R,) and residuals y (R, B), conjugated so that dE/dtheta =
-    2 Re(y @ dc/dtheta). One quotient per member: one fused over all members
-    rounds differently, and Adam amplifies that into another trajectory."""
+def _residuals(coeffs, h: HamiltonianMatrix, gram=None):
+    """Energies (R,), residuals y (R, B) and energy variances (R,).
+
+    y is conjugated so that dE/dtheta = 2 Re(y @ dc/dtheta). Given the
+    members' Gram matrices ``gram`` = J_s J_s^T (R, n, n) of dc/dtheta,
+    with J_s = J for real coefficients and [Re J; Im J] for complex ones,
+    y instead makes 2 Re(y @ dc/dtheta) the natural-gradient step, and
+    ``gram`` is overwritten. One quotient per member: one fused over all
+    members rounds differently, and the steps amplify that into another
+    trajectory.
+    """
     energies = np.empty(len(coeffs))
+    variances = np.empty(len(coeffs))
+    norms = np.empty(len(coeffs))  # |c|^2
     residuals = np.empty_like(coeffs)
     for k, c in enumerate(coeffs):
         residuals[k], energies[k] = rayleigh_residual(c, h)
-    return energies, np.conj(residuals, out=residuals)
+        norms[k] = np.vdot(c, c).real
+        variances[k] = np.vdot(residuals[k], residuals[k]).real * norms[k]
+    if gram is None:
+        return energies, np.conj(residuals, out=residuals), variances
+    return energies, _natural_step(coeffs, residuals, norms, gram), variances
+
+
+def _stacked(z):
+    """Real vectors (R, n) of complex ones (R, B): [Re z, Im z]."""
+    if np.iscomplexobj(z):
+        return np.concatenate([z.real, z.imag], axis=-1)
+    return z
+
+
+def _natural_step(coeffs, residuals, norms, gram):
+    """y (R, B) with 2 Re(y @ J) = J~^T (J~ J~^T + DAMPING I)^-1 r.
+
+    J~ = P J/|c| is the Jacobian of u = c/|c| projected off c, with P the
+    projector off u (and off iu in complex mode, the direction of the
+    global phase), and r = (Hc - Ec)/|c| lies off them too. The solution x
+    of (P K P/|c|^2 + DAMPING I) x = r is then the one of
+    (K/|c|^2 + DAMPING I) x = r + Q mu that lies off Q = [u] (or [u, iu]),
+    so it takes one solve with K = J_s J_s^T and no projected matrix, and
+    J~^T x = J_s^T x/|c|.
+    """
+    u = coeffs / np.sqrt(norms)[:, None]
+    columns = [residuals, u, 1j * u] if np.iscomplexobj(coeffs) \
+        else [residuals, u]
+    # (K + |c|^2 DAMPING I) z = [residuals, Q], residuals = r/|c|
+    rhs = np.stack([_stacked(v) for v in columns], axis=-1)
+    n = rhs.shape[1]
+    gram.reshape(len(gram), -1)[:, ::n + 1] += DAMPING * norms[:, None]
+    z = np.linalg.solve(gram, rhs)
+    # z_r - Z_q mu, off Q
+    qz = rhs[:, :, 1:].swapaxes(-1, -2) @ z  # (R, m, 1 + m)
+    if len(columns) == 2:
+        mu = qz[:, :, :1] / qz[:, :, 1:]
+    else:
+        mu = np.linalg.solve(qz[:, :, 1:], qz[:, :, :1])
+    x = (z[:, :, :1] - z[:, :, 1:] @ mu)[..., 0]
+    x *= 0.5 * norms[:, None]
+    if np.iscomplexobj(coeffs):
+        half = coeffs.shape[-1]
+        return x[:, :half] - 1j * x[:, half:]
+    return x
 
 
 class MlpAnsatz:
@@ -123,19 +203,25 @@ class MlpAnsatz:
                                     self.features)
         return neural.output_to_coefficient(out)
 
-    def energy_gradient(self, thetas, h: HamiltonianMatrix):
+    def energy_gradient(self, thetas, h: HamiltonianMatrix, natural=False):
         """Energies (R,), dE/dtheta (R, P) and coefficients (R, B) of the
-        members' parameters (R, P), from one network pass over all."""
+        members' parameters (R, P), from one network pass over all. With
+        ``natural``, the natural-gradient step replaces dE/dtheta and the
+        energy variances (R,) come fourth."""
         params = self._template.with_flat(thetas)
         out, cache = neural.mlp_forward(params, self.features)
         c = neural.output_to_coefficient(out)
-        energies, y = _residuals(c, h)
+        gram = neural.coefficient_gram(params, cache, c) if natural \
+            else None
+        energies, y, variances = _residuals(c, h, gram)
         yc = y * c
         if self.complex_mode:
             upstream = np.stack([2.0 * yc.real, -2.0 * yc.imag], axis=-1)
         else:
             upstream = (2.0 * yc)[..., None]
-        return energies, neural.mlp_backward(params, cache, upstream), c
+        grad = neural.mlp_backward(params, cache, upstream)
+        return (energies, grad, c, variances) if natural else \
+            (energies, grad, c)
 
     def export(self, theta) -> str:
         return neural.to_json(self._template.with_flat(theta))
@@ -164,91 +250,115 @@ class CircuitAnsatz:
         return qc.weights(self.kind, qc.finite_values(thetas), self.features,
                           self.complex_mode)
 
-    def energy_gradient(self, thetas, h: HamiltonianMatrix):
+    def energy_gradient(self, thetas, h: HamiltonianMatrix, natural=False):
         """Energies (R,), dE/dtheta (R, P) and coefficients (R, B) of the
-        members' parameters (R, P), from one kernel call."""
+        members' parameters (R, P), from one kernel call. With ``natural``,
+        the natural-gradient step replaces dE/dtheta and the energy
+        variances (R,) come fourth."""
         c, jac = qc.weights_and_jacobian(self.kind, qc.finite_values(thetas),
                                          self.features, self.complex_mode)
-        energies, y = _residuals(c, h)
+        gram = None
+        if natural:
+            rows = jac if not self.complex_mode else np.concatenate(
+                [jac.real, jac.imag], axis=1)
+            gram = rows @ rows.swapaxes(-1, -2)
+        energies, y, variances = _residuals(c, h, gram)
         # a stacked matmul rounds as each member's y @ J; einsum does not
-        return energies, 2.0 * (y[:, None] @ jac)[:, 0].real, c
+        grad = 2.0 * (y[:, None] @ jac)[:, 0].real
+        return (energies, grad, c, variances) if natural else \
+            (energies, grad, c)
 
     def export(self, theta) -> str:
         return qc.to_json(
             qc.CircuitParams(self.kind, self.layers, theta, self.n_features))
 
 
-def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig) -> TrainResult:
-    """Full-basis Adam minimization of the Rayleigh energy.
+def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
+          excited_lower: float | None = None) -> TrainResult:
+    """Full-basis natural-gradient minimization of the Rayleigh energy.
 
     Single-qubit landscapes have local minima, so ``cfg.restarts`` members
     start from seeds ``seed, seed+1, ...`` and train together as one
-    population: each step is one ``energy_gradient`` call and one Adam
-    update over the (R, P) parameters. Each member follows the trajectory
-    it would follow alone. Adam at a constant learning rate can spike away
-    from a minimum it has reached, so each member keeps its lowest-energy
-    iterate, not its last; the lowest of those wins, the lowest seed on a
-    tie. If any member's energy turns non-finite, ``TrainingDiverged``
-    carries the trace of the lowest-index such member. Deterministic for a
-    fixed config.
+    population: each step is one ``energy_gradient`` call and one update
+    of the (R, P) parameters, theta -= min(eta, MAX_STEP/|d|) d for each
+    member's step d. Each member follows the trajectory it would follow
+    alone. Training stops after the first step where some member's energy
+    E and variance sigma^2 give E < ell and sigma^2/(ell - E) <=
+    CERTIFIED_GAP, or after ``cfg.steps`` steps; ell is ``excited_lower``,
+    by default the one of ``ground_state(h)``.
 
-    Adam works in buffers allocated once, with the operations of the
-    textbook update in the same order, so each step rounds as the
-    allocating form would. ``theta`` is updated in place and the best
-    iterates are copied into a buffer of their own.
+    The steps need not lower the energy, so each member keeps its
+    lowest-energy iterate, not its last; the lowest of those wins, the
+    lowest seed on a tie. The result's Temple bound is the highest one of
+    any iterate. If any member's energy turns non-finite,
+    ``TrainingDiverged`` carries the trace of the lowest-index such member.
+    Deterministic for a fixed config.
     """
     if not h.is_real and not ansatz.complex_mode:
         raise ValueError("complex Hamiltonian needs a complex-mode ansatz")
+    if excited_lower is None:
+        excited_lower = ground_state(h).excited_lower
     seeds = range(cfg.seed, cfg.seed + cfg.restarts)
     theta = np.array([ansatz.initial_vector(np.random.default_rng(seed))
                       for seed in seeds])
-    # moments, and the scratch buffers of one update
-    m, v, m_hat, v_hat = (np.zeros_like(theta) for _ in range(4))
     energies = np.empty((cfg.restarts, cfg.steps + 1))
     best_energy, best_theta = np.full(cfg.restarts, np.inf), theta.copy()
+    best_variance = np.full(cfg.restarts, np.nan)
+    bound, stopped_on, taken = -math.inf, "step cap", cfg.steps
     for step in range(1, cfg.steps + 1):
-        energy, grad, _ = ansatz.energy_gradient(theta, h)
+        energy, direction, _, variance = ansatz.energy_gradient(
+            theta, h, natural=True)
         energies[:, step - 1] = energy
-        if not _keep_better(energy, theta, best_energy, best_theta):
+        if not _keep_better(energy, variance, theta, best_energy,
+                            best_variance, best_theta):
             raise _diverged(energy, seeds, f"at step {step}",
                             energies[:, :step])
-        # m = BETA1 m + (1 - BETA1) g
-        m *= BETA1
-        np.multiply(grad, 1.0 - BETA1, out=m_hat)
-        m += m_hat
-        # v = BETA2 v + ((1 - BETA2) g) g
-        v *= BETA2
-        np.multiply(grad, 1.0 - BETA2, out=v_hat)
-        v_hat *= grad
-        v += v_hat
-        # theta - lr m_hat / (sqrt(v_hat) + EPSILON)
-        np.divide(m, 1.0 - BETA1 ** step, out=m_hat)
-        np.divide(v, 1.0 - BETA2 ** step, out=v_hat)
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += EPSILON
-        m_hat *= cfg.learning_rate
-        m_hat /= v_hat
-        theta -= m_hat
-    energy = np.array([rayleigh_energy(c, h)
-                       for c in ansatz.coefficients(theta)])
-    energies[:, cfg.steps] = energy
-    if not _keep_better(energy, theta, best_energy, best_theta):
-        raise _diverged(energy, seeds, "at the final step", energies[:, :-1])
+        gaps = _temple_gaps(energy, variance, excited_lower)
+        bound = max(bound, *(energy - gaps))
+        rate = [min(cfg.learning_rate, MAX_STEP / size) if size
+                else cfg.learning_rate
+                for size in np.linalg.norm(direction, axis=1).tolist()]
+        direction *= np.array(rate)[:, None]
+        theta -= direction
+        if gaps.min() <= CERTIFIED_GAP:
+            stopped_on, taken = "certificate", step
+            break
+    energy, _, variance = _residuals(ansatz.coefficients(theta), h)
+    energies[:, taken] = energy
+    if not _keep_better(energy, variance, theta, best_energy, best_variance,
+                        best_theta):
+        raise _diverged(energy, seeds, "at the final step",
+                        energies[:, :taken])
+    bound = max(bound, *(energy - _temple_gaps(energy, variance,
+                                               excited_lower)))
     win = int(np.argmin(best_energy))  # the first of equal minima
-    return TrainResult(best_theta[win], energies[win], seeds[win],
-                       float(best_energy[win]))
+    return TrainResult(best_theta[win], energies[win, :taken + 1],
+                       seeds[win], float(best_energy[win]),
+                       float(best_variance[win]), float(bound),
+                       float(excited_lower), stopped_on)
 
 
-def _keep_better(energy, theta, best_energy, best_theta) -> bool:
-    """Copy each member's energy and parameters into the best buffers where
-    the energy is below its best so far. Returns False, having copied
-    nothing, if some energy is not finite."""
+def _temple_gaps(energy, variance, excited_lower) -> np.ndarray:
+    """sigma^2/(ell - E) of each member, the distance from its energy E
+    down to its Temple lower bound on the ground energy; inf where
+    E >= ell, where Temple's inequality does not apply."""
+    return np.array([v / (excited_lower - e) if e < excited_lower
+                     else math.inf
+                     for e, v in zip(energy.tolist(), variance.tolist())])
+
+
+def _keep_better(energy, variance, theta, best_energy, best_variance,
+                 best_theta) -> bool:
+    """Copy each member's energy, variance and parameters into the best
+    buffers where the energy is below its best so far. Returns False,
+    having copied nothing, if some energy is not finite."""
     values = energy.tolist()
     if not all(map(math.isfinite, values)):
         return False
     for k, (e, best) in enumerate(zip(values, best_energy.tolist())):
         if e < best:
             best_energy[k] = e
+            best_variance[k] = variance[k]
             best_theta[k] = theta[k]
     return True
 
@@ -265,11 +375,12 @@ def layer_study(kind: str, layer_counts, h: HamiltonianMatrix,
                 cfg: TrainConfig, complex_mode: bool = False,
                 raw_features: bool = False):
     """Train one circuit per layer count; returns [(layers, final_energy)]."""
+    excited_lower = ground_state(h).excited_lower
     rows = []
     for layers in layer_counts:
         ansatz = CircuitAnsatz(h, kind, layers, complex_mode=complex_mode,
                                raw_features=raw_features)
-        result = train(ansatz, h, cfg)
+        result = train(ansatz, h, cfg, excited_lower)
         rows.append((int(layers), result.final_energy))
     return rows
 

@@ -169,6 +169,31 @@ def test_train_writes_artifacts_and_is_deterministic(tmp_path, capsys):
             summary.read_bytes()) == first
 
 
+@pytest.mark.parametrize("steps,stopped_on", [("1200", "certificate"),
+                                              ("40", "step cap")])
+def test_train_summary_carries_the_certificate(steps, stopped_on, tmp_path,
+                                               capsys):
+    out = tmp_path / "artifacts"
+    code, _, _ = run(capsys, "train", "--ansatz", "quat", "--U", "5",
+                     "--steps", steps, "--out-dir", str(out))
+    assert code == 0
+    results = json.loads((out / "quat_U5_summary.json").read_text())[
+        "results"]
+    taken = results["steps_taken"]
+    assert results["stopped_on"] == stopped_on
+    assert (taken < 1200) if stopped_on == "certificate" else taken == 40
+    # a header and the energy before each step plus the final one
+    trace = (out / "quat_U5_trace.csv").read_text().splitlines()
+    assert len(trace) == 1 + taken + 1
+    energy, lower = results["final_energy"], results["temple_lower_bound"]
+    assert results["energy_variance"] > 0.0
+    # ell is the first excited energy of the 26 classes at U=5
+    assert results["excited_lower"] == pytest.approx(-0.46195235, abs=1e-8)
+    assert lower <= results["exact_energy"] <= energy
+    if stopped_on == "certificate":
+        assert energy - lower <= 1e-5
+
+
 def test_train_compressed_rejects_feature_count(tmp_path, capsys):
     # 4 sites give 4 occupation features, which the compressed circuit
     # cannot group into Euler triples

@@ -375,10 +375,40 @@ def test_lanczos_matches_the_every_fourth_step_oracle(name):
     # returns the same bytes
     h = _lanczos_case(name)
     tol = LANCZOS_TOL * h.scale
-    vec, steps = _lanczos(h.matrix, tol)
+    vec, steps, _ = _lanczos(h.matrix, tol)
     ref_vec, ref_steps = lanczos_oracle.lanczos(h.matrix, tol)
     assert steps == ref_steps
     assert vec.tobytes() == ref_vec.tobytes()
+
+
+@pytest.mark.parametrize("name", ["6/5 U=5", "6/5 U=8", "6/5 deformed"])
+def test_excited_lower_is_the_first_excited_energy_on_a_full_krylov_space(
+        name):
+    # at these points Lanczos runs all 26 steps, so its second Ritz value is
+    # an eigenvalue and its residual vanishes
+    h = _lanczos_case(name) if name == "6/5 deformed" else build_reduced(
+        ModelParams(1.0, float(name[-1]), 6, 5), reduced_basis(6, 5))
+    assert _lanczos(h.matrix, LANCZOS_TOL * h.scale)[1] == h.dim == 26
+    e1 = np.linalg.eigvalsh(h.matrix)[1]
+    assert abs(ground_state(h).excited_lower - e1) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["6/5 full", "8/8 U=5", "10/8 U=5", "D=2"])
+def test_excited_lower_lies_below_the_next_eigenvalue(name):
+    # the Krylov space stops short of the whole space, and the second Ritz
+    # value less its residual stays at or below the eigenvalue it estimates
+    h = _lanczos_case(name)
+    energies = np.linalg.eigvalsh(h.matrix)
+    e1 = energies[energies > energies[0] + 1e-9][0]
+    assert e1 - 1e-7 <= ground_state(h).excited_lower <= e1 + 1e-12
+
+
+def test_excited_lower_on_the_degenerate_t_zero_spectrum():
+    # Temple's ell bounds the next eigenvalue above the ground energy, here
+    # 5: the six-fold degenerate ground energy 0 does not count
+    assert ground_state(_lanczos_case("t=0")).excited_lower == \
+        pytest.approx(5.0, abs=1e-12)
+    assert ground_state(_lanczos_case("D=1")).excited_lower == np.inf
 
 
 @pytest.mark.parametrize("name", ["8/8 U=5", "6/5 full"])

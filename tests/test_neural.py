@@ -205,3 +205,48 @@ def test_member_axis_matches_each_member_bit_for_bit(outputs, rng):
                                                   upstream[k]))
         assert np.array_equal(neural.output_to_coefficient(out)[k],
                               neural.output_to_coefficient(out_k))
+
+
+@pytest.mark.parametrize("members", [None, 2])
+def test_flatten_undoes_with_flat(members):
+    params = neural.MlpParams.initialize((6, 5, 4), outputs=1, rng=0)
+    shape = (members, params.n_params) if members else (params.n_params,)
+    flat = np.random.default_rng(3).standard_normal(shape)
+    assert np.array_equal(params.with_flat(flat).flatten(), flat)
+
+
+def _coefficient_jacobian(params, activations, coeffs):
+    """dc/dtheta row by row, from one backward pass per row and output."""
+    rows = []
+    for b in range(coeffs.shape[-1]):
+        per_output = []
+        for a in range(params.n_outputs):
+            upstream = np.zeros(coeffs.shape + (params.n_outputs,))
+            upstream[..., b, a] = 1.0
+            per_output.append(neural.mlp_backward(params, activations,
+                                                  upstream))
+        d_out = per_output[0] if len(per_output) == 1 else \
+            per_output[0] + 1j * per_output[1]
+        rows.append(coeffs[..., b, None] * d_out)
+    return np.stack(rows, axis=-2)
+
+
+@pytest.mark.parametrize("outputs", [1, 2])
+@pytest.mark.parametrize("members", [None, 3])
+def test_coefficient_gram_matches_the_explicit_jacobian(outputs, members):
+    rng = np.random.default_rng(outputs)
+    template = neural.MlpParams.initialize((6, 7, 5), outputs, rng)
+    flat = template.flatten()
+    if members:
+        flat = flat + 0.3 * rng.standard_normal((members, flat.size))
+    params = template.with_flat(flat)
+    out, cache = neural.mlp_forward(params, rng.uniform(-1, 1, (9, 6)))
+    c = neural.output_to_coefficient(out)
+    jac = _coefficient_jacobian(params, cache, c)
+    if outputs == 2:
+        jac = np.concatenate([jac.real, jac.imag], axis=-2)
+    expected = jac @ jac.swapaxes(-1, -2)
+    gram = neural.coefficient_gram(params, cache, c)
+    assert gram.shape == expected.shape
+    np.testing.assert_allclose(gram, expected, rtol=1e-12,
+                               atol=1e-13 * np.abs(expected).max())

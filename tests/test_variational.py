@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosehub import circuit as qc
 from bosehub import neural
@@ -7,9 +9,9 @@ from bosehub.basis import reduced_basis
 from bosehub.hamiltonian import ModelParams, build_deformed, build_full, \
     build_reduced, ground_state
 from bosehub.variational import (
-    BETA1,
-    BETA2,
-    EPSILON,
+    CERTIFIED_GAP,
+    DAMPING,
+    MAX_STEP,
     CircuitAnsatz,
     MlpAnsatz,
     TrainConfig,
@@ -142,6 +144,102 @@ def test_complex_mlp_energy_gradient_vs_fd(reduced26, rng):
                                         rel=1e-5, abs=1e-8)
 
 
+def _textbook_step(c, jac, h):
+    """J~^T (J~ J~^T + DAMPING I)^-1 r and |r|^2 with J~ = (I - u u^H)
+    J/|c| and r = (H - E) u, real and imaginary parts stacked."""
+    u = c / np.linalg.norm(c)
+    energy = np.vdot(u, h.matrix @ u).real
+    r = h.matrix @ u - energy * u
+    jt = (jac - np.outer(u, u.conj() @ jac)) / np.linalg.norm(c)
+    if np.iscomplexobj(jt):
+        jt = np.concatenate([jt.real, jt.imag])
+        r = np.concatenate([r.real, r.imag])
+    step = jt.T @ np.linalg.solve(jt @ jt.T + DAMPING * np.eye(len(jt)), r)
+    return step, r @ r
+
+
+def _network_jacobian(ansatz, theta):
+    """dc/dtheta of one network, from one backward pass per class and
+    output."""
+    params = ansatz._template.with_flat(theta)
+    out, cache = neural.mlp_forward(params, ansatz.features)
+    c = neural.output_to_coefficient(out)
+    rows = []
+    for b in range(len(c)):
+        grads = []
+        for a in range(params.n_outputs):
+            upstream = np.zeros(out.shape)
+            upstream[b, a] = 1.0
+            grads.append(neural.mlp_backward(params, cache, upstream))
+        rows.append(c[b] * (grads[0] if len(grads) == 1
+                            else grads[0] + 1j * grads[1]))
+    return c, np.array(rows)
+
+
+@pytest.mark.parametrize("complex_mode,phi", [(False, 0.0), (True, 0.0),
+                                              (True, np.pi / 2)])
+@pytest.mark.parametrize("kind", ["compressed", "quat", "nn"])
+def test_natural_step_is_the_textbook_formula(kind, complex_mode, phi,
+                                              reduced26, rng):
+    params = ModelParams(1.0, 5.0, 6, 5, phi)
+    h = (build_deformed(params, reduced26) if phi
+         else build_reduced(params, reduced26))
+    if kind == "nn":
+        ansatz = MlpAnsatz(h, hidden=(7, 4), complex_mode=complex_mode)
+        thetas = np.array([ansatz.initial_vector(rng) for _ in range(2)])
+    else:
+        ansatz = CircuitAnsatz(h, kind, 3, complex_mode=complex_mode)
+        thetas = np.array([qc.init_params(kind, 3, rng, 1.0).values
+                           for _ in range(2)])
+    energies, steps, c, variances = ansatz.energy_gradient(thetas, h,
+                                                           natural=True)
+    for k, theta in enumerate(thetas):
+        if kind == "nn":
+            ck, jac = _network_jacobian(ansatz, theta)
+        else:
+            ck, jac = qc.weights_and_jacobian(kind, theta, ansatz.features,
+                                              complex_mode)
+        np.testing.assert_allclose(c[k], ck, rtol=1e-14)
+        step, variance = _textbook_step(ck, jac, h)
+        assert np.abs(steps[k] - step).max() <= 1e-10 * np.abs(step).max()
+        assert variances[k] == pytest.approx(variance, rel=1e-12)
+        assert energies[k] == rayleigh_energy(ck, h)
+    # called without natural, the same method still returns dE/dtheta
+    energies_plain, _, c_plain = ansatz.energy_gradient(thetas, h)
+    assert np.array_equal(energies_plain, energies)
+    assert np.array_equal(c_plain, c)
+
+
+@given(kind=st.sampled_from(["nn", "compressed", "quat"]),
+       u=st.sampled_from([2.0, 5.0, 8.0]), seed=st.integers(0, 100),
+       steps=st.integers(0, 120), restarts=st.integers(1, 2))
+@settings(max_examples=20, deadline=None)
+def test_temple_bound_brackets_the_ground_energy(kind, u, seed, steps,
+                                                 restarts):
+    h = build_reduced(ModelParams(1.0, u, 6, 5), reduced_basis(6, 5))
+    ansatz = (MlpAnsatz(h, hidden=(7, 4)) if kind == "nn"
+              else CircuitAnsatz(h, kind, 2))
+    result = train(ansatz, h, TrainConfig(steps=steps, seed=seed,
+                                          restarts=restarts))
+    exact = np.linalg.eigvalsh(h.matrix)[0]
+    assert result.temple_lower_bound <= exact + 1e-9
+    assert exact <= result.final_energy + 1e-9
+    assert result.excited_lower == ground_state(h).excited_lower
+    assert result.steps_taken == len(result.energies) - 1 <= steps
+
+
+def test_a_certified_run_is_within_the_gap_of_its_bound(h_reduced):
+    h = h_reduced(U=5.0)
+    result = train(CircuitAnsatz(h, "quat", 6), h,
+                   TrainConfig(steps=1200, seed=0))
+    assert result.stopped_on == "certificate"
+    assert result.steps_taken < 200
+    assert result.final_energy - result.temple_lower_bound <= CERTIFIED_GAP
+    exact = ground_state(h).energy
+    assert result.temple_lower_bound <= exact <= result.final_energy
+    assert result.energy_variance > 0.0
+
+
 def test_circuit_ansatz_checks_its_layout_once(h_reduced, monkeypatch):
     # kind, layer count and features are checked when the ansatz is built;
     # each step then checks only that the parameters are finite
@@ -204,9 +302,9 @@ def test_training_deterministic(h_reduced):
 
 
 def test_training_returns_lowest_iterate(h_reduced):
-    # at this seed Adam reaches its lowest energy at step 43 and then
-    # overshoots, ending 1.6e-3 higher
-    h = h_reduced(U=2.0)
+    # at this seed the natural-gradient steps reach their lowest energy at
+    # step 15 and then climb, ending 1.1 higher
+    h = h_reduced(U=5.0)
     ansatz = CircuitAnsatz(h, "quat", 2)
     result = train(ansatz, h, TrainConfig(steps=60, seed=1))
     assert result.energies[-1] > result.energies.min() + 1e-4
@@ -254,10 +352,10 @@ def test_divergence_aborts_with_trace(h_reduced):
         def initial_vector(self, rng):
             return np.zeros(2)
 
-        def energy_gradient(self, thetas, hh):
+        def energy_gradient(self, thetas, hh, natural=False):
             energies = np.where(thetas[:, 0] != 0, np.nan, 1.0)
             return (energies, np.ones_like(thetas),
-                    np.ones((len(thetas), hh.dim)))
+                    np.ones((len(thetas), hh.dim)), np.ones(len(thetas)))
 
         def coefficients(self, thetas):
             return np.ones((len(thetas), h.dim))
@@ -270,8 +368,9 @@ def test_divergence_aborts_with_trace(h_reduced):
 
 
 class _Scripted:
-    """Members whose energies on the ``call``-th step are ``script(call)``;
-    every member's final energy is the uniform vector's."""
+    """Members whose energies on the ``call``-th step are ``script(call)``,
+    with a variance of 1 that certifies no energy; every member's final
+    energy is the uniform vector's."""
 
     complex_mode = False
 
@@ -281,10 +380,11 @@ class _Scripted:
     def initial_vector(self, rng):
         return np.zeros(2)
 
-    def energy_gradient(self, thetas, hh):
+    def energy_gradient(self, thetas, hh, natural=False):
         self.calls += 1
         energies = np.array(self.script(self.calls), dtype=float)
-        return energies, np.ones_like(thetas), np.ones((len(thetas), hh.dim))
+        return (energies, np.ones_like(thetas),
+                np.ones((len(thetas), hh.dim)), np.ones(len(thetas)))
 
     def coefficients(self, thetas):
         return np.ones((len(thetas), 26))
@@ -301,9 +401,9 @@ def test_each_member_keeps_its_own_best_iterate(h_reduced):
         def initial_vector(self, rng):
             return rng.uniform(-1.0, 1.0, 2)
 
-        def energy_gradient(self, thetas, hh):
+        def energy_gradient(self, thetas, hh, natural=False):
             seen.append(thetas.copy())
-            return super().energy_gradient(thetas, hh)
+            return super().energy_gradient(thetas, hh, natural)
 
     result = train(Recording(lambda call: script.get(call, [-4.0, -4.0])), h,
                    TrainConfig(steps=5, seed=0, restarts=2))
@@ -343,11 +443,11 @@ class _Recorder:
     def initial_vector(self, rng):
         return self.ansatz.initial_vector(rng)
 
-    def energy_gradient(self, thetas, h):
-        energy, grad, c = self.ansatz.energy_gradient(thetas, h)
+    def energy_gradient(self, thetas, h, natural=False):
+        out = self.ansatz.energy_gradient(thetas, h, natural)
         self.thetas.append(thetas.copy())
-        self.energies.append(energy.copy())
-        return energy, grad, c
+        self.energies.append(out[0].copy())
+        return out
 
     def coefficients(self, thetas):
         self.thetas.append(thetas.copy())
@@ -355,24 +455,27 @@ class _Recorder:
         return self.final
 
 
-def _single_start(ansatz, h, seed, steps):
-    """One start trained on its own: the Adam loop written out, on a
-    population of one. Returns its energy trace and every iterate."""
+def _single_start(ansatz, h, seed, steps, excited_lower):
+    """One start trained on its own: the capped natural-gradient update
+    written out, on a population of one, for ``steps`` steps. Returns its
+    energy trace, every iterate, and the first step whose energy carries
+    Temple's certificate (None if none does)."""
     theta = ansatz.initial_vector(np.random.default_rng(seed))
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
-    energies, thetas = [], []
+    energies, thetas, certified = [], [], None
     for step in range(1, steps + 1):
-        energy, grad, _ = ansatz.energy_gradient(theta[None], h)
+        energy, d, _, variance = ansatz.energy_gradient(theta[None], h,
+                                                        natural=True)
         energies.append(energy[0])
         thetas.append(theta)
-        m = BETA1 * m + (1.0 - BETA1) * grad[0]
-        v = BETA2 * v + (1.0 - BETA2) * grad[0] * grad[0]
-        m_hat = m / (1.0 - BETA1 ** step)
-        v_hat = v / (1.0 - BETA2 ** step)
-        theta = theta - 0.02 * m_hat / (np.sqrt(v_hat) + EPSILON)
+        rate = min(0.02, MAX_STEP / np.sqrt(np.square(d[0]).sum()))
+        theta = theta - rate * d[0]
+        if (certified is None and energy[0] < excited_lower
+                and variance[0] / (excited_lower - energy[0])
+                <= CERTIFIED_GAP):
+            certified = step
     energies.append(_energy(ansatz, theta, h))
     thetas.append(theta)
-    return np.array(energies), np.array(thetas)
+    return np.array(energies), np.array(thetas), certified
 
 
 def _population_case(name, h_reduced):
@@ -388,22 +491,29 @@ def _population_case(name, h_reduced):
     return CircuitAnsatz(h, name, 2), h
 
 
-@pytest.mark.parametrize("restarts", [1, 2, 3])
-@pytest.mark.parametrize("name", ["compressed", "quat", "complex-compressed",
-                                  "nn", "nn-complex"])
-def test_population_members_match_single_starts(name, restarts, h_reduced):
-    ansatz, h = _population_case(name, h_reduced)
-    seed, steps = 3, 25
+def _check_members(ansatz, h, seed, restarts, steps):
+    """Train a population and compare each member with its single start up
+    to the population's stop: the first step at which some member's energy
+    is certified, or ``steps``."""
     recorder = _Recorder(ansatz)
     result = train(recorder, h, TrainConfig(steps=steps, seed=seed,
                                             restarts=restarts))
+    ell = ground_state(h).excited_lower
+    singles = [_single_start(ansatz, h, seed + r, steps, ell)
+               for r in range(restarts)]
+    certified = [s[2] for s in singles if s[2] is not None]
+    taken = min(certified, default=steps)
+    assert result.steps_taken == taken
+    assert result.stopped_on == ("certificate" if certified else "step cap")
     # one call per step and one for the final energy, each on all members
     thetas = np.array(recorder.thetas)
-    assert thetas.shape == (steps + 1, restarts, ansatz.n_params)
+    assert thetas.shape == (taken + 1, restarts, ansatz.n_params)
     energies = np.array(recorder.energies)
     best = []
-    for r in range(restarts):
-        ref_energies, ref_thetas = _single_start(ansatz, h, seed + r, steps)
+    for r, (ref_energies, ref_thetas, _) in enumerate(singles):
+        ref_energies = np.append(ref_energies[:taken],
+                                 _energy(ansatz, ref_thetas[taken], h))
+        ref_thetas = ref_thetas[:taken + 1]
         trace = np.append(energies[:, r],
                           rayleigh_energy(recorder.final[r], h))
         assert np.array_equal(trace, ref_energies)
@@ -415,6 +525,26 @@ def test_population_members_match_single_starts(name, restarts, h_reduced):
     assert result.final_energy == best[win][0]
     assert np.array_equal(result.theta, best[win][1])
     assert np.array_equal(result.energies, best[win][2])
+    return result
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+@pytest.mark.parametrize("name", ["compressed", "quat", "complex-compressed",
+                                  "nn", "nn-complex"])
+def test_population_members_match_single_starts(name, restarts, h_reduced):
+    ansatz, h = _population_case(name, h_reduced)
+    _check_members(ansatz, h, seed=3, restarts=restarts, steps=25)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_population_stops_with_its_first_certified_member(seed, h_reduced):
+    # alone, the starts from seeds 0 and 2 certify within about 110 and 125
+    # steps and the one from seed 1 only after about 600: each population
+    # stops with its first certified member
+    h = h_reduced(U=5.0)
+    result = _check_members(CircuitAnsatz(h, "quat", 6), h, seed=seed,
+                            restarts=2, steps=300)
+    assert result.stopped_on == "certificate"
 
 
 def test_network_population_is_one_forward_and_one_backward_pass(
