@@ -361,15 +361,16 @@ def _read_checkpoint(path) -> qc.CircuitParams:
         raise ValueError(f"--checkpoint {path}: {exc}") from None
 
 
-def _train_config(args) -> vr.TrainConfig:
-    """The training settings; --steps, the step cap, defaults to 1500 for
-    the network, 1200 for a circuit and 2400 in complex mode."""
+def _train_config(args) -> tuple[vr.TrainConfig, bool]:
+    """The training settings and complex mode, which --complex or a nonzero
+    --phi turns on; --steps, the step cap, defaults to 1500 for the
+    network, 1200 for a circuit and 2400 in complex mode."""
+    complex_mode = args.complex_mode or args.phi != 0.0
     steps = args.steps
     if steps is None:
-        steps = (2400 if args.complex_mode or args.phi != 0.0 else
-                 1500 if args.ansatz == "nn" else 1200)
-    return vr.TrainConfig(steps=steps, learning_rate=args.lr,
-                          seed=args.seed, restarts=args.restarts)
+        steps = 2400 if complex_mode else 1500 if args.ansatz == "nn" else 1200
+    return vr.TrainConfig(steps=steps, learning_rate=args.lr, seed=args.seed,
+                          restarts=args.restarts), complex_mode
 
 
 def _comma_list(args, name: str, convert=int, what: str = "integers") -> list:
@@ -414,8 +415,7 @@ def _noise_layout(args, dim: int):
 
 def cmd_train(args) -> int:
     layers = _circuit_layers(args)
-    cfg = _train_config(args)
-    complex_mode = args.complex_mode or args.phi != 0.0
+    cfg, complex_mode = _train_config(args)
     h = _resolve_hamiltonian(args, kind=args.basis)
     state = ground_state(h)
     exact = state.energy
@@ -461,13 +461,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_study_layers(args) -> int:
-    cfg = _train_config(args)
+    cfg, complex_mode = _train_config(args)
     counts = _comma_list(args, "layer_grid")
     if min(counts) < 0:
         raise ValueError("layer count must be >= 0")
     h = _resolve_hamiltonian(args)
     rows = vr.layer_study(args.ansatz, counts, h, cfg,
-                          complex_mode=args.complex_mode or args.phi != 0.0,
+                          complex_mode=complex_mode,
                           raw_features=args.raw_features)
     for layers, energy in rows:
         print(f"{layers} {energy:.5f}")

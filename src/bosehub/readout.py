@@ -162,30 +162,26 @@ def correct(observed: ShotResult, inv: InverseConfusion) -> tuple[float, float]:
     return raw
 
 
-def postselect(group: list[tuple[int, InverseConfusion]]) -> int:
-    """Qubit with the smallest figure of merit; ties go to the lowest index."""
-    if not group:
-        raise ValueError("empty qubit group")
-    return min(group, key=lambda item: (item[1].figure_of_merit, item[0]))[0]
+def replica_argmin(layout: np.ndarray, fom: np.ndarray) -> np.ndarray:
+    """Column of each layout row's postselected qubit: the smallest ``fom``
+    (figures of merit shaped like ``layout``), ties to the lowest qubit id."""
+    return np.lexsort((layout, fom))[:, 0]
 
 
-def _replica_inverses(layout: np.ndarray, inverse: np.ndarray,
-                      fom: np.ndarray) -> list[dict[int, InverseConfusion]]:
-    """Each replica group's {qubit: inverse}, from the inverses and figures
-    of merit of the qubits of ``layout``, shaped like it."""
-    return [dict(zip(row, map(InverseConfusion, m, f)))
-            for row, m, f in zip(layout.tolist(), inverse, fom.tolist())]
-
-
-def _best_replicas(groups: list[dict[int, InverseConfusion]]) -> list[int]:
-    """Each replica group's qubit by :func:`postselect`."""
-    return [postselect(list(group.items())) for group in groups]
+def _replica_grid(layout) -> np.ndarray:
+    """``layout`` as an array with one or more replica columns."""
+    layout = np.asarray(layout)
+    if layout.ndim != 2 or layout.shape[1] == 0:
+        raise ValueError(f"layout of shape {layout.shape} has no replicas")
+    return layout
 
 
 def replica_layout(n_coeffs: int = 25, n_replicas: int = DEFAULT_REPLICAS,
                    n_qubits: int = DEFAULT_QUBITS) -> np.ndarray:
     """Qubit ids (n_coeffs, n_replicas); replica r occupies the block of
     n_coeffs qubits that starts at qubit r * n_coeffs."""
+    if n_replicas < 1:
+        raise ValueError(f"layout needs n_replicas >= 1, got {n_replicas}")
     if n_coeffs * n_replicas > n_qubits:
         raise ValueError("layout does not fit on the device")
     blocks = np.arange(n_replicas * n_coeffs).reshape(n_replicas, n_coeffs)
@@ -212,8 +208,9 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
     Sampling order is fixed (one draw calibrates every layout qubit, then one
     draws the whole layout's data), so results are deterministic given the rng.
     The calibration draw is made whatever the modes, so every mode set draws
-    the same samples; the per-qubit corrections and the postselection run
-    only for the modes that read them.
+    the same samples; only the corrected modes build the (coefficient,
+    replica) grid that :func:`correct` reads, one call per observation used,
+    and only the postselected ones call :func:`replica_argmin`.
 
     ``ideal``, the circuit's P(0) on every basis class, lets a caller that
     runs many trials of one circuit evaluate it once; it is computed here
@@ -226,7 +223,7 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
     dim = h.dim
     anchor = dim - 1 if anchor_index is None else anchor_index
     measured = [i for i in range(dim) if i != anchor]
-    layout = np.asarray(layout)
+    layout = _replica_grid(layout)
     if layout.shape[0] != len(measured):
         raise ValueError(
             f"layout covers {layout.shape[0]} coefficients, need {len(measured)}")
@@ -238,28 +235,28 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
     cal_shots = shots if calibration_shots is None else calibration_shots
     estimate = calibrate(device, layout, cal_shots, rng)
     counts = device.measure(layout, ideal[measured, None], shots, rng)
-    if set(modes) - {CorrectionMode.UNCORRECTED}:
-        # correct and postselect take one qubit's observation and inverse
-        groups = _replica_inverses(layout, *estimate.inverse())
-        samples = [{q: (ShotResult(shots, n), inv)
-                    for (q, inv), n in zip(group.items(), row)}
-                   for group, row in zip(groups, counts.tolist())]
-    if set(modes) & {CorrectionMode.POSTSELECTED,
-                     CorrectionMode.POSTSELECTED_CORRECTED}:
-        chosen = [sample[q]
-                  for sample, q in zip(samples, _best_replicas(groups))]
+    inverse, fom = estimate.inverse()
+    if {CorrectionMode.CORRECTED,
+            CorrectionMode.POSTSELECTED_CORRECTED} & set(modes):
+        # correct takes one qubit's observation and inverse
+        grid = [[(ShotResult(shots, n), InverseConfusion(m, f))
+                 for n, m, f in zip(*row)]
+                for row in zip(counts.tolist(), inverse, fom.tolist())]
+    if {CorrectionMode.POSTSELECTED,
+            CorrectionMode.POSTSELECTED_CORRECTED} & set(modes):
+        best = replica_argmin(layout, fom)
 
     energies = {}
     for mode in modes:
         if mode is CorrectionMode.UNCORRECTED:
             values = (counts / shots).mean(axis=1)
         elif mode is CorrectionMode.CORRECTED:
-            values = np.mean([[correct(*sample)[0] for sample in group.values()]
-                              for group in samples], axis=1)
+            values = np.mean([[correct(*pair)[0] for pair in row]
+                              for row in grid], axis=1)
         elif mode is CorrectionMode.POSTSELECTED:
-            values = [obs.frequency0 for obs, _ in chosen]
+            values = counts[np.arange(len(best)), best] / shots
         else:
-            values = [correct(*sample)[0] for sample in chosen]
+            values = [correct(*row[b])[0] for row, b in zip(grid, best)]
         coeffs = np.empty(dim)
         coeffs[anchor] = ideal[anchor]
         coeffs[measured] = values
@@ -322,11 +319,11 @@ def calibration_report(device: SimulatedDevice, shots: int, seed: int,
     """Per-qubit calibration rows (qubit, p00, p01, p10, p11, fom, selected);
     ``selected`` marks the qubit each replica group of ``layout`` would
     postselect by this calibration."""
+    layout = _replica_grid(layout)
     est = calibrate(device, np.arange(device.n_qubits), shots, seed)
-    inverse, fom = est.inverse()
-    layout = np.asarray(layout)
-    selected = set(_best_replicas(
-        _replica_inverses(layout, inverse[layout], fom[layout])))
+    fom = est.inverse()[1]
+    selected = set(layout[np.arange(len(layout)),
+                          replica_argmin(layout, fom[layout])].tolist())
     table = np.stack([est.p00, est.p01, est.p10, est.p11, fom], 1)
     return [(qubit, *row, int(qubit in selected))
             for qubit, row in enumerate(table.tolist())]

@@ -129,10 +129,11 @@ def test_array_inverse_matches_scalar_invert():
         assert np.array_equal(inv[q], ref) and np.array_equal(inv[q], scalar.matrix)
         assert fom[q] == float(np.trace(ref) / 2.0) == scalar.figure_of_merit
     layout = ro.replica_layout()
-    picked = layout[np.arange(len(layout)), np.argmin(fom[layout], axis=1)]
+    picked = layout[np.arange(len(layout)),
+                    ro.replica_argmin(layout, fom[layout])]
     for group, best in zip(layout.tolist(), picked.tolist()):
-        assert best == ro.postselect(
-            [(q, qubit_confusion(device, q).invert()) for q in group])
+        assert best == min(group, key=lambda q: (
+            qubit_confusion(device, q).invert().figure_of_merit, q))
 
 
 # --- correction -------------------------------------------------------------------
@@ -165,29 +166,33 @@ def test_correct_clamps_out_of_range():
 
 # --- postselection -----------------------------------------------------------------
 
-def inv_with_merit(eps):
-    return ro.ConfusionMatrix.from_flip_rates(eps, eps).invert()
+def merit(eps):
+    cm = ro.ConfusionMatrix.from_flip_rates(eps, eps)
+    return cm.invert().figure_of_merit
 
 
 def test_postselect_picks_minimum():
-    group = [(7, inv_with_merit(0.05)), (3, inv_with_merit(0.01)),
-             (9, inv_with_merit(0.08))]
-    assert ro.postselect(group) == 3
+    layout = np.array([[7, 3, 9], [4, 0, 8]])
+    fom = np.array([[merit(0.05), merit(0.01), merit(0.08)],
+                    [merit(0.03), merit(0.06), merit(0.02)]])
+    assert ro.replica_argmin(layout, fom).tolist() == [1, 2]  # qubits 3, 8
 
 
 def test_postselect_tie_breaks_low_index():
-    group = [(7, inv_with_merit(0.02)), (3, inv_with_merit(0.02))]
-    assert ro.postselect(group) == 3
+    # the lower id sits in the later column, so column order cannot decide
+    layout = np.array([[7, 3], [8, 2]])
+    fom = np.full(layout.shape, merit(0.02))
+    assert ro.replica_argmin(layout, fom).tolist() == [1, 1]  # qubits 3, 2
+    # a tie of the two smallest beats a larger figure at a lower id
+    layout = np.array([[1, 6, 4]])
+    fom = np.array([[merit(0.03), merit(0.02), merit(0.02)]])
+    assert ro.replica_argmin(layout, fom).tolist() == [2]  # qubit 4
 
 
 def test_postselect_perfect_wins():
-    group = [(5, inv_with_merit(0.0)), (1, inv_with_merit(0.001))]
-    assert ro.postselect(group) == 5
-
-
-def test_postselect_empty_rejected():
-    with pytest.raises(ValueError):
-        ro.postselect([])
+    layout = np.array([[5, 1]])
+    fom = np.array([[merit(0.0), merit(0.001)]])
+    assert ro.replica_argmin(layout, fom).tolist() == [0]  # qubit 5
 
 
 # --- device & layout ---------------------------------------------------------------
@@ -251,6 +256,12 @@ def test_layout_shape_and_blocks():
 def test_layout_too_big_rejected():
     with pytest.raises(ValueError):
         ro.replica_layout(25, 6, 125)
+
+
+@pytest.mark.parametrize("n_replicas", [0, -1])
+def test_layout_without_replicas_rejected(n_replicas):
+    with pytest.raises(ValueError, match="layout needs n_replicas >= 1"):
+        ro.replica_layout(25, n_replicas)
 
 
 def test_noiseless_measure_is_plain_binomial():
@@ -373,6 +384,31 @@ def test_layout_validation(trained):
                             ro.CorrectionMode.UNCORRECTED, rng=0)
 
 
+def counted_draws(monkeypatch) -> dict:
+    """Count every SimulatedDevice.measure call from here on."""
+    calls = {"measure": 0}
+    measure = ro.SimulatedDevice.measure
+
+    def spy(*args, **kwargs):
+        calls["measure"] += 1
+        return measure(*args, **kwargs)
+    monkeypatch.setattr(ro.SimulatedDevice, "measure", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(ro.CorrectionMode))
+def test_layout_without_replicas_fails_before_any_draw(trained, monkeypatch,
+                                                       mode):
+    params, h = trained
+    device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
+    draws = counted_draws(monkeypatch)
+    for layout in (np.empty((25, 0), dtype=int), np.arange(25)):
+        with pytest.raises(ValueError, match="layout of shape .* has no "
+                                             "replicas"):
+            ro.noisy_energies(params, h, device, layout, 100, [mode], rng=0)
+    assert draws == {"measure": 0}
+
+
 def test_zero_shots_rejected(trained):
     params, h = trained
     device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
@@ -420,8 +456,8 @@ def test_given_ideal_weights_draw_the_same_energies(trained):
 @pytest.mark.parametrize("modes,corrections,postselections", [
     (["uncorrected"], 0, 0),
     (["corrected"], 125, 0),
-    (["postselected"], 0, 25),
-    (["uncorrected", "postselected-corrected"], 25, 25),
+    (["postselected"], 0, 1),
+    (["uncorrected", "postselected-corrected"], 25, 1),
 ])
 def test_per_qubit_work_only_for_modes_that_read_it(trained, monkeypatch,
                                                     modes, corrections,
@@ -430,7 +466,7 @@ def test_per_qubit_work_only_for_modes_that_read_it(trained, monkeypatch,
     device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
     everything = ro.noisy_energies(params, h, device, ro.replica_layout(),
                                    4000, list(ro.CorrectionMode), rng=11)
-    calls = {"correct": 0, "postselect": 0}
+    calls = {"correct": 0, "replica_argmin": 0}
     for name in calls:
         def spy(*args, fn=getattr(ro, name), name=name):
             calls[name] += 1
@@ -438,7 +474,7 @@ def test_per_qubit_work_only_for_modes_that_read_it(trained, monkeypatch,
         monkeypatch.setattr(ro, name, spy)
     some = ro.noisy_energies(params, h, device, ro.replica_layout(), 4000,
                              modes, rng=11)
-    assert calls == {"correct": corrections, "postselect": postselections}
+    assert calls == {"correct": corrections, "replica_argmin": postselections}
     # every mode set draws the same samples, so each energy is unchanged
     assert some == {mode: everything[mode]
                     for mode in map(ro.CorrectionMode, modes)}
@@ -567,7 +603,7 @@ def test_calibration_report_and_csv(tmp_path):
     rows = ro.calibration_report(device, shots=20000, seed=0, layout=layout)
     assert len(rows) == 8
     assert all(r[5] >= 1.0 for r in rows)
-    # each group's smallest figure of merit, as postselect ranks the row's
+    # each group's smallest figure of merit, ties to the lowest qubit id
     fom = {r[0]: r[5] for r in rows}
     best = {min(group, key=lambda q: (fom[q], q)) for group in layout.tolist()}
     assert len(best) == 2
@@ -581,6 +617,42 @@ def test_calibration_report_and_csv(tmp_path):
     ro.write_calibration_csv(rows, path)
     header = path.read_text().splitlines()[0]
     assert header == "qubit,p00,p01,p10,p11,figure_of_merit,selected"
+
+
+def test_calibration_report_without_replicas_fails_before_any_draw(
+        monkeypatch):
+    device = ro.SimulatedDevice.random(8, (0.01, 0.04), seed=1)
+    draws = counted_draws(monkeypatch)
+    with pytest.raises(ValueError, match="layout of shape \\(2, 0\\) has no "
+                                         "replicas"):
+        ro.calibration_report(device, shots=100, seed=0,
+                              layout=np.empty((2, 0), dtype=int))
+    assert draws == {"measure": 0}
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_calibration_report_selects_the_lowest_merit_then_id(data):
+    n_coeffs, n_replicas = data.draw(st.integers(1, 6)), data.draw(
+        st.integers(1, 4))
+    n_qubits = n_coeffs * n_replicas + data.draw(st.integers(0, 3))
+    ids = data.draw(st.permutations(range(n_qubits)))
+    layout = np.array(ids[:n_coeffs * n_replicas]).reshape(n_coeffs,
+                                                           n_replicas)
+    # qubits below this id are noiseless: a figure of merit of exactly 1,
+    # so groups with two or more of them tie
+    quiet = data.draw(st.integers(0, n_qubits))
+    flips = st.lists(st.floats(0.01, 0.05), min_size=n_qubits,
+                     max_size=n_qubits)
+    eps0, eps1 = (np.where(np.arange(n_qubits) < quiet, 0.0,
+                           data.draw(flips)) for _ in range(2))
+    rows = ro.calibration_report(device_of(eps0, eps1), shots=200,
+                                 seed=data.draw(st.integers(0, 2 ** 16)),
+                                 layout=layout)
+    fom = {r[0]: r[5] for r in rows}
+    assert all(fom[q] == 1.0 for q in range(quiet))
+    best = {min(group, key=lambda q: (fom[q], q)) for group in layout.tolist()}
+    assert [r[6] for r in rows] == [int(q in best) for q in range(n_qubits)]
 
 
 def test_energy_report_csv(tmp_path):

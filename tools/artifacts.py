@@ -78,7 +78,17 @@ COMMANDS = {
                     CKPT.format(5), "--U", "2,5", "--modes", MODES,
                     "--trials", "5", "--seed", "3", "--out", "noise.csv",
                     "--calibration-out", "calibration.csv"],
+    "study_noise_postselected": [
+        "study", "noise", "--checkpoint", CKPT.format(5), "--U", "5",
+        "--modes", "postselected", "--trials", "5", "--seed", "3",
+        "--out", "noise_postselected.csv",
+        "--calibration-out", "calibration_postselected.csv"],
     "noise_run": ["noise-run", "--checkpoint", CKPT.format(5), "--U", "5"],
+    "noise_run_postselected": ["noise-run", "--checkpoint", CKPT.format(5),
+                               "--U", "5", "--mode", "postselected"],
+    "noise_run_postselected_corrected": [
+        "noise-run", "--checkpoint", CKPT.format(5), "--U", "5",
+        "--mode", "postselected-corrected"],
     "check": ["--check"],
 }
 
