@@ -75,8 +75,6 @@ class HamiltonianMatrix:
             raise ValueError(
                 f"matrix shape {m.shape} does not match basis dim {self.basis.dim}"
             )
-        if not m.size:
-            return
         dev, biggest = _hermitian_deviation(m)
         object.__setattr__(self, "scale", max(1.0, biggest))
         if dev > HERMITICITY_TOL * self.scale:

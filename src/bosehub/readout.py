@@ -168,11 +168,16 @@ def replica_argmin(layout: np.ndarray, fom: np.ndarray) -> np.ndarray:
     return np.lexsort((layout, fom))[:, 0]
 
 
-def _replica_grid(layout) -> np.ndarray:
-    """``layout`` as an array with one or more replica columns."""
+def _replica_grid(layout, n_qubits: int) -> np.ndarray:
+    """``layout`` as an array with one or more replica columns, each qubit
+    of an ``n_qubits`` device at most once."""
     layout = np.asarray(layout)
     if layout.ndim != 2 or layout.shape[1] == 0:
         raise ValueError(f"layout of shape {layout.shape} has no replicas")
+    if np.unique(layout).size != layout.size:
+        raise ValueError("layout assigns a qubit twice")
+    if layout.size and (layout.min() < 0 or layout.max() >= n_qubits):
+        raise ValueError("layout references qubits outside the device")
     return layout
 
 
@@ -223,14 +228,10 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
     dim = h.dim
     anchor = dim - 1 if anchor_index is None else anchor_index
     measured = [i for i in range(dim) if i != anchor]
-    layout = _replica_grid(layout)
+    layout = _replica_grid(layout, device.n_qubits)
     if layout.shape[0] != len(measured):
         raise ValueError(
             f"layout covers {layout.shape[0]} coefficients, need {len(measured)}")
-    if np.unique(layout).size != layout.size:
-        raise ValueError("layout assigns a qubit twice")
-    if layout.size and (layout.min() < 0 or layout.max() >= device.n_qubits):
-        raise ValueError("layout references qubits outside the device")
 
     cal_shots = shots if calibration_shots is None else calibration_shots
     estimate = calibrate(device, layout, cal_shots, rng)
@@ -319,7 +320,7 @@ def calibration_report(device: SimulatedDevice, shots: int, seed: int,
     """Per-qubit calibration rows (qubit, p00, p01, p10, p11, fom, selected);
     ``selected`` marks the qubit each replica group of ``layout`` would
     postselect by this calibration."""
-    layout = _replica_grid(layout)
+    layout = _replica_grid(layout, device.n_qubits)
     est = calibrate(device, np.arange(device.n_qubits), shots, seed)
     fom = est.inverse()[1]
     selected = set(layout[np.arange(len(layout)),

@@ -41,12 +41,10 @@ from .hamiltonian import HamiltonianMatrix, ground_state
 
 # The natural-gradient step: the damping added to the projected class-space
 # Gram matrix, the cap on a step's length in parameter space, and the gap
-# between an energy and its Temple bound that stops training. Then the
-# half-width of a circuit's uniform parameter initialization.
+# between an energy and its Temple bound that stops training.
 DAMPING = 1e-3
 MAX_STEP = 0.2
 CERTIFIED_GAP = 1e-5
-INIT_SCALE = 0.1
 
 
 class TrainingDiverged(RuntimeError):
@@ -138,13 +136,6 @@ def _residuals(coeffs, h: HamiltonianMatrix, gram=None):
     return energies, _natural_step(coeffs, residuals, norms, gram), variances
 
 
-def _stacked(z):
-    """Real vectors (R, n) of complex ones (R, B): [Re z, Im z]."""
-    if np.iscomplexobj(z):
-        return np.concatenate([z.real, z.imag], axis=-1)
-    return z
-
-
 def _natural_step(coeffs, residuals, norms, gram):
     """y (R, B) with 2 Re(y @ J) = J~^T (J~ J~^T + DAMPING I)^-1 r.
 
@@ -159,8 +150,11 @@ def _natural_step(coeffs, residuals, norms, gram):
     u = coeffs / np.sqrt(norms)[:, None]
     columns = [residuals, u, 1j * u] if np.iscomplexobj(coeffs) \
         else [residuals, u]
-    # (K + |c|^2 DAMPING I) z = [residuals, Q], residuals = r/|c|
-    rhs = np.stack([_stacked(v) for v in columns], axis=-1)
+    # (K + |c|^2 DAMPING I) z = [residuals, Q], residuals = r/|c|; complex
+    # columns stack their real parts over their imaginary ones
+    rhs = np.stack(columns, axis=-1)
+    if np.iscomplexobj(rhs):
+        rhs = np.concatenate([rhs.real, rhs.imag], axis=1)
     n = rhs.shape[1]
     gram.reshape(len(gram), -1)[:, ::n + 1] += DAMPING * norms[:, None]
     z = np.linalg.solve(gram, rhs)
@@ -204,10 +198,10 @@ class MlpAnsatz:
         return neural.output_to_coefficient(out)
 
     def energy_gradient(self, thetas, h: HamiltonianMatrix, natural=False):
-        """Energies (R,), dE/dtheta (R, P) and coefficients (R, B) of the
-        members' parameters (R, P), from one network pass over all. With
-        ``natural``, the natural-gradient step replaces dE/dtheta and the
-        energy variances (R,) come fourth."""
+        """Energies (R,), dE/dtheta (R, P), coefficients (R, B) and energy
+        variances (R,) of the members' parameters (R, P), from one network
+        pass over all. With ``natural``, the natural-gradient step replaces
+        dE/dtheta."""
         params = self._template.with_flat(thetas)
         out, cache = neural.mlp_forward(params, self.features)
         c = neural.output_to_coefficient(out)
@@ -220,8 +214,7 @@ class MlpAnsatz:
         else:
             upstream = (2.0 * yc)[..., None]
         grad = neural.mlp_backward(params, cache, upstream)
-        return (energies, grad, c, variances) if natural else \
-            (energies, grad, c)
+        return energies, grad, c, variances
 
     def export(self, theta) -> str:
         return neural.to_json(self._template.with_flat(theta))
@@ -242,8 +235,8 @@ class CircuitAnsatz:
         self.n_params = qc.param_count(kind, layers, self.n_features)
 
     def initial_vector(self, rng) -> np.ndarray:
-        return qc.init_params(self.kind, self.layers, rng, INIT_SCALE,
-                              self.n_features).values
+        return qc.init_params(self.kind, self.layers, rng,
+                              n_features=self.n_features).values
 
     def coefficients(self, thetas):
         """Coefficients (R, B) of the members' parameters (R, P)."""
@@ -251,10 +244,10 @@ class CircuitAnsatz:
                           self.complex_mode)
 
     def energy_gradient(self, thetas, h: HamiltonianMatrix, natural=False):
-        """Energies (R,), dE/dtheta (R, P) and coefficients (R, B) of the
-        members' parameters (R, P), from one kernel call. With ``natural``,
-        the natural-gradient step replaces dE/dtheta and the energy
-        variances (R,) come fourth."""
+        """Energies (R,), dE/dtheta (R, P), coefficients (R, B) and energy
+        variances (R,) of the members' parameters (R, P), from one kernel
+        call. With ``natural``, the natural-gradient step replaces
+        dE/dtheta."""
         c, jac = qc.weights_and_jacobian(self.kind, qc.finite_values(thetas),
                                          self.features, self.complex_mode)
         gram = None
@@ -265,8 +258,7 @@ class CircuitAnsatz:
         energies, y, variances = _residuals(c, h, gram)
         # a stacked matmul rounds as each member's y @ J; einsum does not
         grad = 2.0 * (y[:, None] @ jac)[:, 0].real
-        return (energies, grad, c, variances) if natural else \
-            (energies, grad, c)
+        return energies, grad, c, variances
 
     def export(self, theta) -> str:
         return qc.to_json(
@@ -279,20 +271,23 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
 
     Single-qubit landscapes have local minima, so ``cfg.restarts`` members
     start from seeds ``seed, seed+1, ...`` and train together as one
-    population: each step is one ``energy_gradient`` call and one update
-    of the (R, P) parameters, theta -= min(eta, MAX_STEP/|d|) d for each
-    member's step d. Each member follows the trajectory it would follow
-    alone. Training stops after the first step where some member's energy
-    E and variance sigma^2 give E < ell and sigma^2/(ell - E) <=
-    CERTIFIED_GAP, or after ``cfg.steps`` steps; ell is ``excited_lower``,
-    by default the one of ``ground_state(h)``.
+    population, in one loop over the iterates. Each iterate's energies and
+    variances are recorded, checked, kept if best and bounded by the same
+    code. Every iterate but the last comes from one ``energy_gradient``
+    call and moves the (R, P) parameters by theta -= min(eta, MAX_STEP/|d|)
+    d for each member's step d. The last one comes from ``coefficients``
+    and takes no step: it is iterate ``cfg.steps``, or the one after the
+    first iterate where some member's energy E and variance sigma^2 give
+    E < ell and sigma^2/(ell - E) <= CERTIFIED_GAP; ell is
+    ``excited_lower``, by default the one of ``ground_state(h)``. Each
+    member follows the trajectory it would follow alone.
 
     The steps need not lower the energy, so each member keeps its
     lowest-energy iterate, not its last; the lowest of those wins, the
     lowest seed on a tie. The result's Temple bound is the highest one of
     any iterate. If any member's energy turns non-finite,
-    ``TrainingDiverged`` carries the trace of the lowest-index such member.
-    Deterministic for a fixed config.
+    ``TrainingDiverged`` carries the trace of the lowest-index such member,
+    up to and including that energy. Deterministic for a fixed config.
     """
     if not h.is_real and not ansatz.complex_mode:
         raise ValueError("complex Hamiltonian needs a complex-mode ansatz")
@@ -304,71 +299,44 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
     energies = np.empty((cfg.restarts, cfg.steps + 1))
     best_energy, best_theta = np.full(cfg.restarts, np.inf), theta.copy()
     best_variance = np.full(cfg.restarts, np.nan)
-    bound, stopped_on, taken = -math.inf, "step cap", cfg.steps
-    for step in range(1, cfg.steps + 1):
-        energy, direction, _, variance = ansatz.energy_gradient(
-            theta, h, natural=True)
-        energies[:, step - 1] = energy
-        if not _keep_better(energy, variance, theta, best_energy,
-                            best_variance, best_theta):
-            raise _diverged(energy, seeds, f"at step {step}",
-                            energies[:, :step])
-        gaps = _temple_gaps(energy, variance, excited_lower)
-        bound = max(bound, *(energy - gaps))
+    bound, stopped_on = -math.inf, "step cap"
+    for step in range(cfg.steps + 1):
+        last = step == cfg.steps or stopped_on == "certificate"
+        if last:
+            energy, _, variance = _residuals(ansatz.coefficients(theta), h)
+        else:
+            energy, direction, _, variance = ansatz.energy_gradient(
+                theta, h, natural=True)
+        energies[:, step] = energy
+        certified = False
+        for k, (e, v, best) in enumerate(zip(
+                energy.tolist(), variance.tolist(), best_energy.tolist())):
+            if not math.isfinite(e):
+                when = "the final step" if last else f"step {step + 1}"
+                raise TrainingDiverged(
+                    f"energy of the restart from seed {seeds[k]} became "
+                    f"non-finite at {when}", energies[k, :step + 1].copy())
+            if e < best:
+                best_energy[k], best_variance[k] = e, v
+                best_theta[k] = theta[k]
+            # Temple: E - sigma^2/(ell - E) <= E_0, if E < ell
+            gap = v / (excited_lower - e) if e < excited_lower else math.inf
+            bound = max(bound, e - gap)
+            certified |= gap <= CERTIFIED_GAP
+        if last:
+            break
         rate = [min(cfg.learning_rate, MAX_STEP / size) if size
                 else cfg.learning_rate
                 for size in np.linalg.norm(direction, axis=1).tolist()]
         direction *= np.array(rate)[:, None]
         theta -= direction
-        if gaps.min() <= CERTIFIED_GAP:
-            stopped_on, taken = "certificate", step
-            break
-    energy, _, variance = _residuals(ansatz.coefficients(theta), h)
-    energies[:, taken] = energy
-    if not _keep_better(energy, variance, theta, best_energy, best_variance,
-                        best_theta):
-        raise _diverged(energy, seeds, "at the final step",
-                        energies[:, :taken])
-    bound = max(bound, *(energy - _temple_gaps(energy, variance,
-                                               excited_lower)))
+        if certified:
+            stopped_on = "certificate"
     win = int(np.argmin(best_energy))  # the first of equal minima
-    return TrainResult(best_theta[win], energies[win, :taken + 1],
+    return TrainResult(best_theta[win], energies[win, :step + 1],
                        seeds[win], float(best_energy[win]),
                        float(best_variance[win]), float(bound),
                        float(excited_lower), stopped_on)
-
-
-def _temple_gaps(energy, variance, excited_lower) -> np.ndarray:
-    """sigma^2/(ell - E) of each member, the distance from its energy E
-    down to its Temple lower bound on the ground energy; inf where
-    E >= ell, where Temple's inequality does not apply."""
-    return np.array([v / (excited_lower - e) if e < excited_lower
-                     else math.inf
-                     for e, v in zip(energy.tolist(), variance.tolist())])
-
-
-def _keep_better(energy, variance, theta, best_energy, best_variance,
-                 best_theta) -> bool:
-    """Copy each member's energy, variance and parameters into the best
-    buffers where the energy is below its best so far. Returns False,
-    having copied nothing, if some energy is not finite."""
-    values = energy.tolist()
-    if not all(map(math.isfinite, values)):
-        return False
-    for k, (e, best) in enumerate(zip(values, best_energy.tolist())):
-        if e < best:
-            best_energy[k] = e
-            best_variance[k] = variance[k]
-            best_theta[k] = theta[k]
-    return True
-
-
-def _diverged(energy, seeds, when: str, traces) -> TrainingDiverged:
-    """``TrainingDiverged`` with the first non-finite member's trace."""
-    k = np.flatnonzero(~np.isfinite(energy))[0]
-    return TrainingDiverged(
-        f"energy of the restart from seed {seeds[k]} became non-finite "
-        f"{when}", traces[k].copy())
 
 
 def layer_study(kind: str, layer_counts, h: HamiltonianMatrix,

@@ -60,6 +60,16 @@ def test_exact_deformed(capsys):
     assert stdout.splitlines()[0] == "-4.65903"
 
 
+def test_exact_refuses_the_deformed_model_in_the_full_basis(tmp_path,
+                                                          capsys):
+    code, stdout, err = run(capsys, "exact", "--basis", "full", "--U", "5",
+                            "--phi", "1", "--out-prefix",
+                            str(tmp_path / "deformed"))
+    assert code == 1 and stdout == ""
+    assert err == "error: the deformed model lives in the reduced basis\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exact_deformed_needs_no_basis_flag(capsys):
     # the reduced basis is the default, and the deformed model lives there
     code, stdout, _ = run(capsys, "exact", "--t", "1", "--U", "5",
@@ -423,7 +433,8 @@ def test_study_noise_reads_every_checkpoint_first(missing_first, tmp_path,
     ("{", "not JSON (Expecting property name enclosed in double quotes: "
           "line 1 column 2 (char 1))"),
     ("mlp", "not a circuit parameter document"),
-], ids=["missing", "a list", "not JSON", "a network"])
+    ('{"format": "bosehub-circuit", "version": 1}', "no 'kind' field"),
+], ids=["missing", "a list", "not JSON", "a network", "no kind"])
 @pytest.mark.parametrize("command", [
     ["study", "shots", "--grid", "100", "--trials", "2"], ["noise-run"]],
     ids=["study shots", "noise-run"])

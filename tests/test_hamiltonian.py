@@ -245,11 +245,29 @@ def test_scalar_matrix():
     assert abs(state.amplitudes[0]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"sites": 0}, "sites must be >= 1"),
+    ({"bosons": -1}, "bosons must be >= 0"),
+    ({"t": np.nan}, "t, U, phi must be finite"),
+    ({"U": np.inf}, "t, U, phi must be finite"),
+    ({"phi": -np.inf}, "t, U, phi must be finite"),
+], ids=["sites", "bosons", "t", "U", "phi"])
+def test_model_params_refusals(kwargs, message):
+    fields = {"t": 1.0, "U": 5.0, "sites": 6, "bosons": 5, **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ModelParams(**fields)
+
+
 def test_non_hermitian_rejected(reduced26):
     bad = np.zeros((26, 26))
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
         HamiltonianMatrix(bad, reduced26, ModelParams(1.0, 2.0, 6, 5))
+    # the shape is checked first, so no matrix is empty
+    with pytest.raises(ValueError, match="^matrix shape \\(0, 0\\) does not "
+                                         "match basis dim 26$"):
+        HamiltonianMatrix(np.zeros((0, 0)), reduced26,
+                          ModelParams(1.0, 2.0, 6, 5))
 
 
 def test_power_iteration_cross_check(h_reduced):

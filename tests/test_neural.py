@@ -153,6 +153,10 @@ def test_checkpoint_round_trip_exact(rng):
 def test_checkpoint_rejects_foreign():
     with pytest.raises(ValueError):
         neural.from_json(json.dumps({"format": "nope"}))
+    doc = json.loads(neural.to_json(neural.MlpParams.initialize()))
+    doc["version"] = 2
+    with pytest.raises(ValueError, match="^unsupported version 2$"):
+        neural.from_json(json.dumps(doc))
 
 
 def test_with_flat_validates_length():

@@ -409,6 +409,29 @@ def test_layout_without_replicas_fails_before_any_draw(trained, monkeypatch,
     assert draws == {"measure": 0}
 
 
+@pytest.mark.parametrize("layout,message", [
+    ([[-1, 2]], "layout references qubits outside the device"),
+    ([[0, 9]], "layout references qubits outside the device"),
+    ([[1, 1]], "layout assigns a qubit twice"),
+], ids=["negative id", "id past the device", "duplicate"])
+@pytest.mark.parametrize("entry", ["noisy_energies", "calibration_report"])
+def test_bad_layout_fails_before_any_draw(trained, monkeypatch, entry,
+                                          layout, message):
+    # both entry points run one check, before the coefficient count, on
+    # an 8-qubit device
+    params, h = trained
+    device = ro.SimulatedDevice.random(8, (0.01, 0.04), seed=1)
+    draws = counted_draws(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if entry == "noisy_energies":
+            ro.noisy_energies(params, h, device, np.array(layout), 100,
+                              list(ro.CorrectionMode), rng=0)
+        else:
+            ro.calibration_report(device, shots=100, seed=0,
+                                  layout=np.array(layout))
+    assert draws == {"measure": 0}
+
+
 def test_zero_shots_rejected(trained):
     params, h = trained
     device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
@@ -490,6 +513,12 @@ def test_shot_study_median_shrinks(trained):
     # ~1/sqrt(shots) scaling: two decades of shots, about one decade of error
     ratio = medians[0] / medians[2]
     assert ratio > 3.0
+
+
+def test_shot_study_rejects_zero_trials(trained):
+    params, h = trained
+    with pytest.raises(ValueError, match="^trials must be >= 1$"):
+        ro.shot_study(params, h, [100], trials=0)
 
 
 def test_shot_study_single_shot_order_unity(trained):

@@ -61,6 +61,8 @@ def test_rayleigh_global_phase_invariance(h_reduced, rng):
 def test_rayleigh_rejects_zero_vector(h_reduced):
     with pytest.raises(ValueError):
         rayleigh_energy(np.zeros(26), h_reduced(U=5.0))
+    with pytest.raises(ValueError, match="^zero coefficient vector$"):
+        rayleigh_residual(np.zeros(26), h_reduced(U=5.0))
 
 
 def test_rayleigh_rejects_wrong_length(h_reduced):
@@ -204,10 +206,13 @@ def test_natural_step_is_the_textbook_formula(kind, complex_mode, phi,
         assert np.abs(steps[k] - step).max() <= 1e-10 * np.abs(step).max()
         assert variances[k] == pytest.approx(variance, rel=1e-12)
         assert energies[k] == rayleigh_energy(ck, h)
-    # called without natural, the same method still returns dE/dtheta
-    energies_plain, _, c_plain = ansatz.energy_gradient(thetas, h)
+    # called without natural, the same method still returns dE/dtheta,
+    # in the same four-value shape
+    energies_plain, _, c_plain, variances_plain = ansatz.energy_gradient(
+        thetas, h)
     assert np.array_equal(energies_plain, energies)
     assert np.array_equal(c_plain, c)
+    assert np.array_equal(variances_plain, variances)
 
 
 @given(kind=st.sampled_from(["nn", "compressed", "quat"]),
@@ -260,7 +265,7 @@ def test_circuit_ansatz_checks_its_layout_once(h_reduced, monkeypatch):
 
     monkeypatch.setattr(qc, "param_count", recheck)
     monkeypatch.setattr(qc, "_check_matrix", recheck)
-    energy, _, c = ansatz.energy_gradient(theta, h)
+    energy, _, c, _ = ansatz.energy_gradient(theta, h)
     np.testing.assert_array_equal(ansatz.coefficients(theta), c)
     assert energy[0] == rayleigh_energy(c[0], h)
     bad = theta.copy()
@@ -429,6 +434,31 @@ def test_divergence_of_two_members_reports_the_first(h_reduced):
     assert err.value.trace[0] == 1.0 and np.isnan(err.value.trace[1])
 
 
+@pytest.mark.parametrize("energy,variance,trace", [
+    (1.0, 1.0, [1.0, 1.0, 1.0, np.nan]),  # at the step cap
+    (-9.0, 0.0, [-9.0, np.nan]),  # one step after a certified iterate
+], ids=["step cap", "certificate"])
+def test_divergence_at_the_final_step_ends_the_trace(h_reduced, energy,
+                                                     variance, trace):
+    # the last iterate comes from coefficients alone; its non-finite energy
+    # ends the trace, as a divergence inside the loop does
+    h = h_reduced(U=5.0)
+
+    class NanAtTheEnd(_Scripted):
+        def energy_gradient(self, thetas, hh, natural=False):
+            out = super().energy_gradient(thetas, hh, natural)
+            return (*out[:3], np.full(len(thetas), variance))
+
+        def coefficients(self, thetas):
+            return np.full((len(thetas), 26), np.nan)
+
+    with pytest.raises(TrainingDiverged, match="seed 4 became non-finite at "
+                                               "the final step$") as err:
+        train(NanAtTheEnd(lambda call: [energy]), h,
+              TrainConfig(steps=3, seed=4))
+    np.testing.assert_array_equal(err.value.trace, trace)
+
+
 # --- restarts as one population ----------------------------------------------
 
 class _Recorder:
@@ -559,10 +589,10 @@ def test_network_population_is_one_forward_and_one_backward_pass(
             calls.append(_name)
             return _real(*args)
         monkeypatch.setattr(neural, name, spy)
-    energies, grads, c = ansatz.energy_gradient(thetas, h)
+    energies, grads, c, variances = ansatz.energy_gradient(thetas, h)
     assert calls == ["mlp_forward", "mlp_backward"]
     assert energies.shape == (3,) and grads.shape == thetas.shape
-    assert c.shape == (3, h.dim)
+    assert c.shape == (3, h.dim) and variances.shape == (3,)
 
 
 def test_tied_members_pick_the_lowest_seed(h_reduced):

@@ -58,6 +58,13 @@ COMMANDS = {
                           "--restarts", "2", "--out-dir", "train_nn_restarts"],
     "train_quat": ["train", "--ansatz", "quat", "--U", "5",
                    "--out-dir", "train_quat"],
+    "train_quat_steps0": ["train", "--ansatz", "quat", "--U", "5",
+                          "--steps", "0", "--out-dir", "train_quat_steps0"],
+    "train_quat_steps1": ["train", "--ansatz", "quat", "--U", "5",
+                          "--steps", "1", "--out-dir", "train_quat_steps1"],
+    "train_quat_restarts3": ["train", "--ansatz", "quat", "--U", "5",
+                             "--restarts", "3",
+                             "--out-dir", "train_quat_restarts3"],
     "train_compressed": ["train", "--ansatz", "compressed", "--U", "5",
                          "--restarts", "2", "--out-dir", "train_compressed"],
     "train_quat_complex": ["train", "--ansatz", "quat", "--U", "5",
