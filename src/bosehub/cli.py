@@ -502,6 +502,9 @@ def cmd_study_noise(args) -> int:
     device = _noise_device(args)
     descriptor = _basis(args)
     layout = _noise_layout(args, descriptor.dim)
+    # an independent calibration (its own seed), refused before any trial
+    report = (ro.calibration_report(device, args.shots, args.seed, layout)
+              if args.calibration_out else None)
     rows = []
     for ui, (u, params) in enumerate(zip(u_values, circuits)):
         h = build_reduced(ModelParams(args.t, u, args.sites, args.bosons),
@@ -525,7 +528,6 @@ def cmd_study_noise(args) -> int:
         ro.write_energy_report_csv(rows, args.out)
         print(f"wrote {args.out}")
     if args.calibration_out:
-        report = ro.calibration_report(device, args.shots, args.seed, layout)
         ro.write_calibration_csv(report, args.calibration_out)
         print(f"wrote {args.calibration_out}")
     return 0

@@ -2,16 +2,15 @@
 
 The reference architecture takes the M mean-subtracted occupations into two
 tanh hidden layers of 64 and 32 nodes and a linear output head carrying no
-bias, for 2560 parameters at M=6 with one output. Wave-function coefficients
-are the exponential of the output: strictly positive for one output (the
-ground state has uniform sign), magnitude-and-phase e^{x0 + i x1} for two.
+bias, for 2560 parameters in one flat vector at M=6 with one output. The
+coefficients are the exponential of the output: strictly positive for one
+output (the ground state has uniform sign), e^{x0 + i x1} for two.
 """
 from __future__ import annotations
 
-import functools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,49 +20,56 @@ _FORMAT_VERSION = 1
 
 @dataclass
 class MlpParams:
-    """Hidden (W, b) pairs plus the bias-free output matrix."""
+    """Values ``flat`` in parameter order (W1, b1, W2, b2, ..., W_out), (P,)
+    or (R, P) with a member axis R; ``sizes`` are the inputs, then each
+    hidden width. ``hidden`` ((W, b) per layer) and the bias-free ``output``
+    are views into ``flat``, so they share its writability."""
 
-    hidden: list[tuple[np.ndarray, np.ndarray]]
-    output: np.ndarray
+    sizes: tuple[int, ...]
+    n_outputs: int
+    flat: np.ndarray
+    hidden: list[tuple[np.ndarray, np.ndarray]] = field(init=False)
+    output: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        lead, size = self.flat.shape[:-1], self.flat.shape[-1]
+        if size != self.n_params:
+            raise ValueError(f"expected {self.n_params} values, got {size}")
+        self.hidden = []
+        pos = 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            end = pos + fan_in * fan_out
+            self.hidden.append((
+                self.flat[..., pos:end].reshape(lead + (fan_in, fan_out)),
+                self.flat[..., end:end + fan_out]))
+            pos = end + fan_out
+        self.output = self.flat[..., pos:].reshape(
+            lead + (self.sizes[-1], self.n_outputs))
+
+    @property
+    def n_params(self) -> int:
+        s = self.sizes
+        return sum((a + 1) * b for a, b in zip(s, s[1:])) \
+            + s[-1] * self.n_outputs
 
     @classmethod
     def initialize(cls, sizes=(6, 64, 32), outputs: int = 1, rng=0,
                    ) -> "MlpParams":
-        """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
+        """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per block,
+        drawn block by block in parameter order into one flat vector."""
         rng = np.random.default_rng(rng)
-        hidden = []
+        blocks = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             lim = 1.0 / np.sqrt(fan_in)
-            hidden.append((rng.uniform(-lim, lim, (fan_in, fan_out)),
-                           rng.uniform(-lim, lim, fan_out)))
+            blocks += [rng.uniform(-lim, lim, fan_in * fan_out),
+                       rng.uniform(-lim, lim, fan_out)]
         lim = 1.0 / np.sqrt(sizes[-1])
-        output = rng.uniform(-lim, lim, (sizes[-1], outputs))
-        return cls(hidden, output)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.hidden[0][0].shape[-2]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.output.shape[-1]
-
-    @functools.cached_property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in self.hidden) + self.output.size
-
-    def flatten(self) -> np.ndarray:
-        """The values in parameter order: (P,), or (R, P) for parameters
-        with a leading member axis R."""
-        lead = self.output.shape[:-2]
-        parts = [a.reshape(lead + (-1,))
-                 for w, b in self.hidden for a in (w, b)]
-        parts.append(self.output.reshape(lead + (-1,)))
-        return np.concatenate(parts, axis=-1)
+        blocks.append(rng.uniform(-lim, lim, sizes[-1] * outputs))
+        return cls(tuple(sizes), outputs, np.concatenate(blocks))
 
     def with_flat(self, flat: np.ndarray) -> "MlpParams":
-        """Parameters of this shape as read-only views into a flat vector,
-        or into the rows of an (R, P) array with a leading member axis.
+        """Parameters of this shape as read-only views into ``flat``, (P,)
+        or (R, P) with a leading member axis.
 
         Nothing is copied: the result reads ``flat`` (or its float copy,
         when it is not a float array), so ``flat`` must not change while the
@@ -71,24 +77,7 @@ class MlpParams:
         # slices of a read-only view are read-only; the caller's array is not
         flat = np.asarray(flat, dtype=float).view()
         flat.flags.writeable = False
-        return self._views(flat)
-
-    def _views(self, flat: np.ndarray) -> "MlpParams":
-        """Parameters of this shape as views into the last axis of flat."""
-        lead, size = flat.shape[:-1], flat.shape[-1]
-        if size != self.n_params:
-            raise ValueError(f"expected {self.n_params} values, got {size}")
-        pos = 0
-        hidden = []
-        for w, b in self.hidden:
-            end = pos + w.shape[-2] * w.shape[-1]
-            hidden.append((flat[..., pos:end].reshape(lead + w.shape[-2:]),
-                           flat[..., end:end + b.shape[-1]]))
-            pos = end + b.shape[-1]
-        params = MlpParams(
-            hidden, flat[..., pos:].reshape(lead + self.output.shape[-2:]))
-        params.n_params = size  # the same shapes, so the same count
-        return params
+        return MlpParams(self.sizes, self.n_outputs, flat)
 
 
 def mlp_forward(params: MlpParams, features):
@@ -102,9 +91,9 @@ def mlp_forward(params: MlpParams, features):
     x = np.asarray(features, dtype=float)
     single = x.ndim == 1
     X = x.reshape(1, -1) if x.ndim < 2 else x
-    if X.shape[1] != params.n_inputs:
+    if X.shape[1] != params.sizes[0]:
         raise ValueError(
-            f"expected {params.n_inputs} inputs, got {X.shape[1]}"
+            f"expected {params.sizes[0]} inputs, got {X.shape[1]}"
         )
     activations = [X]
     a = X
@@ -122,14 +111,14 @@ def mlp_backward(params: MlpParams, activations, upstream) -> np.ndarray:
 
     ``upstream`` holds d(loss)/d(output) per batch row; the result is the
     gradient of the scalar loss with respect to every weight and bias. A
-    member axis R leads both: (R, batch, outputs) in, (R, P) out.
+    member axis R leads both: (R, batch, outputs) in, (R, P) out, each block
+    written in place through its :class:`MlpParams` view.
     """
     dout = np.asarray(upstream, dtype=float)
     if dout.ndim < 2:
         dout = dout.reshape(1, -1)
-    # each block is written in place through a view of its own
-    grad = np.empty(dout.shape[:-2] + (params.n_params,))
-    blocks = params._views(grad)
+    blocks = MlpParams(params.sizes, params.n_outputs,
+                       np.empty(dout.shape[:-2] + params.flat.shape[-1:]))
     np.matmul(activations[-1].swapaxes(-1, -2), dout, out=blocks.output)
     da = dout @ params.output.swapaxes(-1, -2)
     for layer in reversed(range(len(params.hidden))):
@@ -142,7 +131,7 @@ def mlp_backward(params: MlpParams, activations, upstream) -> np.ndarray:
         np.matmul(activations[layer].swapaxes(-1, -2), dz, out=gw)
         if layer:  # the input layer passes nothing further back
             da = dz @ params.hidden[layer][0].swapaxes(-1, -2)
-    return grad
+    return blocks.flat
 
 
 def coefficient_gram(params: MlpParams, activations, coeffs) -> np.ndarray:
@@ -214,9 +203,10 @@ def to_json(params: MlpParams) -> str:
     return json.dumps({
         "format": "bosehub-mlp",
         "version": _FORMAT_VERSION,
-        "hidden": [[w.shape[0], w.shape[1]] for w, _ in params.hidden],
+        "hidden": [[a, b] for a, b in zip(params.sizes[:-1],
+                                          params.sizes[1:])],
         "outputs": params.n_outputs,
-        "values": params.flatten().tolist(),
+        "values": params.flat.tolist(),
     })
 
 
@@ -227,5 +217,5 @@ def from_json(text: str) -> MlpParams:
     if data.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported version {data.get('version')}")
     sizes = [data["hidden"][0][0]] + [shape[1] for shape in data["hidden"]]
-    template = MlpParams.initialize(tuple(sizes), data["outputs"], rng=0)
-    return template.with_flat(np.array(data["values"], dtype=float))
+    return MlpParams(tuple(sizes), data["outputs"],
+                     np.array(data["values"], dtype=float))

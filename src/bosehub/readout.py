@@ -41,13 +41,29 @@ class CorrectionMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    """Column-stochastic p_ij = P(recorded i | true j), or arrays of them."""
+class ConfusionEstimate:
+    """p_ij = P(recorded i | true j) estimated from finite shots, or arrays
+    of them: data, which a few shots can leave singular (p00 + p11 <= 1)."""
 
     p00: float | np.ndarray
     p01: float | np.ndarray
     p10: float | np.ndarray
     p11: float | np.ndarray
+
+    def matrix(self) -> np.ndarray:
+        return np.array([[self.p00, self.p01], [self.p10, self.p11]])
+
+    def inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """Elementwise P~ = P^{-1}, shaped (..., 2, 2), and tr(P~)/2."""
+        det = self.p00 * self.p11 - self.p01 * self.p10
+        inv = np.array([[self.p11, -self.p01], [-self.p10, self.p00]]) / det
+        inv = np.moveaxis(inv, (0, 1), (-2, -1))
+        return inv, (inv[..., 0, 0] + inv[..., 1, 1]) / 2.0
+
+
+@dataclass(frozen=True)
+class ConfusionMatrix(ConfusionEstimate):
+    """A device's true column-stochastic rates, or arrays of them."""
 
     def __post_init__(self):
         m = self.matrix()
@@ -63,16 +79,6 @@ class ConfusionMatrix:
     def from_flip_rates(cls, eps0: float, eps1: float) -> "ConfusionMatrix":
         """eps0 = P(0 recorded as 1), eps1 = P(1 recorded as 0)."""
         return cls(1.0 - eps0, eps1, eps0, 1.0 - eps1)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.p00, self.p01], [self.p10, self.p11]])
-
-    def inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """Elementwise P~ = P^{-1}, shaped (..., 2, 2), and tr(P~)/2."""
-        det = self.p00 * self.p11 - self.p01 * self.p10
-        inv = np.array([[self.p11, -self.p01], [-self.p10, self.p00]]) / det
-        inv = np.moveaxis(inv, (0, 1), (-2, -1))
-        return inv, (inv[..., 0, 0] + inv[..., 1, 1]) / 2.0
 
     def invert(self) -> "InverseConfusion":
         inv, fom = self.inverse()
@@ -133,14 +139,27 @@ class SimulatedDevice:
 
 
 def calibrate(device: SimulatedDevice, qubits, shots: int,
-              rng) -> ConfusionMatrix:
+              rng) -> ConfusionEstimate:
     """Estimate confusion matrices, shaped like ``qubits``, from one measure
     call over the |0> and |1> preparation runs of every qubit."""
     rng = np.random.default_rng(rng)
     qubits = np.asarray(qubits)[..., None]
     freq0 = device.measure(qubits, np.array([1.0, 0.0]), shots, rng) / shots
-    return ConfusionMatrix(freq0[..., 0], freq0[..., 1],
-                           1.0 - freq0[..., 0], 1.0 - freq0[..., 1])
+    return ConfusionEstimate(freq0[..., 0], freq0[..., 1],
+                             1.0 - freq0[..., 0], 1.0 - freq0[..., 1])
+
+
+def _checked_inverse(estimate: ConfusionEstimate, qubits: np.ndarray,
+                     shots: int):
+    """The inverse and figures of merit of ``estimate``, the ``shots``-shot
+    calibration of ``qubits``, after refusing any qubit it leaves singular."""
+    singular = estimate.p00 + estimate.p11 <= 1.0
+    if singular.any():
+        raise ValueError(
+            f"calibration with {shots} shots leaves qubit "
+            f"{qubits[singular].min()} with p00 + p11 <= 1, so its readout "
+            "cannot be inverted; calibrate with more shots")
+    return estimate.inverse()
 
 
 def correct(observed: ShotResult, inv: InverseConfusion) -> tuple[float, float]:
@@ -208,7 +227,8 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
     every other coefficient is measured on its replica qubits through their
     confusion matrices. Calibration runs with ``calibration_shots``
     (defaulting to the data shots) estimate the inverses used for correction
-    and for the postselection ranking.
+    and for the postselection ranking; only those modes form them, refusing
+    before the data draw any layout qubit estimated with p00 + p11 <= 1.
 
     Sampling order is fixed (one draw calibrates every layout qubit, then one
     draws the whole layout's data), so results are deterministic given the rng.
@@ -235,8 +255,9 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
 
     cal_shots = shots if calibration_shots is None else calibration_shots
     estimate = calibrate(device, layout, cal_shots, rng)
+    if set(modes) - {CorrectionMode.UNCORRECTED}:
+        inverse, fom = _checked_inverse(estimate, layout, cal_shots)
     counts = device.measure(layout, ideal[measured, None], shots, rng)
-    inverse, fom = estimate.inverse()
     if {CorrectionMode.CORRECTED,
             CorrectionMode.POSTSELECTED_CORRECTED} & set(modes):
         # correct takes one qubit's observation and inverse
@@ -322,7 +343,7 @@ def calibration_report(device: SimulatedDevice, shots: int, seed: int,
     postselect by this calibration."""
     layout = _replica_grid(layout, device.n_qubits)
     est = calibrate(device, np.arange(device.n_qubits), shots, seed)
-    fom = est.inverse()[1]
+    fom = _checked_inverse(est, np.arange(device.n_qubits), shots)[1]
     selected = set(layout[np.arange(len(layout)),
                           replica_argmin(layout, fom[layout])].tolist())
     table = np.stack([est.p00, est.p01, est.p10, est.p11, fom], 1)

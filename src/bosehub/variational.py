@@ -182,14 +182,11 @@ class MlpAnsatz:
         self.complex_mode = complex_mode
         self._template = neural.MlpParams.initialize(
             self.sizes, outputs=2 if complex_mode else 1, rng=0)
-
-    @property
-    def n_params(self) -> int:
-        return self._template.n_params
+        self.n_params = self._template.n_params
 
     def initial_vector(self, rng) -> np.ndarray:
         return neural.MlpParams.initialize(
-            self.sizes, self._template.n_outputs, rng).flatten()
+            self.sizes, self._template.n_outputs, rng).flat
 
     def coefficients(self, thetas):
         """Coefficients (R, B) of the members' parameters (R, P)."""

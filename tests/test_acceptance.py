@@ -167,7 +167,7 @@ def test_criterion_5_gradient_suite():
         upstream = rng.uniform(-1, 1, (1, 1))
         out, cache = mlp_forward(params, x)
         analytic = mlp_backward(params, cache, upstream)
-        flat = params.flatten()
+        flat = params.flat
         for k in rng.choice(flat.size, size=25, replace=False):
             step = np.zeros(flat.size)
             step[k] = 1e-6

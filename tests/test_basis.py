@@ -109,6 +109,11 @@ def test_translation_orbits_rejects_incomplete_basis():
         translation_orbits(incomplete)
 
 
+def test_translation_orbits_rejects_an_empty_basis():
+    with pytest.raises(PartitionError, match="^empty basis$"):
+        translation_orbits(enumerate_fock(3, 2)[:0])
+
+
 def test_parity_reduction_counts():
     states = enumerate_fock(6, 5)
     classes = parity_reduce(states, translation_orbits(states))

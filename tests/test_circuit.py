@@ -267,6 +267,12 @@ def test_params_validation():
         qc.CircuitParams("quat", 1, np.array([np.nan] * 8))
 
 
+def test_params_reject_values_of_three_axes():
+    with pytest.raises(ValueError, match="^values must be \\(P,\\) or "
+                                         "\\(R, P\\), got \\(1, 1, 8\\)$"):
+        qc.CircuitParams("quat", 1, np.zeros((1, 1, 8)))
+
+
 def test_params_compressed_feature_count_rule():
     with pytest.raises(ValueError,
                        match="feature count divisible by 3, got 4"):
@@ -290,6 +296,23 @@ def test_feature_arity_checked():
     params = qc.init_params("compressed", 2, 0)
     with pytest.raises(ValueError):
         qc.weight_of(params, np.ones(5))
+
+
+def test_batch_entry_points_check_the_feature_columns():
+    params = qc.init_params("compressed", 2, 0)
+    for entry in (qc.batch_weights, qc.batch_complex_weights,
+                  qc.batch_weights_and_jacobian):
+        with pytest.raises(ValueError,
+                           match="^expected 6 feature columns, got 5$"):
+            entry(params, np.zeros((3, 5)))
+
+
+def test_shot_result_checks():
+    with pytest.raises(ValueError, match="^shots must be >= 1$"):
+        qc.ShotResult(0, 0)
+    for count0 in (-1, 11):
+        with pytest.raises(ValueError, match="^count0 out of range$"):
+            qc.ShotResult(10, count0)
 
 
 @pytest.mark.parametrize("entry", [qc.weight_of, qc.complex_weight_of,

@@ -471,6 +471,47 @@ def test_study_noise_rejects_zero_trials(tmp_path, capsys):
     assert not out.exists() and not cal.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["noise-run", "--mode", "uncorrected"],
+    ["study", "noise", "--modes", "uncorrected"]],
+    ids=["noise-run", "study noise"])
+def test_a_one_shot_uncorrected_run_inverts_nothing(command, tmp_path,
+                                                    capsys):
+    # a one-shot calibration is singular on most qubits, but uncorrected
+    # reads no inverse
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(qc.to_json(qc.CircuitParams("compressed", 1,
+                                                np.zeros(7))))
+    code, stdout, err = run(capsys, *command, "--checkpoint", str(ckpt),
+                            "--U", "5", "--shots", "1")
+    assert (code, err) == (0, "")
+    energy = stdout.split("energy=")[-1].split()[0]  # either command's form
+    assert math.isfinite(float(energy))
+
+
+@pytest.mark.parametrize("command,shots,qubit", [
+    (["noise-run", "--mode", "corrected"], 2, 77),
+    (["noise-run", "--mode", "postselected"], 2, 77),
+    (["study", "noise", "--modes", "uncorrected"], 3, 13)],
+    ids=["noise-run corrected", "noise-run postselected",
+         "study noise calibration-out"])
+def test_a_singular_calibration_is_refused_before_it_is_read(
+        command, shots, qubit, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(qc.to_json(qc.CircuitParams("compressed", 1,
+                                                np.zeros(7))))
+    cal = tmp_path / "cal.csv"
+    if command[0] == "study":  # the report is built before the first trial
+        command = command + ["--calibration-out", str(cal)]
+    code, stdout, err = run(capsys, *command, "--checkpoint", str(ckpt),
+                            "--U", "5", "--shots", str(shots))
+    assert code == 1 and stdout == ""
+    assert err == (f"error: calibration with {shots} shots leaves qubit "
+                   f"{qubit} with p00 + p11 <= 1, so its readout cannot be "
+                   "inverted; calibrate with more shots\n")
+    assert not cal.exists()
+
+
 @pytest.mark.parametrize("low,high", [
     ("0.05", "0.01"), ("0.3", "0.6"), ("-0.01", "0.05"), ("0.01", "0.5"),
     ("nan", "0.05")])

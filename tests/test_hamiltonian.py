@@ -277,6 +277,12 @@ def test_power_iteration_cross_check(h_reduced):
     assert abs(e_dense - e_power) < 1e-7
 
 
+def test_power_iteration_reports_no_convergence(h_reduced):
+    with pytest.raises(DiagonalizationError,
+                       match="^power iteration did not converge in 1 steps"):
+        min_eigenvalue_power(h_reduced(U=5.0), max_iter=1)
+
+
 def test_hermiticity_deviation_counts_the_conjugate(reduced26):
     # m - m^H, not m - m^T: equal imaginary parts above and below the
     # diagonal are a deviation of 2, while a conjugate pair is Hermitian
@@ -626,6 +632,21 @@ def test_basis_mismatch_rejected(reduced26):
     params = ModelParams(1.0, 2.0, 6, 4)
     with pytest.raises(ValueError):
         build_full(params, full_basis(6, 5))
+
+
+def test_builds_refuse_a_phase_or_the_wrong_basis(reduced26):
+    params = ModelParams(1.0, 5.0, 6, 5)
+    deformed = ModelParams(1.0, 5.0, 6, 5, phi=0.5)
+    with pytest.raises(ValueError,
+                       match="^full-basis construction requires phi = 0$"):
+        build_full(deformed)
+    with pytest.raises(ValueError, match="^build_full needs a full basis$"):
+        build_full(params, reduced26)
+    with pytest.raises(ValueError, match="^use build_deformed for phi != 0$"):
+        build_reduced(deformed, reduced26)
+    with pytest.raises(ValueError, match="^the deformation is defined on the "
+                                         "fully reduced basis$"):
+        build_deformed(deformed, reduced_basis(6, 5, BasisKind.TRANSLATION))
 
 
 # --- complex deformation -----------------------------------------------

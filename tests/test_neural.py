@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -34,7 +35,9 @@ def test_value_at_zero_features_is_bias_composition():
 
 def test_linear_output_scaling():
     params = neural.MlpParams.initialize((3, 4, 2), outputs=1, rng=5)
-    doubled = neural.MlpParams(params.hidden, 2.0 * params.output)
+    doubled = neural.MlpParams(params.sizes, params.n_outputs,
+                               params.flat.copy())
+    doubled.output *= 2.0
     x = np.array([0.3, -0.2, 0.9])
     out, _ = neural.mlp_forward(params, x)
     out2, _ = neural.mlp_forward(doubled, x)
@@ -89,7 +92,7 @@ def test_gradient_matches_finite_differences(sizes, outputs, rng):
     x = rng.uniform(-1, 1, sizes[0])
     upstream = rng.uniform(-1, 1, (1, outputs))
     analytic = flat_gradient(params, x, upstream)
-    flat = params.flatten()
+    flat = params.flat
     h = 1e-6
     for k in rng.choice(flat.size, size=min(60, flat.size), replace=False):
         step = np.zeros(flat.size)
@@ -135,7 +138,7 @@ def test_batched_forward_matches_rows(rng):
 def test_initialization_deterministic():
     a = neural.MlpParams.initialize((6, 64, 32), outputs=1, rng=123)
     b = neural.MlpParams.initialize((6, 64, 32), outputs=1, rng=123)
-    assert np.array_equal(a.flatten(), b.flatten())
+    assert np.array_equal(a.flat, b.flat)
     lim = 1.0 / np.sqrt(6)
     w1 = a.hidden[0][0]
     assert np.all(np.abs(w1) <= lim)
@@ -145,9 +148,21 @@ def test_checkpoint_round_trip_exact(rng):
     params = neural.MlpParams.initialize((6, 64, 32), outputs=2, rng=rng)
     text = neural.to_json(params)
     back = neural.from_json(text)
-    assert np.array_equal(back.flatten(), params.flatten())
+    assert np.array_equal(back.flat, params.flat)
     doc = json.loads(text)
     assert doc["format"] == "bosehub-mlp"
+
+
+def test_checkpoint_bytes_are_pinned():
+    # the JSON layout of a network checkpoint, pinned to its bytes
+    params = neural.MlpParams.initialize((3, 4, 2), 2, rng=0)
+    text = neural.to_json(params)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c4c9da3e323ae78538386074d4213107e2c108b24fec4b8150ece639cb0d42e9")
+    back = neural.from_json(text)
+    assert (back.sizes, back.n_outputs) == ((3, 4, 2), 2)
+    assert back.flat.tobytes() == params.flat.tobytes()
+    assert neural.to_json(back) == text
 
 
 def test_checkpoint_rejects_foreign():
@@ -161,8 +176,10 @@ def test_checkpoint_rejects_foreign():
 
 def test_with_flat_validates_length():
     params = neural.MlpParams.initialize((3, 4, 2), outputs=1, rng=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected 28 values, got 3$"):
         params.with_flat(np.zeros(3))
+    with pytest.raises(ValueError, match="^expected 28 values, got 27$"):
+        params.with_flat(np.zeros((2, 27)))
 
 
 @pytest.mark.parametrize("outputs", [1, 2])
@@ -180,9 +197,9 @@ def test_with_flat_returns_read_only_views(outputs):
         assert np.shares_memory(a, flat)
         with pytest.raises(ValueError):
             a[...] = 0.0
-    # the caller's vector stays writable, and flatten() round-trips it
+    # the caller's vector stays writable, and .flat reads it
     assert flat.flags.writeable
-    assert params.flatten().tobytes() == flat.tobytes()
+    assert params.flat.tobytes() == flat.tobytes()
 
 
 @pytest.mark.parametrize("outputs", [1, 2])
@@ -216,7 +233,7 @@ def test_flatten_undoes_with_flat(members):
     params = neural.MlpParams.initialize((6, 5, 4), outputs=1, rng=0)
     shape = (members, params.n_params) if members else (params.n_params,)
     flat = np.random.default_rng(3).standard_normal(shape)
-    assert np.array_equal(params.with_flat(flat).flatten(), flat)
+    assert np.array_equal(params.with_flat(flat).flat, flat)
 
 
 def _coefficient_jacobian(params, activations, coeffs):
@@ -240,7 +257,7 @@ def _coefficient_jacobian(params, activations, coeffs):
 def test_coefficient_gram_matches_the_explicit_jacobian(outputs, members):
     rng = np.random.default_rng(outputs)
     template = neural.MlpParams.initialize((6, 7, 5), outputs, rng)
-    flat = template.flatten()
+    flat = template.flat
     if members:
         flat = flat + 0.3 * rng.standard_normal((members, flat.size))
     params = template.with_flat(flat)

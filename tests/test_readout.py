@@ -85,6 +85,18 @@ def test_confusion_validation():
         ro.ConfusionMatrix(0.4, 0.5, 0.6, 0.5)  # p00+p11 <= 1
     with pytest.raises(ValueError):
         ro.ConfusionMatrix(0.9, 0.2, 0.2, 0.8)  # columns don't sum to 1
+    # columns that sum to 1 through an entry outside [0, 1]
+    with pytest.raises(ValueError, match="^probabilities must lie in "
+                                         "\\[0, 1\\]$"):
+        ro.ConfusionMatrix(1.2, 0.0, -0.2, 1.0)
+
+
+def test_inverse_confusion_checks():
+    with pytest.raises(ValueError, match="^inverse confusion must be 2x2$"):
+        ro.InverseConfusion(np.eye(3), 1.0)
+    with pytest.raises(ValueError,
+                       match="^diagonal of the inverse must be >= 1$"):
+        ro.InverseConfusion(np.array([[0.9, 0.1], [0.1, 0.9]]), 0.9)
 
 
 # --- calibration ----------------------------------------------------------------
@@ -110,10 +122,18 @@ def test_calibrate_validates_shots():
 
 
 def test_calibrate_rejects_non_invertible_estimate():
-    # flip rates near 0.5 and 10 shots: some qubit's p00 + p11 falls <= 1
+    # flip rates near 0.5 and 10 shots: some qubit's p00 + p11 falls <= 1.
+    # calibrate returns that estimate as data; what inverts it refuses it
     device = ro.SimulatedDevice.random(125, (0.49, 0.5), seed=0)
-    with pytest.raises(ValueError, match="p00 \\+ p11 must exceed 1"):
-        ro.calibrate(device, np.arange(125), shots=10, rng=0)
+    est = ro.calibrate(device, np.arange(125), shots=10, rng=0)
+    singular = np.flatnonzero(est.p00 + est.p11 <= 1.0)
+    assert singular.size
+    with pytest.raises(ValueError, match=(
+            f"^calibration with 10 shots leaves qubit {singular[0]} with "
+            "p00 \\+ p11 <= 1, so its readout cannot be inverted; "
+            "calibrate with more shots$")):
+        ro.calibration_report(device, shots=10, seed=0,
+                              layout=ro.replica_layout())
 
 
 def test_array_inverse_matches_scalar_invert():
@@ -430,6 +450,29 @@ def test_bad_layout_fails_before_any_draw(trained, monkeypatch, entry,
             ro.calibration_report(device, shots=100, seed=0,
                                   layout=np.array(layout))
     assert draws == {"measure": 0}
+
+
+def test_modes_that_invert_refuse_a_singular_calibration(trained,
+                                                        monkeypatch):
+    # 2 shots on flip rates near 0.5: the one calibration every mode shares
+    # leaves some layout qubits singular; only uncorrected reads no inverse
+    params, h = trained
+    device = ro.SimulatedDevice.random(125, (0.45, 0.49), seed=3)
+    layout = ro.replica_layout()
+    est = ro.calibrate(device, layout, 2, np.random.default_rng(0))
+    singular = layout[est.p00 + est.p11 <= 1.0]
+    assert singular.size
+    energy = ro.noisy_energies(params, h, device, layout, 2, ["uncorrected"],
+                               rng=0)["uncorrected"]
+    assert np.isfinite(energy)
+    draws = counted_draws(monkeypatch)
+    for mode in list(ro.CorrectionMode)[1:]:
+        with pytest.raises(ValueError, match=(
+                f"^calibration with 2 shots leaves qubit {singular.min()} "
+                "with p00 \\+ p11 <= 1")):
+            ro.noisy_energies(params, h, device, layout, 2,
+                              ["uncorrected", mode], rng=0)
+    assert draws == {"measure": 3}  # each calibrated, none drew its data
 
 
 def test_zero_shots_rejected(trained):

@@ -74,6 +74,10 @@ COMMANDS = {
                              "--out-dir", "train_compressed_phi"],
     "train_nn_complex": ["train", "--ansatz", "nn", "--U", "5", "--complex",
                          "--out-dir", "train_nn_complex"],
+    "train_nn_full": ["train", "--ansatz", "nn", "--U", "5", "--basis",
+                      "full", "--steps", "40", "--out-dir", "train_nn_full"],
+    "train_nn_raw": ["train", "--ansatz", "nn", "--U", "5", "--raw-features",
+                     "--out-dir", "train_nn_raw"],
     "train_quat_raw": ["train", "--ansatz", "quat", "--U", "5",
                        "--raw-features", "--out-dir", "train_quat_raw"],
     "study_layers": ["study", "layers", "--ansatz", "quat", "--U", "5",
