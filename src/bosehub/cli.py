@@ -101,8 +101,12 @@ _OPTIONS = {
     "steps": _Option("--steps", int, help="the most steps before a "
                      "certified stop; default: 1500 for nn, 1200 for "
                      "circuits, 2400 in complex mode", bound=">= 0"),
-    "lr": _Option("--lr", float, 0.02, help="eta, the rate of each "
-                  "natural-gradient step", bound="> 0"),
+    "lr": _Option("--lr", float, help="eta, the rate of each "
+                  "natural-gradient step; default: "
+                  f"{vr.STABLE_RATE:g}/(G - E0), with G Gershgorin's bound "
+                  "on the largest eigenvalue Emax and E0 the ground energy, "
+                  "inside the stability edge eta (Emax - E0) < 2; 0.02 "
+                  "reproduces the runs of the old fixed rate", bound="> 0"),
     "restarts": _Option("--restarts", int, 1, bound=">= 1"),
     "complex_mode": _Option("--complex", bool, False, help="complex "
                             "coefficients (required when phi != 0)"),
@@ -426,7 +430,7 @@ def cmd_train(args) -> int:
         ansatz = vr.CircuitAnsatz(h, args.ansatz, layers,
                                   complex_mode=complex_mode,
                                   raw_features=args.raw_features)
-    result = vr.train(ansatz, h, cfg, state.excited_lower)
+    result = vr.train(ansatz, h, cfg, state)
     print(f"{result.final_energy:.5f}")
 
     if args.out_dir:
@@ -454,6 +458,8 @@ def cmd_train(args) -> int:
             # JSON has no infinities: null where there is no bound
             "temple_lower_bound": _finite(result.temple_lower_bound),
             "excited_lower": _finite(result.excited_lower),
+            "learning_rate": result.learning_rate,
+            "energy_upper_bound": result.energy_upper_bound,
         })
         (args.out_dir / f"{stem}_summary.json").write_text(summary)
         print(f"wrote artifacts to {args.out_dir}")

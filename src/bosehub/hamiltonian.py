@@ -338,17 +338,32 @@ def _steps_ahead(checks: list, tol: float) -> int:
     return 4 * min(4, max(1, math.ceil(math.log(r1 / tol) / decay / 4)))
 
 
+def gershgorin_upper_bound(h: HamiltonianMatrix) -> float:
+    """G = max_i (Re H_ii + sum_{j != i} |H_ij|), an upper bound on the
+    largest eigenvalue of the Hermitian H (Gershgorin's circle theorem).
+
+    The row sums take Re H_ii in place of |H_ii|, so where the diagonal is
+    non-negative G is bitwise the largest row sum of |H|.
+    """
+    m = h.matrix
+    rows = np.abs(m)
+    np.fill_diagonal(rows, m.diagonal().real)
+    return float(np.max(np.sum(rows, axis=1)))
+
+
 def min_eigenvalue_power(h: HamiltonianMatrix, max_iter: int = 20000,
                          tol: float = 1e-12) -> float:
     """Minimum eigenvalue via shifted power iteration (solver cross-check).
 
-    Iterates with (s*I - H) where s bounds the spectrum from above, which
-    converges to the lowest eigenvector without any factorization. Kept
-    independent of the Lanczos solver on purpose.
+    Iterates with (s*I - H), s = G + 1 for G the Gershgorin bound on the
+    spectrum, which converges to the lowest eigenvector without any
+    factorization. Kept independent of the Lanczos solver on purpose.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     m = h.matrix
-    # Gershgorin bound keeps the shift tight, otherwise convergence crawls
-    shift = float(np.max(np.sum(np.abs(m), axis=1)) + 1.0)
+    # a tight shift, otherwise convergence crawls
+    shift = gershgorin_upper_bound(h) + 1.0
     rng = np.random.default_rng(7)
     v = rng.standard_normal(m.shape[0]).astype(m.dtype)
     v /= np.linalg.norm(v)
@@ -360,12 +375,13 @@ def min_eigenvalue_power(h: HamiltonianMatrix, max_iter: int = 20000,
             raise DiagonalizationError("power iteration hit a null vector")
         v = w / nw
         energy = float(np.real(np.vdot(v, m @ v)))
-        if abs(energy - last) < tol * max(1.0, abs(energy)):
+        delta = abs(energy - last)
+        if delta < tol * max(1.0, abs(energy)):
             return energy
         last = energy
     raise DiagonalizationError(
         f"power iteration did not converge in {max_iter} steps "
-        f"(last delta {abs(energy - last):.2e})"
+        f"(last delta {delta:.2e})"
     )
 
 

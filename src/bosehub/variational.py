@@ -11,9 +11,13 @@ A step is stochastic reconfiguration (Sorella, Phys. Rev. Lett. 80, 4558
 With J~ the Jacobian of c/|c| projected off c, and r = (Hc - Ec)/|c|, the
 parameters move by -eta J~^T (J~ J~^T + DAMPING I)^-1 r, a B x B solve per
 member (2B x 2B in complex mode, real and imaginary parts stacked), with the
-step's length capped at MAX_STEP. Each ansatz supplies the Gram matrix
-J J^T of its coefficients and the product of a class-space vector with its
-Jacobian; the projection and the solve are shared. Training stops at the
+step's length capped at MAX_STEP. By default eta = STABLE_RATE/(G - E0),
+with G the Gershgorin bound on the largest eigenvalue and E0 the ground
+energy: in the linear regime a step multiplies each excited component k by
+1 - eta (E_k - E0), which is stable only while eta (Emax - E0) < 2. Each
+ansatz supplies the Gram matrix J J^T of its coefficients and the product
+of a class-space vector with its Jacobian; the projection and the solve are
+shared. Training stops at the
 first step where some member's energy carries Temple's certificate: with
 variance sigma^2 = |r|^2 and ell a lower estimate of the first excited
 energy, E - sigma^2/(ell - E) >= E - CERTIFIED_GAP.
@@ -36,14 +40,17 @@ from . import circuit as qc
 from . import neural
 from ._table import write_csv
 from .basis import feature_matrix
-from .hamiltonian import HamiltonianMatrix, ground_state
+from .hamiltonian import (GroundState, HamiltonianMatrix,
+                          gershgorin_upper_bound, ground_state)
 
 
 # The natural-gradient step: the damping added to the projected class-space
-# Gram matrix, the cap on a step's length in parameter space, and the gap
-# between an energy and its Temple bound that stops training.
+# Gram matrix, the cap on a step's length in parameter space, eta (G - E0)
+# of the default rate (below the stability edge 2) and the gap between an
+# energy and its Temple bound that stops training.
 DAMPING = 1e-3
 MAX_STEP = 0.2
+STABLE_RATE = 1.8
 CERTIFIED_GAP = 1e-5
 
 
@@ -56,17 +63,20 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     """Natural-gradient settings shared by every ansatz: at most ``steps``
-    steps, each of rate ``learning_rate`` (eta, 0.02 by default)."""
+    steps, each of rate ``learning_rate`` (eta). None, the default, takes
+    the spectral rule of :func:`spectral_rate`; ``learning_rate=0.02``
+    reproduces runs made before that rule."""
 
     steps: int
-    learning_rate: float = 0.02
+    learning_rate: float | None = None
     seed: int = 0
     restarts: int = 1
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if not 0.0 < self.learning_rate < np.inf:
+        if self.learning_rate is not None and \
+                not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
@@ -84,10 +94,26 @@ class TrainResult:
     temple_lower_bound: float = -math.inf
     excited_lower: float = math.inf
     stopped_on: str = "step cap"  # or "certificate"
+    learning_rate: float = math.nan  # the eta every step took
+    energy_upper_bound: float = math.nan  # Gershgorin's G of the matrix
 
     @property
     def steps_taken(self) -> int:
         return len(self.energies) - 1
+
+
+def spectral_rate(h: HamiltonianMatrix, upper: float,
+                  ground_energy: float) -> float:
+    """eta = STABLE_RATE/(G - E0) for G = ``upper``, Gershgorin's bound on
+    the largest eigenvalue Emax, and E0 = ``ground_energy``. Since
+    G >= Emax, eta (Emax - E0) <= STABLE_RATE < 2, the step's stability
+    edge. A width H cannot resolve, G - E0 <= eps max(1, max|H|), takes
+    the rate of a width of max(1, max|H|): the zero matrix (every step is
+    zero) would give 1.8/0, and a subnormal width an overflow to inf."""
+    width = upper - ground_energy
+    if not width > np.finfo(float).eps * h.scale:
+        width = h.scale
+    return STABLE_RATE / width
 
 
 def rayleigh_energy(coeffs, h: HamiltonianMatrix) -> float:
@@ -263,7 +289,7 @@ class CircuitAnsatz:
 
 
 def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
-          excited_lower: float | None = None) -> TrainResult:
+          ground: GroundState | None = None) -> TrainResult:
     """Full-basis natural-gradient minimization of the Rayleigh energy.
 
     Single-qubit landscapes have local minima, so ``cfg.restarts`` members
@@ -272,11 +298,13 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
     variances are recorded, checked, kept if best and bounded by the same
     code. Every iterate but the last comes from one ``energy_gradient``
     call and moves the (R, P) parameters by theta -= min(eta, MAX_STEP/|d|)
-    d for each member's step d. The last one comes from ``coefficients``
-    and takes no step: it is iterate ``cfg.steps``, or the one after the
-    first iterate where some member's energy E and variance sigma^2 give
-    E < ell and sigma^2/(ell - E) <= CERTIFIED_GAP; ell is
-    ``excited_lower``, by default the one of ``ground_state(h)``. Each
+    d for each member's step d; eta is ``cfg.learning_rate``, or, if that
+    is None, :func:`spectral_rate` of the Gershgorin bound G and the
+    ground energy E0. The last one comes from ``coefficients`` and takes
+    no step: it is iterate ``cfg.steps``, or the one after the first
+    iterate where some member's energy E and variance sigma^2 give E < ell
+    and sigma^2/(ell - E) <= CERTIFIED_GAP. E0 and ell are the energy and
+    ``excited_lower`` of ``ground``, by default ``ground_state(h)``. Each
     member follows the trajectory it would follow alone.
 
     The steps need not lower the energy, so each member keeps its
@@ -284,12 +312,18 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
     lowest seed on a tie. The result's Temple bound is the highest one of
     any iterate. If any member's energy turns non-finite,
     ``TrainingDiverged`` carries the trace of the lowest-index such member,
-    up to and including that energy. Deterministic for a fixed config.
+    up to and including that energy. The result records eta and G.
+    Deterministic for a fixed config.
     """
     if not h.is_real and not ansatz.complex_mode:
         raise ValueError("complex Hamiltonian needs a complex-mode ansatz")
-    if excited_lower is None:
-        excited_lower = ground_state(h).excited_lower
+    if ground is None:
+        ground = ground_state(h)
+    excited_lower = ground.excited_lower
+    upper = gershgorin_upper_bound(h)
+    eta = cfg.learning_rate
+    if eta is None:
+        eta = spectral_rate(h, upper, ground.energy)
     seeds = range(cfg.seed, cfg.seed + cfg.restarts)
     theta = np.array([ansatz.initial_vector(np.random.default_rng(seed))
                       for seed in seeds])
@@ -322,8 +356,7 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
             certified |= gap <= CERTIFIED_GAP
         if last:
             break
-        rate = [min(cfg.learning_rate, MAX_STEP / size) if size
-                else cfg.learning_rate
+        rate = [min(eta, MAX_STEP / size) if size else eta
                 for size in np.linalg.norm(direction, axis=1).tolist()]
         direction *= np.array(rate)[:, None]
         theta -= direction
@@ -333,19 +366,19 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
     return TrainResult(best_theta[win], energies[win, :step + 1],
                        seeds[win], float(best_energy[win]),
                        float(best_variance[win]), float(bound),
-                       float(excited_lower), stopped_on)
+                       float(excited_lower), stopped_on, eta, upper)
 
 
 def layer_study(kind: str, layer_counts, h: HamiltonianMatrix,
                 cfg: TrainConfig, complex_mode: bool = False,
                 raw_features: bool = False):
     """Train one circuit per layer count; returns [(layers, final_energy)]."""
-    excited_lower = ground_state(h).excited_lower
+    ground = ground_state(h)
     rows = []
     for layers in layer_counts:
         ansatz = CircuitAnsatz(h, kind, layers, complex_mode=complex_mode,
                                raw_features=raw_features)
-        result = train(ansatz, h, cfg, excited_lower)
+        result = train(ansatz, h, cfg, ground)
         rows.append((int(layers), result.final_energy))
     return rows
 

@@ -20,8 +20,8 @@ def _bracketed(train):
     whose energies are scripted, are not checked."""
 
     @functools.wraps(train)
-    def checked(ansatz, h, cfg, excited_lower=None):
-        result = train(ansatz, h, cfg, excited_lower)
+    def checked(ansatz, h, cfg, ground=None):
+        result = train(ansatz, h, cfg, ground)
         real = getattr(ansatz, "ansatz", ansatz)  # the recording wrapper's
         if isinstance(real, (variational.MlpAnsatz,
                              variational.CircuitAnsatz)):

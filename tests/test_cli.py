@@ -204,6 +204,44 @@ def test_train_summary_carries_the_certificate(steps, stopped_on, tmp_path,
         assert energy - lower <= 1e-5
 
 
+@pytest.mark.parametrize("lr", [None, "0.02"])
+def test_train_summary_records_the_rate_and_the_bound(lr, tmp_path, capsys):
+    out = tmp_path / "artifacts"
+    code, _, _ = run(capsys, "train", "--ansatz", "quat", "--U", "5",
+                     "--steps", "3", "--out-dir", str(out),
+                     *(("--lr", lr) if lr else ()))
+    assert code == 0
+    doc = json.loads((out / "quat_U5_summary.json").read_text())
+    results = doc["results"]
+    # Gershgorin's bound at U=5 is the row of five bosons on one site: its
+    # interaction energy 50 plus its one hop, sqrt(10), in the 26 classes
+    upper = results["energy_upper_bound"]
+    assert upper == pytest.approx(50.0 + math.sqrt(10.0), abs=1e-12)
+    if lr is None:
+        assert doc["config"]["learning_rate"] is None
+        assert results["learning_rate"] == 1.8 / (
+            upper - results["exact_energy"])
+    else:
+        assert doc["config"]["learning_rate"] == 0.02
+        assert results["learning_rate"] == 0.02
+
+
+def test_train_on_a_spectrum_of_zero_width(tmp_path, capsys):
+    # t = 0 and U = 0 give the zero matrix: G = E0 = 0, every state is a
+    # ground state and the run certifies at its first iterate
+    out = tmp_path / "artifacts"
+    code, stdout, err = run(capsys, "train", "--ansatz", "quat", "--t", "0",
+                            "--U", "0", "--out-dir", str(out))
+    assert (code, err) == (0, "")
+    assert stdout.splitlines()[0] == "0.00000"
+    results = json.loads((out / "quat_U0_summary.json").read_text())[
+        "results"]
+    assert results["energy_upper_bound"] == 0.0
+    assert math.isfinite(results["learning_rate"])
+    assert results["learning_rate"] > 0.0
+    assert results["stopped_on"] == "certificate"
+
+
 def test_train_compressed_rejects_feature_count(tmp_path, capsys):
     # 4 sites give 4 occupation features, which the compressed circuit
     # cannot group into Euler triples

@@ -278,9 +278,20 @@ def test_power_iteration_cross_check(h_reduced):
 
 
 def test_power_iteration_reports_no_convergence(h_reduced):
-    with pytest.raises(DiagonalizationError,
-                       match="^power iteration did not converge in 1 steps"):
-        min_eigenvalue_power(h_reduced(U=5.0), max_iter=1)
+    # the change between the last two energies (1.50 from the fourth
+    # iterate to the fifth); the first energy has none before it
+    for max_iter, delta in ((1, "inf"), (5, "1\\.50e\\+00")):
+        with pytest.raises(DiagonalizationError, match=(
+                f"^power iteration did not converge in {max_iter} steps "
+                f"\\(last delta {delta}\\)$")):
+            min_eigenvalue_power(h_reduced(U=5.0), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_power_iteration_refuses_no_iterations(max_iter, h_reduced):
+    with pytest.raises(ValueError,
+                       match=f"^max_iter must be >= 1, got {max_iter}$"):
+        min_eigenvalue_power(h_reduced(U=5.0), max_iter=max_iter)
 
 
 def test_hermiticity_deviation_counts_the_conjugate(reduced26):

@@ -2,9 +2,12 @@
 
 ``trajectories.json`` holds, per case, every entry of ``TrainResult.energies``
 as ``float.hex`` and the SHA-256 of the winning parameters' comma-joined
-``float.hex`` strings. The values were recorded with one and with two
-OpenBLAS threads (identical), so a change to the training step that claims to
-be bit-identical must leave them as they are.
+``float.hex`` strings. Each case is pinned twice: at the explicit rate
+eta = 0.02, the rate of every run before the spectral rule (key ``name``),
+and at the default spectral rate (key ``name + " spectral"``). The values
+were recorded with one and with two OpenBLAS threads (identical), so a
+change to the training step that claims to be bit-identical must leave them
+as they are.
 """
 import hashlib
 import json
@@ -34,16 +37,25 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_trajectory_is_pinned(name, reduced26):
+def trajectory(name, reduced26, learning_rate):
+    """The pin of case ``name`` trained at ``learning_rate``."""
     make, u, phi, restarts = CASES[name]
     params = ModelParams(1.0, u, 6, 5, phi)
     h = (build_deformed(params, reduced26) if phi
          else build_reduced(params, reduced26))
-    result = train(make(h), h,
-                   TrainConfig(steps=STEPS, seed=0, restarts=restarts))
-    pin = PINS[name]
-    assert result.seed == pin["seed"]
-    assert [float(e).hex() for e in result.energies] == pin["energies"]
+    result = train(make(h), h, TrainConfig(
+        steps=STEPS, learning_rate=learning_rate, seed=0, restarts=restarts))
     theta = ",".join(float(x).hex() for x in result.theta)
-    assert hashlib.sha256(theta.encode()).hexdigest() == pin["theta"]
+    return {"seed": result.seed,
+            "energies": [float(e).hex() for e in result.energies],
+            "theta": hashlib.sha256(theta.encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_trajectory_is_pinned(name, reduced26):
+    assert trajectory(name, reduced26, 0.02) == PINS[name]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_spectral_rate_trajectory_is_pinned(name, reduced26):
+    assert trajectory(name, reduced26, None) == PINS[f"{name} spectral"]

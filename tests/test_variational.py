@@ -7,11 +7,12 @@ from bosehub import circuit as qc
 from bosehub import neural
 from bosehub.basis import reduced_basis
 from bosehub.hamiltonian import ModelParams, build_deformed, build_full, \
-    build_reduced, ground_state
+    build_reduced, gershgorin_upper_bound, ground_state
 from bosehub.variational import (
     CERTIFIED_GAP,
     DAMPING,
     MAX_STEP,
+    STABLE_RATE,
     CircuitAnsatz,
     MlpAnsatz,
     TrainConfig,
@@ -20,6 +21,7 @@ from bosehub.variational import (
     layer_study,
     rayleigh_energy,
     rayleigh_residual,
+    spectral_rate,
     train,
     write_trace_csv,
 )
@@ -334,6 +336,53 @@ def test_config_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
         TrainConfig(steps=5, learning_rate=lr)
 
 
+# name -> a function that builds the Hamiltonian of that name
+SPECTRA = {
+    **{f"6/5 U={u:g}": lambda u=u: build_reduced(
+        ModelParams(1.0, u, 6, 5), reduced_basis(6, 5))
+       for u in (0.0, 2.0, 5.0, 8.0)},
+    "6/5 full U=2": lambda: build_full(ModelParams(1.0, 2.0, 6, 5)),
+    "6/5 deformed": lambda: build_deformed(
+        ModelParams(1.0, 5.0, 6, 5, phi=np.pi / 2), reduced_basis(6, 5)),
+    "6/5 t=0": lambda: build_reduced(ModelParams(0.0, 5.0, 6, 5),
+                                     reduced_basis(6, 5)),
+    "8/8 U=5": lambda: build_reduced(ModelParams(1.0, 5.0, 8, 8),
+                                     reduced_basis(8, 8)),
+}
+
+
+@pytest.mark.parametrize("name", SPECTRA)
+def test_the_default_rate_is_inside_the_stability_edge(name):
+    h = SPECTRA[name]()
+    spectrum = np.linalg.eigvalsh(h.matrix)
+    e0, emax = spectrum[0], spectrum[-1]
+    upper = gershgorin_upper_bound(h)
+    assert upper >= emax
+    # with U >= 0 the diagonal is non-negative, and G is the largest row
+    # sum of |H|, bit for bit: the shift power iteration always took
+    assert upper == np.max(np.sum(np.abs(h.matrix), axis=1))
+    eta = spectral_rate(h, upper, ground_state(h).energy)
+    assert 0.0 < eta < np.inf
+    if upper > e0:
+        # a step multiplies excited component k by 1 - eta (E_k - E0)
+        assert eta * (emax - e0) < 2.0
+
+
+@pytest.mark.parametrize("u", [0.0, 1e-310],
+                         ids=["zero matrix", "subnormal width"])
+def test_a_spectrum_of_zero_width_takes_a_finite_rate(u, reduced26):
+    # t = U = 0 is the zero matrix, G = E0 = 0; at U = 1e-310, G - E0 is
+    # subnormal and 1.8/(G - E0) would overflow to inf
+    h = build_reduced(ModelParams(0.0, u, 6, 5), reduced26)
+    upper = gershgorin_upper_bound(h)
+    assert upper - ground_state(h).energy < np.finfo(float).eps
+    result = train(CircuitAnsatz(h, "quat", 2), h, TrainConfig(steps=5))
+    assert (result.learning_rate, result.energy_upper_bound) == (
+        STABLE_RATE, upper)
+    assert result.final_energy == pytest.approx(0.0, abs=1e-300)
+    assert result.stopped_on == "certificate"
+
+
 def test_real_ansatz_rejected_on_complex_hamiltonian(reduced26):
     h = build_deformed(ModelParams(1.0, 5.0, 6, 5, phi=np.pi / 2), reduced26)
     with pytest.raises(ValueError):
@@ -485,11 +534,11 @@ class _Recorder:
         return self.final
 
 
-def _single_start(ansatz, h, seed, steps, excited_lower):
-    """One start trained on its own: the capped natural-gradient update
-    written out, on a population of one, for ``steps`` steps. Returns its
-    energy trace, every iterate, and the first step whose energy carries
-    Temple's certificate (None if none does)."""
+def _single_start(ansatz, h, seed, steps, excited_lower, eta):
+    """One start trained on its own: the capped natural-gradient update of
+    rate ``eta`` written out, on a population of one, for ``steps`` steps.
+    Returns its energy trace, every iterate, and the first step whose energy
+    carries Temple's certificate (None if none does)."""
     theta = ansatz.initial_vector(np.random.default_rng(seed))
     energies, thetas, certified = [], [], None
     for step in range(1, steps + 1):
@@ -497,7 +546,7 @@ def _single_start(ansatz, h, seed, steps, excited_lower):
                                                         natural=True)
         energies.append(energy[0])
         thetas.append(theta)
-        rate = min(0.02, MAX_STEP / np.sqrt(np.square(d[0]).sum()))
+        rate = min(eta, MAX_STEP / np.sqrt(np.square(d[0]).sum()))
         theta = theta - rate * d[0]
         if (certified is None and energy[0] < excited_lower
                 and variance[0] / (excited_lower - energy[0])
@@ -529,7 +578,8 @@ def _check_members(ansatz, h, seed, restarts, steps):
     result = train(recorder, h, TrainConfig(steps=steps, seed=seed,
                                             restarts=restarts))
     ell = ground_state(h).excited_lower
-    singles = [_single_start(ansatz, h, seed + r, steps, ell)
+    singles = [_single_start(ansatz, h, seed + r, steps, ell,
+                             result.learning_rate)
                for r in range(restarts)]
     certified = [s[2] for s in singles if s[2] is not None]
     taken = min(certified, default=steps)
@@ -568,8 +618,8 @@ def test_population_members_match_single_starts(name, restarts, h_reduced):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_population_stops_with_its_first_certified_member(seed, h_reduced):
-    # alone, the starts from seeds 0 and 2 certify within about 110 and 125
-    # steps and the one from seed 1 only after about 600: each population
+    # alone, the starts from seeds 0 and 2 certify within about 80 and 90
+    # steps and the one from seed 1 only after about 420: each population
     # stops with its first certified member
     h = h_reduced(U=5.0)
     result = _check_members(CircuitAnsatz(h, "quat", 6), h, seed=seed,

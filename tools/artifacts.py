@@ -80,6 +80,10 @@ COMMANDS = {
                      "--out-dir", "train_nn_raw"],
     "train_quat_raw": ["train", "--ansatz", "quat", "--U", "5",
                        "--raw-features", "--out-dir", "train_quat_raw"],
+    "train_nn_lr": ["train", "--ansatz", "nn", "--U", "5", "--lr", "0.02",
+                    "--out-dir", "train_nn_lr"],
+    "train_quat_lr": ["train", "--ansatz", "quat", "--U", "5", "--lr", "0.02",
+                      "--out-dir", "train_quat_lr"],
     "study_layers": ["study", "layers", "--ansatz", "quat", "--U", "5",
                      "--layer-grid", "3,4", "--steps", "300",
                      "--out", "layers.csv"],
