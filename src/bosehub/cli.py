@@ -262,9 +262,12 @@ def _check_values(args) -> None:
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def _resolve_hamiltonian(args, kind="reduced", orientation="interaction",
-                         phi=None) -> HamiltonianMatrix:
-    phi = getattr(args, "phi", 0.0) if phi is None else phi
+def _resolve_hamiltonian(args) -> HamiltonianMatrix:
+    """The running command's Hamiltonian, in its --basis, --orientation and
+    --phi, or each one's _OPTIONS default where the command has no such
+    option."""
+    kind, orientation, phi = (getattr(args, dest, _OPTIONS[dest].default)
+                              for dest in ("basis", "orientation", "phi"))
     params = ModelParams(args.t, args.U, args.sites, args.bosons, phi)
     descriptor = _basis(args, kind)
     if phi != 0.0:
@@ -324,8 +327,7 @@ def cmd_exact(args) -> int:
     if args.orientation != _OPTIONS["orientation"].default and args.phi == 0:
         raise ValueError(f"--orientation {args.orientation} orders the "
                          f"phases of --phi, which is 0")
-    h = _resolve_hamiltonian(args, kind=args.basis,
-                             orientation=args.orientation)
+    h = _resolve_hamiltonian(args)
     state = ground_state(h)
     print(f"{state.energy:.5f}")
     if args.out_prefix:
@@ -403,24 +405,23 @@ def _noise_device(args) -> ro.SimulatedDevice:
                                      seed=args.seed)
 
 
-def _noise_layout(args, dim: int):
-    """The replica layout that measures all ``dim`` basis classes but the
-    pinned anchor on the --qubits qubits."""
+def _noise_layout(args, dim: int) -> None:
+    """Refuse a readout that cannot measure all ``dim`` basis classes but
+    the pinned anchor on replica qubits of the --qubits qubits."""
     if dim < 2:
         raise ValueError("a noisy readout needs 2 or more basis classes, "
                          "since one is pinned")
-    need = (dim - 1) * ro.DEFAULT_REPLICAS
+    need = (dim - 1) * ro.REPLICAS
     if args.qubits < need:
         raise ValueError(f"--qubits must be >= {need} for {dim - 1} "
-                         f"coefficients x {ro.DEFAULT_REPLICAS} replicas, "
+                         f"coefficients x {ro.REPLICAS} replicas, "
                          f"got {args.qubits}")
-    return ro.replica_layout(dim - 1, n_qubits=args.qubits)
 
 
 def cmd_train(args) -> int:
     layers = _circuit_layers(args)
     cfg, complex_mode = _train_config(args)
-    h = _resolve_hamiltonian(args, kind=args.basis)
+    h = _resolve_hamiltonian(args)
     state = ground_state(h)
     exact = state.energy
     if layers is None:
@@ -486,7 +487,7 @@ def cmd_study_layers(args) -> int:
 def cmd_study_shots(args) -> int:
     grid = _comma_list(args, "grid")
     params = _read_checkpoint(args.checkpoint)
-    h = _resolve_hamiltonian(args, phi=0.0)
+    h = _resolve_hamiltonian(args)
     rows = ro.shot_study(params, h, grid, trials=args.trials, seed=args.seed)
     for shots, median, std in rows:
         print(f"{shots} {median:.5f} {std:.5f}")
@@ -507,9 +508,10 @@ def cmd_study_noise(args) -> int:
                         ", ".join(m.value for m in ro.CorrectionMode))
     device = _noise_device(args)
     descriptor = _basis(args)
-    layout = _noise_layout(args, descriptor.dim)
+    _noise_layout(args, descriptor.dim)
     # an independent calibration (its own seed), refused before any trial
-    report = (ro.calibration_report(device, args.shots, args.seed, layout)
+    report = (ro.calibration_report(device, args.shots, args.seed,
+                                    descriptor.dim - 1)
               if args.calibration_out else None)
     rows = []
     for ui, (u, params) in enumerate(zip(u_values, circuits)):
@@ -521,9 +523,8 @@ def cmd_study_noise(args) -> int:
         for trial in range(args.trials):
             rng = np.random.default_rng(
                 np.random.SeedSequence((args.seed, ui, trial)))
-            energies = ro.noisy_energies(params, h, device, layout,
-                                         args.shots, modes, rng,
-                                         ideal=weights)
+            energies = ro.noisy_energies(params, h, device, args.shots,
+                                         modes, rng, ideal=weights)
             rows.extend((trial, mode.value, u, energies[mode], ideal)
                         for mode in modes)
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
@@ -542,9 +543,9 @@ def cmd_study_noise(args) -> int:
 def cmd_noise_run(args) -> int:
     params = _read_checkpoint(args.checkpoint)
     device = _noise_device(args)
-    h = _resolve_hamiltonian(args, phi=0.0)
-    layout = _noise_layout(args, h.dim)
-    energy = ro.noisy_energy_run(params, h, device, layout, args.shots,
+    h = _resolve_hamiltonian(args)
+    _noise_layout(args, h.dim)
+    energy = ro.noisy_energy_run(params, h, device, args.shots,
                                  ro.CorrectionMode(args.mode), args.seed)
     print(f"{energy:.5f}")
     return 0

@@ -28,7 +28,7 @@ from .variational import rayleigh_energy
 log = logging.getLogger(__name__)
 
 DEFAULT_QUBITS = 125
-DEFAULT_REPLICAS = 5
+REPLICAS = 5
 DEFAULT_ERROR_RANGE = (0.005, 0.05)
 SHOT_BLOCK = 1024  # trials per binomial draw in shot_study: O(block x classes)
 
@@ -181,54 +181,37 @@ def correct(observed: ShotResult, inv: InverseConfusion) -> tuple[float, float]:
     return raw
 
 
-def replica_argmin(layout: np.ndarray, fom: np.ndarray) -> np.ndarray:
-    """Column of each layout row's postselected qubit: the smallest ``fom``
-    (figures of merit shaped like ``layout``), ties to the lowest qubit id."""
-    return np.lexsort((layout, fom))[:, 0]
+def replica_argmin(fom: np.ndarray) -> np.ndarray:
+    """Column of each row's postselected qubit: the smallest figure of merit
+    in ``fom`` (coefficients, replicas), ties to the first column, which in
+    :func:`replica_layout` holds the lowest qubit id."""
+    return np.argmin(fom, axis=1)
 
 
-def _replica_grid(layout, n_qubits: int) -> np.ndarray:
-    """``layout`` as an array with one or more replica columns, each qubit
-    of an ``n_qubits`` device at most once."""
-    layout = np.asarray(layout)
-    if layout.ndim != 2 or layout.shape[1] == 0:
-        raise ValueError(f"layout of shape {layout.shape} has no replicas")
-    if np.unique(layout).size != layout.size:
-        raise ValueError("layout assigns a qubit twice")
-    if layout.size and (layout.min() < 0 or layout.max() >= n_qubits):
-        raise ValueError("layout references qubits outside the device")
-    return layout
-
-
-def replica_layout(n_coeffs: int = 25, n_replicas: int = DEFAULT_REPLICAS,
-                   n_qubits: int = DEFAULT_QUBITS) -> np.ndarray:
-    """Qubit ids (n_coeffs, n_replicas); replica r occupies the block of
-    n_coeffs qubits that starts at qubit r * n_coeffs."""
-    if n_replicas < 1:
-        raise ValueError(f"layout needs n_replicas >= 1, got {n_replicas}")
-    if n_coeffs * n_replicas > n_qubits:
+def replica_layout(n_coeffs: int, n_qubits: int) -> np.ndarray:
+    """Qubit ids (n_coeffs, REPLICAS) on an ``n_qubits`` device; replica r
+    occupies the block of n_coeffs qubits that starts at qubit r * n_coeffs,
+    so each row's ids increase with the column."""
+    if n_coeffs * REPLICAS > n_qubits:
         raise ValueError("layout does not fit on the device")
-    blocks = np.arange(n_replicas * n_coeffs).reshape(n_replicas, n_coeffs)
-    return blocks.T.copy()
+    return np.arange(REPLICAS * n_coeffs).reshape(REPLICAS, n_coeffs).T.copy()
 
 
 def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
-                   device: SimulatedDevice, layout: np.ndarray,
-                   shots: int, modes, rng,
-                   calibration_shots: int | None = None,
-                   anchor_index: int | None = None, *,
+                   device: SimulatedDevice, shots: int, modes, rng, *,
                    ideal: np.ndarray | None = None) -> dict:
     """One data-taking run on the simulated device, one energy per mode.
 
     All requested modes are assembled from the same calibration and data
     samples, mirroring the with/without-correction comparison of a single
-    hardware run. The anchor coefficient (by default the last class) is fixed
-    to its ideal circuit value, standing in for the normalization constraint;
-    every other coefficient is measured on its replica qubits through their
-    confusion matrices. Calibration runs with ``calibration_shots``
-    (defaulting to the data shots) estimate the inverses used for correction
-    and for the postselection ranking; only those modes form them, refusing
-    before the data draw any layout qubit estimated with p00 + p11 <= 1.
+    hardware run. The anchor coefficient, the last class, is fixed to its
+    ideal circuit value, standing in for the normalization constraint; every
+    other coefficient is measured on its :func:`replica_layout` qubits
+    through their confusion matrices, refused before any draw when the
+    layout does not fit on the device. Calibration runs at the data shots
+    estimate the inverses used for correction and for the postselection
+    ranking; only those modes form them, refusing before the data draw any
+    layout qubit estimated with p00 + p11 <= 1.
 
     Sampling order is fixed (one draw calibrates every layout qubit, then one
     draws the whole layout's data), so results are deterministic given the rng.
@@ -242,22 +225,15 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
     when not given.
     """
     modes = [CorrectionMode(m) for m in modes]
+    layout = replica_layout(h.dim - 1, device.n_qubits)
     rng = np.random.default_rng(rng)
     if ideal is None:
         ideal = batch_weights(params, feature_matrix(h.basis))
-    dim = h.dim
-    anchor = dim - 1 if anchor_index is None else anchor_index
-    measured = [i for i in range(dim) if i != anchor]
-    layout = _replica_grid(layout, device.n_qubits)
-    if layout.shape[0] != len(measured):
-        raise ValueError(
-            f"layout covers {layout.shape[0]} coefficients, need {len(measured)}")
 
-    cal_shots = shots if calibration_shots is None else calibration_shots
-    estimate = calibrate(device, layout, cal_shots, rng)
+    estimate = calibrate(device, layout, shots, rng)
     if set(modes) - {CorrectionMode.UNCORRECTED}:
-        inverse, fom = _checked_inverse(estimate, layout, cal_shots)
-    counts = device.measure(layout, ideal[measured, None], shots, rng)
+        inverse, fom = _checked_inverse(estimate, layout, shots)
+    counts = device.measure(layout, ideal[:-1, None], shots, rng)
     if {CorrectionMode.CORRECTED,
             CorrectionMode.POSTSELECTED_CORRECTED} & set(modes):
         # correct takes one qubit's observation and inverse
@@ -266,7 +242,7 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
                 for row in zip(counts.tolist(), inverse, fom.tolist())]
     if {CorrectionMode.POSTSELECTED,
             CorrectionMode.POSTSELECTED_CORRECTED} & set(modes):
-        best = replica_argmin(layout, fom)
+        best = replica_argmin(fom)
 
     energies = {}
     for mode in modes:
@@ -279,22 +255,16 @@ def noisy_energies(params: CircuitParams, h: HamiltonianMatrix,
             values = counts[np.arange(len(best)), best] / shots
         else:
             values = [correct(*row[b])[0] for row, b in zip(grid, best)]
-        coeffs = np.empty(dim)
-        coeffs[anchor] = ideal[anchor]
-        coeffs[measured] = values
-        energies[mode] = rayleigh_energy(coeffs, h)
+        energies[mode] = rayleigh_energy(np.append(values, ideal[-1]), h)
     return energies
 
 
 def noisy_energy_run(params: CircuitParams, h: HamiltonianMatrix,
-                     device: SimulatedDevice, layout: np.ndarray,
-                     shots: int, mode: CorrectionMode, rng,
-                     calibration_shots: int | None = None,
-                     anchor_index: int | None = None) -> float:
+                     device: SimulatedDevice, shots: int,
+                     mode: CorrectionMode, rng) -> float:
     """Single-mode convenience wrapper around :func:`noisy_energies`."""
     mode = CorrectionMode(mode)
-    return noisy_energies(params, h, device, layout, shots, [mode], rng,
-                          calibration_shots, anchor_index)[mode]
+    return noisy_energies(params, h, device, shots, [mode], rng)[mode]
 
 
 def shot_study(params: CircuitParams, h: HamiltonianMatrix, shot_grid,
@@ -337,15 +307,17 @@ def shot_study(params: CircuitParams, h: HamiltonianMatrix, shot_grid,
 
 
 def calibration_report(device: SimulatedDevice, shots: int, seed: int,
-                       layout: np.ndarray):
+                       n_coeffs: int):
     """Per-qubit calibration rows (qubit, p00, p01, p10, p11, fom, selected);
-    ``selected`` marks the qubit each replica group of ``layout`` would
-    postselect by this calibration."""
-    layout = _replica_grid(layout, device.n_qubits)
-    est = calibrate(device, np.arange(device.n_qubits), shots, seed)
-    fom = _checked_inverse(est, np.arange(device.n_qubits), shots)[1]
-    selected = set(layout[np.arange(len(layout)),
-                          replica_argmin(layout, fom[layout])].tolist())
+    ``selected`` marks the qubit each replica group of the ``n_coeffs``
+    coefficients' :func:`replica_layout` would postselect by this
+    calibration."""
+    layout = replica_layout(n_coeffs, device.n_qubits)
+    qubits = np.arange(device.n_qubits)
+    est = calibrate(device, qubits, shots, seed)
+    fom = _checked_inverse(est, qubits, shots)[1]
+    selected = set(layout[np.arange(n_coeffs),
+                          replica_argmin(fom[layout])].tolist())
     table = np.stack([est.p00, est.p01, est.p10, est.p11, fom], 1)
     return [(qubit, *row, int(qubit in selected))
             for qubit, row in enumerate(table.tolist())]

@@ -121,10 +121,7 @@ def rayleigh_energy(coeffs, h: HamiltonianMatrix) -> float:
     c = np.asarray(coeffs)
     if c.shape != (h.dim,):
         raise ValueError(f"coefficient length {c.shape} != basis dim {h.dim}")
-    norm = np.real(np.vdot(c, c))
-    if norm == 0.0:
-        raise ValueError("zero coefficient vector")
-    return float(np.real(np.vdot(c, h.matrix @ c)) / norm)
+    return rayleigh_residual(c, h)[1]
 
 
 def rayleigh_residual(coeffs, h: HamiltonianMatrix):

@@ -205,7 +205,6 @@ def test_criterion_7_readout_mitigation(hams, trained_compressed):
     report("criterion 7a (inverse identity and merit bound)", inverse_ok,
            "125 qubits checked")
 
-    layout = ro.replica_layout()
     trials = 100
     modes = [ro.CorrectionMode.UNCORRECTED, ro.CorrectionMode.CORRECTED,
              ro.CorrectionMode.POSTSELECTED,
@@ -224,8 +223,7 @@ def test_criterion_7_readout_mitigation(hams, trained_compressed):
         for trial in range(trials):
             rng = np.random.default_rng(
                 np.random.SeedSequence((9, int(u), trial)))
-            res = ro.noisy_energies(params, h, device, layout, 20000, modes,
-                                    rng)
+            res = ro.noisy_energies(params, h, device, 20000, modes, rng)
             if (abs(res[ro.CorrectionMode.CORRECTED] - ideal)
                     < abs(res[ro.CorrectionMode.UNCORRECTED] - ideal)):
                 corrected_wins += 1

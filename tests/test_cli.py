@@ -307,6 +307,23 @@ def test_train_nn(tmp_path, capsys):
     assert float(stdout.splitlines()[0]) < -7.3
 
 
+@pytest.mark.parametrize("ansatz", ["nn", "quat"])
+def test_train_on_raw_features(ansatz, tmp_path, capsys):
+    checkpoints = []
+    for flags in ([], ["--raw-features"]):
+        out = tmp_path / ("raw" if flags else "default")
+        code, stdout, err = run(capsys, "train", "--ansatz", ansatz,
+                                "--U", "5", "--steps", "20", "--seed", "2",
+                                "--out-dir", str(out), *flags)
+        assert (code, err) == (0, "")
+        results = json.loads((out / f"{ansatz}_U5_summary.json").read_text())[
+            "results"]
+        assert stdout.splitlines()[0] == f"{results['final_energy']:.5f}"
+        assert results["final_energy"] >= results["exact_energy"]
+        checkpoints.append((out / f"{ansatz}_U5_checkpoint.json").read_bytes())
+    assert checkpoints[0] != checkpoints[1]
+
+
 def test_study_layers(tmp_path, capsys):
     out = tmp_path / "layers.csv"
     code, stdout, _ = run(capsys, "study", "layers", "--ansatz", "quat",

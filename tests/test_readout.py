@@ -132,8 +132,7 @@ def test_calibrate_rejects_non_invertible_estimate():
             f"^calibration with 10 shots leaves qubit {singular[0]} with "
             "p00 \\+ p11 <= 1, so its readout cannot be inverted; "
             "calibrate with more shots$")):
-        ro.calibration_report(device, shots=10, seed=0,
-                              layout=ro.replica_layout())
+        ro.calibration_report(device, shots=10, seed=0, n_coeffs=25)
 
 
 def test_array_inverse_matches_scalar_invert():
@@ -148,9 +147,8 @@ def test_array_inverse_matches_scalar_invert():
         ref = np.array([[cm.p11, -cm.p01], [-cm.p10, cm.p00]]) / det
         assert np.array_equal(inv[q], ref) and np.array_equal(inv[q], scalar.matrix)
         assert fom[q] == float(np.trace(ref) / 2.0) == scalar.figure_of_merit
-    layout = ro.replica_layout()
-    picked = layout[np.arange(len(layout)),
-                    ro.replica_argmin(layout, fom[layout])]
+    layout = ro.replica_layout(25, 125)
+    picked = layout[np.arange(len(layout)), ro.replica_argmin(fom[layout])]
     for group, best in zip(layout.tolist(), picked.tolist()):
         assert best == min(group, key=lambda q: (
             qubit_confusion(device, q).invert().figure_of_merit, q))
@@ -192,27 +190,26 @@ def merit(eps):
 
 
 def test_postselect_picks_minimum():
-    layout = np.array([[7, 3, 9], [4, 0, 8]])
     fom = np.array([[merit(0.05), merit(0.01), merit(0.08)],
                     [merit(0.03), merit(0.06), merit(0.02)]])
-    assert ro.replica_argmin(layout, fom).tolist() == [1, 2]  # qubits 3, 8
+    assert ro.replica_argmin(fom).tolist() == [1, 2]
 
 
 def test_postselect_tie_breaks_low_index():
-    # the lower id sits in the later column, so column order cannot decide
-    layout = np.array([[7, 3], [8, 2]])
+    # a row's ids increase with the column, so a tie goes to the lowest id
+    layout = ro.replica_layout(2, 10)
     fom = np.full(layout.shape, merit(0.02))
-    assert ro.replica_argmin(layout, fom).tolist() == [1, 1]  # qubits 3, 2
+    best = ro.replica_argmin(fom)
+    assert layout[np.arange(2), best].tolist() == [0, 1]
     # a tie of the two smallest beats a larger figure at a lower id
-    layout = np.array([[1, 6, 4]])
-    fom = np.array([[merit(0.03), merit(0.02), merit(0.02)]])
-    assert ro.replica_argmin(layout, fom).tolist() == [2]  # qubit 4
+    fom = np.array([[merit(0.03), merit(0.02), merit(0.02), merit(0.04),
+                     merit(0.05)]])
+    assert ro.replica_argmin(fom).tolist() == [1]
 
 
 def test_postselect_perfect_wins():
-    layout = np.array([[5, 1]])
-    fom = np.array([[merit(0.0), merit(0.001)]])
-    assert ro.replica_argmin(layout, fom).tolist() == [0]  # qubit 5
+    fom = np.array([[merit(0.001), merit(0.0)]])
+    assert ro.replica_argmin(fom).tolist() == [1]
 
 
 # --- device & layout ---------------------------------------------------------------
@@ -266,7 +263,7 @@ def test_device_needs_arrays_of_qubits():
 
 
 def test_layout_shape_and_blocks():
-    layout = ro.replica_layout()
+    layout = ro.replica_layout(25, 125)
     assert layout.shape == (25, 5)
     assert np.unique(layout).size == 125
     np.testing.assert_array_equal(layout[:, 0], np.arange(25))
@@ -274,19 +271,14 @@ def test_layout_shape_and_blocks():
 
 
 def test_layout_too_big_rejected():
-    with pytest.raises(ValueError):
-        ro.replica_layout(25, 6, 125)
-
-
-@pytest.mark.parametrize("n_replicas", [0, -1])
-def test_layout_without_replicas_rejected(n_replicas):
-    with pytest.raises(ValueError, match="layout needs n_replicas >= 1"):
-        ro.replica_layout(25, n_replicas)
+    with pytest.raises(ValueError, match="^layout does not fit on the "
+                                         "device$"):
+        ro.replica_layout(26, 125)
 
 
 def test_noiseless_measure_is_plain_binomial():
     device = noiseless(125)
-    layout = ro.replica_layout()
+    layout = ro.replica_layout(25, 125)
     prob0 = np.linspace(-0.1, 1.1, 25)[:, None]  # clipped to [0, 1]
     counts = device.measure(layout, prob0, 1000, np.random.default_rng(4))
     expected = np.random.default_rng(4).binomial(
@@ -316,19 +308,17 @@ def test_noiseless_run_converges_to_ideal(trained):
     ideal = rayleigh_energy(
         qc.batch_weights(params, feature_matrix(h.basis)), h)
     device = noiseless(125)
-    energy = ro.noisy_energy_run(params, h, device, ro.replica_layout(),
-                                 10 ** 6, ro.CorrectionMode.UNCORRECTED,
-                                 rng=0)
+    energy = ro.noisy_energy_run(params, h, device, 10 ** 6,
+                                 ro.CorrectionMode.UNCORRECTED, rng=0)
     assert abs(energy - ideal) / abs(ideal) < 1e-3
 
 
 def test_modes_share_samples(trained):
     params, h = trained
     device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
-    layout = ro.replica_layout()
-    both = ro.noisy_energies(params, h, device, layout, 4000,
+    both = ro.noisy_energies(params, h, device, 4000,
                              list(ro.CorrectionMode), rng=11)
-    single = ro.noisy_energy_run(params, h, device, layout, 4000,
+    single = ro.noisy_energy_run(params, h, device, 4000,
                                  ro.CorrectionMode.UNCORRECTED, rng=11)
     assert both[ro.CorrectionMode.UNCORRECTED] == pytest.approx(single)
     assert len(both) == 4
@@ -339,11 +329,10 @@ def test_correction_beats_uncorrected_usually(trained):
     ideal = rayleigh_energy(
         qc.batch_weights(params, feature_matrix(h.basis)), h)
     device = ro.SimulatedDevice.random(125, (0.02, 0.02001), seed=2)
-    layout = ro.replica_layout()
     wins = 0
     trials = 20
     for trial in range(trials):
-        res = ro.noisy_energies(params, h, device, layout, 20000,
+        res = ro.noisy_energies(params, h, device, 20000,
                                 [ro.CorrectionMode.UNCORRECTED,
                                  ro.CorrectionMode.CORRECTED],
                                 rng=trial)
@@ -369,39 +358,38 @@ def test_postselected_tracks_best_qubits(trained):
             eps0.append(rng.uniform(0.03, 0.05))
             eps1.append(rng.uniform(0.03, 0.05))
     device = device_of(eps0, eps1)
-    energy = ro.noisy_energy_run(params, h, device, ro.replica_layout(),
-                                 200000, ro.CorrectionMode.POSTSELECTED,
-                                 rng=4, calibration_shots=200000)
+    energy = ro.noisy_energy_run(params, h, device, 200000,
+                                 ro.CorrectionMode.POSTSELECTED, rng=4)
     assert abs(energy - ideal) < 5e-3
 
 
-def test_anchor_index_choice(trained):
+def test_anchor_is_the_last_class_at_its_ideal_value(trained, monkeypatch):
     params, h = trained
-    device = noiseless(125)
-    ideal = rayleigh_energy(
-        qc.batch_weights(params, feature_matrix(h.basis)), h)
-    for anchor in (0, 12):
-        energy = ro.noisy_energy_run(params, h, device, ro.replica_layout(),
-                                     10 ** 6, ro.CorrectionMode.UNCORRECTED,
-                                     rng=0, anchor_index=anchor)
-        assert abs(energy - ideal) / abs(ideal) < 1e-3
+    device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
+    ideal = qc.batch_weights(params, feature_matrix(h.basis))
+    seen = []
+
+    def spy(coeffs, h):
+        seen.append(np.array(coeffs))
+        return rayleigh_energy(coeffs, h)
+    monkeypatch.setattr(ro, "rayleigh_energy", spy)
+    ro.noisy_energies(params, h, device, 4000, list(ro.CorrectionMode),
+                      rng=11)
+    assert len(seen) == 4
+    for coeffs in seen:
+        assert coeffs.shape == (h.dim,)
+        assert coeffs[-1].tobytes() == ideal[-1].tobytes()
+        assert not np.array_equal(coeffs[:-1], ideal[:-1])  # measured
 
 
-def test_layout_validation(trained):
+def test_layout_validation(trained, monkeypatch):
     params, h = trained
-    device = noiseless(125)
-    with pytest.raises(ValueError):
-        ro.noisy_energy_run(params, h, device, ro.replica_layout()[:-1],
-                            100, ro.CorrectionMode.UNCORRECTED, rng=0)
-    bad = ro.replica_layout().copy()
-    bad[0, 0] = bad[0, 1]
-    with pytest.raises(ValueError):
-        ro.noisy_energy_run(params, h, device, bad, 100,
+    draws = counted_draws(monkeypatch)
+    with pytest.raises(ValueError, match="^layout does not fit on the "
+                                         "device$"):
+        ro.noisy_energy_run(params, h, noiseless(10), 100,
                             ro.CorrectionMode.UNCORRECTED, rng=0)
-    with pytest.raises(ValueError):
-        ro.noisy_energy_run(params, h, noiseless(10),
-                            ro.replica_layout(), 100,
-                            ro.CorrectionMode.UNCORRECTED, rng=0)
+    assert draws == {"measure": 0}
 
 
 def counted_draws(monkeypatch) -> dict:
@@ -416,53 +404,17 @@ def counted_draws(monkeypatch) -> dict:
     return calls
 
 
-@pytest.mark.parametrize("mode", list(ro.CorrectionMode))
-def test_layout_without_replicas_fails_before_any_draw(trained, monkeypatch,
-                                                       mode):
-    params, h = trained
-    device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
-    draws = counted_draws(monkeypatch)
-    for layout in (np.empty((25, 0), dtype=int), np.arange(25)):
-        with pytest.raises(ValueError, match="layout of shape .* has no "
-                                             "replicas"):
-            ro.noisy_energies(params, h, device, layout, 100, [mode], rng=0)
-    assert draws == {"measure": 0}
-
-
-@pytest.mark.parametrize("layout,message", [
-    ([[-1, 2]], "layout references qubits outside the device"),
-    ([[0, 9]], "layout references qubits outside the device"),
-    ([[1, 1]], "layout assigns a qubit twice"),
-], ids=["negative id", "id past the device", "duplicate"])
-@pytest.mark.parametrize("entry", ["noisy_energies", "calibration_report"])
-def test_bad_layout_fails_before_any_draw(trained, monkeypatch, entry,
-                                          layout, message):
-    # both entry points run one check, before the coefficient count, on
-    # an 8-qubit device
-    params, h = trained
-    device = ro.SimulatedDevice.random(8, (0.01, 0.04), seed=1)
-    draws = counted_draws(monkeypatch)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        if entry == "noisy_energies":
-            ro.noisy_energies(params, h, device, np.array(layout), 100,
-                              list(ro.CorrectionMode), rng=0)
-        else:
-            ro.calibration_report(device, shots=100, seed=0,
-                                  layout=np.array(layout))
-    assert draws == {"measure": 0}
-
-
 def test_modes_that_invert_refuse_a_singular_calibration(trained,
                                                         monkeypatch):
     # 2 shots on flip rates near 0.5: the one calibration every mode shares
     # leaves some layout qubits singular; only uncorrected reads no inverse
     params, h = trained
     device = ro.SimulatedDevice.random(125, (0.45, 0.49), seed=3)
-    layout = ro.replica_layout()
+    layout = ro.replica_layout(25, 125)
     est = ro.calibrate(device, layout, 2, np.random.default_rng(0))
     singular = layout[est.p00 + est.p11 <= 1.0]
     assert singular.size
-    energy = ro.noisy_energies(params, h, device, layout, 2, ["uncorrected"],
+    energy = ro.noisy_energies(params, h, device, 2, ["uncorrected"],
                                rng=0)["uncorrected"]
     assert np.isfinite(energy)
     draws = counted_draws(monkeypatch)
@@ -470,19 +422,17 @@ def test_modes_that_invert_refuse_a_singular_calibration(trained,
         with pytest.raises(ValueError, match=(
                 f"^calibration with 2 shots leaves qubit {singular.min()} "
                 "with p00 \\+ p11 <= 1")):
-            ro.noisy_energies(params, h, device, layout, 2,
-                              ["uncorrected", mode], rng=0)
+            ro.noisy_energies(params, h, device, 2, ["uncorrected", mode],
+                              rng=0)
     assert draws == {"measure": 3}  # each calibrated, none drew its data
 
 
 def test_zero_shots_rejected(trained):
     params, h = trained
     device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
-    for shots, calibration_shots in ((0, None), (0, 100), (100, 0)):
-        with pytest.raises(ValueError, match="shots must be >= 1"):
-            ro.noisy_energies(params, h, device, ro.replica_layout(), shots,
-                              list(ro.CorrectionMode), rng=0,
-                              calibration_shots=calibration_shots)
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        ro.noisy_energies(params, h, device, 0, list(ro.CorrectionMode),
+                          rng=0)
 
 
 def test_one_draw_per_stage_and_per_observation_correction(trained,
@@ -500,7 +450,7 @@ def test_one_draw_per_stage_and_per_observation_correction(trained,
 
     monkeypatch.setattr(ro.SimulatedDevice, "measure", counted("measure", measure))
     monkeypatch.setattr(ro, "correct", counted("correct", correct))
-    energies = ro.noisy_energies(params, h, device, ro.replica_layout(), 4000,
+    energies = ro.noisy_energies(params, h, device, 4000,
                                  list(ro.CorrectionMode), rng=11)
     assert len(energies) == 4
     # one calibration draw and one data draw; 25 x 5 corrected + 25 best
@@ -512,10 +462,9 @@ def test_given_ideal_weights_draw_the_same_energies(trained):
     device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
     weights = qc.batch_weights(params, feature_matrix(h.basis))
     modes = list(ro.CorrectionMode)
-    own = ro.noisy_energies(params, h, device, ro.replica_layout(), 4000,
-                            modes, rng=11)
-    given = ro.noisy_energies(params, h, device, ro.replica_layout(), 4000,
-                              modes, rng=11, ideal=weights)
+    own = ro.noisy_energies(params, h, device, 4000, modes, rng=11)
+    given = ro.noisy_energies(params, h, device, 4000, modes, rng=11,
+                              ideal=weights)
     assert own == given
 
 
@@ -530,16 +479,15 @@ def test_per_qubit_work_only_for_modes_that_read_it(trained, monkeypatch,
                                                     postselections):
     params, h = trained
     device = ro.SimulatedDevice.random(125, (0.01, 0.05), seed=5)
-    everything = ro.noisy_energies(params, h, device, ro.replica_layout(),
-                                   4000, list(ro.CorrectionMode), rng=11)
+    everything = ro.noisy_energies(params, h, device, 4000,
+                                   list(ro.CorrectionMode), rng=11)
     calls = {"correct": 0, "replica_argmin": 0}
     for name in calls:
         def spy(*args, fn=getattr(ro, name), name=name):
             calls[name] += 1
             return fn(*args)
         monkeypatch.setattr(ro, name, spy)
-    some = ro.noisy_energies(params, h, device, ro.replica_layout(), 4000,
-                             modes, rng=11)
+    some = ro.noisy_energies(params, h, device, 4000, modes, rng=11)
     assert calls == {"correct": corrections, "replica_argmin": postselections}
     # every mode set draws the same samples, so each energy is unchanged
     assert some == {mode: everything[mode]
@@ -670,47 +618,42 @@ def test_shot_study_blocks_equal_one_unsplit_draw(trained, monkeypatch, block):
 # --- reports ------------------------------------------------------------------------------
 
 def test_calibration_report_and_csv(tmp_path):
-    device = ro.SimulatedDevice.random(8, (0.01, 0.04), seed=1)
-    layout = np.array([[0, 1, 2], [5, 4, 3]])  # qubits 6 and 7 unused
-    rows = ro.calibration_report(device, shots=20000, seed=0, layout=layout)
-    assert len(rows) == 8
+    device = ro.SimulatedDevice.random(12, (0.01, 0.04), seed=1)
+    rows = ro.calibration_report(device, shots=20000, seed=0, n_coeffs=2)
+    assert len(rows) == 12  # qubits 10 and 11 unused
     assert all(r[5] >= 1.0 for r in rows)
     # each group's smallest figure of merit, ties to the lowest qubit id
     fom = {r[0]: r[5] for r in rows}
-    best = {min(group, key=lambda q: (fom[q], q)) for group in layout.tolist()}
+    best = {min(group, key=lambda q: (fom[q], q))
+            for group in ro.replica_layout(2, 12).tolist()}
     assert len(best) == 2
-    assert [r[6] for r in rows] == [int(q in best) for q in range(8)]
+    assert [r[6] for r in rows] == [int(q in best) for q in range(12)]
     # a noiseless device ranks every qubit 1: ties go to the lowest qubit
-    rows = ro.calibration_report(noiseless(6), shots=100, seed=0,
-                                 layout=np.array([[2, 1, 0], [5, 3, 4]]))
-    assert [r[5] for r in rows] == [1.0] * 6
-    assert [r[6] for r in rows] == [1, 0, 0, 1, 0, 0]
+    rows = ro.calibration_report(noiseless(11), shots=100, seed=0,
+                                 n_coeffs=2)
+    assert [r[5] for r in rows] == [1.0] * 11
+    assert [r[6] for r in rows] == [1, 1] + [0] * 9
     path = tmp_path / "cal.csv"
     ro.write_calibration_csv(rows, path)
     header = path.read_text().splitlines()[0]
     assert header == "qubit,p00,p01,p10,p11,figure_of_merit,selected"
 
 
-def test_calibration_report_without_replicas_fails_before_any_draw(
+def test_calibration_report_off_the_device_fails_before_any_draw(
         monkeypatch):
-    device = ro.SimulatedDevice.random(8, (0.01, 0.04), seed=1)
+    device = ro.SimulatedDevice.random(9, (0.01, 0.04), seed=1)
     draws = counted_draws(monkeypatch)
-    with pytest.raises(ValueError, match="layout of shape \\(2, 0\\) has no "
-                                         "replicas"):
-        ro.calibration_report(device, shots=100, seed=0,
-                              layout=np.empty((2, 0), dtype=int))
+    with pytest.raises(ValueError, match="^layout does not fit on the "
+                                         "device$"):
+        ro.calibration_report(device, shots=100, seed=0, n_coeffs=2)
     assert draws == {"measure": 0}
 
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_calibration_report_selects_the_lowest_merit_then_id(data):
-    n_coeffs, n_replicas = data.draw(st.integers(1, 6)), data.draw(
-        st.integers(1, 4))
-    n_qubits = n_coeffs * n_replicas + data.draw(st.integers(0, 3))
-    ids = data.draw(st.permutations(range(n_qubits)))
-    layout = np.array(ids[:n_coeffs * n_replicas]).reshape(n_coeffs,
-                                                           n_replicas)
+    n_coeffs = data.draw(st.integers(1, 6))
+    n_qubits = n_coeffs * ro.REPLICAS + data.draw(st.integers(0, 3))
     # qubits below this id are noiseless: a figure of merit of exactly 1,
     # so groups with two or more of them tie
     quiet = data.draw(st.integers(0, n_qubits))
@@ -720,9 +663,10 @@ def test_calibration_report_selects_the_lowest_merit_then_id(data):
                            data.draw(flips)) for _ in range(2))
     rows = ro.calibration_report(device_of(eps0, eps1), shots=200,
                                  seed=data.draw(st.integers(0, 2 ** 16)),
-                                 layout=layout)
+                                 n_coeffs=n_coeffs)
     fom = {r[0]: r[5] for r in rows}
     assert all(fom[q] == 1.0 for q in range(quiet))
+    layout = ro.replica_layout(n_coeffs, n_qubits)
     best = {min(group, key=lambda q: (fom[q], q)) for group in layout.tolist()}
     assert [r[6] for r in rows] == [int(q in best) for q in range(n_qubits)]
 

@@ -98,7 +98,15 @@ COMMANDS = {
         "--modes", "postselected", "--trials", "5", "--seed", "3",
         "--out", "noise_postselected.csv",
         "--calibration-out", "calibration_postselected.csv"],
+    # 6 sites, 4 bosons: 16 classes, so a layout of 15 coefficients
+    "study_noise_6_4": ["study", "noise", "--sites", "6", "--bosons", "4",
+                        "--checkpoint", CKPT.format(5), "--U", "5",
+                        "--modes", MODES, "--trials", "3", "--seed", "3",
+                        "--out", "noise_6_4.csv",
+                        "--calibration-out", "calibration_6_4.csv"],
     "noise_run": ["noise-run", "--checkpoint", CKPT.format(5), "--U", "5"],
+    "noise_run_6_4": ["noise-run", "--sites", "6", "--bosons", "4",
+                      "--checkpoint", CKPT.format(5), "--U", "5"],
     "noise_run_postselected": ["noise-run", "--checkpoint", CKPT.format(5),
                                "--U", "5", "--mode", "postselected"],
     "noise_run_postselected_corrected": [
