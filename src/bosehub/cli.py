@@ -105,8 +105,9 @@ _OPTIONS = {
                   "natural-gradient step; default: "
                   f"{vr.STABLE_RATE:g}/(G - E0), with G Gershgorin's bound "
                   "on the largest eigenvalue Emax and E0 the ground energy, "
-                  "inside the stability edge eta (Emax - E0) < 2; 0.02 "
-                  "reproduces the runs of the old fixed rate", bound="> 0"),
+                  "inside the stability edge eta (Emax - E0) < 2; an "
+                  "explicit value, such as the old fixed 0.02, is the rate "
+                  "of every step", bound="> 0"),
     "restarts": _Option("--restarts", int, 1, bound=">= 1"),
     "complex_mode": _Option("--complex", bool, False, help="complex "
                             "coefficients (required when phi != 0)"),
@@ -461,6 +462,7 @@ def cmd_train(args) -> int:
             "excited_lower": _finite(result.excited_lower),
             "learning_rate": result.learning_rate,
             "energy_upper_bound": result.energy_upper_bound,
+            "damping": _finite(result.damping),
         })
         (args.out_dir / f"{stem}_summary.json").write_text(summary)
         print(f"wrote artifacts to {args.out_dir}")

@@ -9,16 +9,20 @@ no mini-batches, recording the energy at every step.
 A step is stochastic reconfiguration (Sorella, Phys. Rev. Lett. 80, 4558
 (1998)) written in class space (minSR: Chen & Heyl, arXiv 2302.01941).
 With J~ the Jacobian of c/|c| projected off c, and r = (Hc - Ec)/|c|, the
-parameters move by -eta J~^T (J~ J~^T + DAMPING I)^-1 r, a B x B solve per
+parameters move by -eta J~^T (J~ J~^T + eps I)^-1 r, a B x B solve per
 member (2B x 2B in complex mode, real and imaginary parts stacked), with the
 step's length capped at MAX_STEP. By default eta = STABLE_RATE/(G - E0),
 with G the Gershgorin bound on the largest eigenvalue and E0 the ground
 energy: in the linear regime a step multiplies each excited component k by
-1 - eta (E_k - E0), which is stable only while eta (Emax - E0) < 2. Each
-ansatz supplies the Gram matrix J J^T of its coefficients and the product
-of a class-space vector with its Jacobian; the projection and the solve are
-shared. Training stops at the
-first step where some member's energy carries Temple's certificate: with
+1 - eta (E_k - E0), which is stable only while eta (Emax - E0) < 2. The
+damping eps = min(DAMPING, RESIDUAL_DAMPING sigma/(G - E0)) shrinks with
+each member's residual norm sigma = |r|, as Levenberg-Marquardt damping
+does (Yamashita & Fukushima, Computing Suppl. 15, 239 (2001); Fan & Yuan,
+Computing 74, 23 (2005)), so the directions of J~ J~^T below DAMPING stop
+being throttled as a run nears its answer. Each ansatz supplies the Gram
+matrix J J^T of its coefficients and the product of a class-space vector
+with its Jacobian; the projection and the solve are shared. Training stops
+at the first step where some member's energy carries Temple's certificate: with
 variance sigma^2 = |r|^2 and ell a lower estimate of the first excited
 energy, E - sigma^2/(ell - E) >= E - CERTIFIED_GAP.
 
@@ -44,11 +48,15 @@ from .hamiltonian import (GroundState, HamiltonianMatrix,
                           gershgorin_upper_bound, ground_state)
 
 
-# The natural-gradient step: the damping added to the projected class-space
-# Gram matrix, the cap on a step's length in parameter space, eta (G - E0)
-# of the default rate (below the stability edge 2) and the gap between an
-# energy and its Temple bound that stops training.
+# The natural-gradient step: the most damping added to the projected
+# class-space Gram matrix, eps (G - E0)/sigma below that cap, the least
+# damping (so that sigma = 0 never reaches a singular solve), the cap on a
+# step's length in parameter space, eta (G - E0) of the default rate (below
+# the stability edge 2) and the gap between an energy and its Temple bound
+# that stops training.
 DAMPING = 1e-3
+RESIDUAL_DAMPING = 0.05
+MIN_DAMPING = 1e-9
 MAX_STEP = 0.2
 STABLE_RATE = 1.8
 CERTIFIED_GAP = 1e-5
@@ -64,8 +72,9 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """Natural-gradient settings shared by every ansatz: at most ``steps``
     steps, each of rate ``learning_rate`` (eta). None, the default, takes
-    the spectral rule of :func:`spectral_rate`; ``learning_rate=0.02``
-    reproduces runs made before that rule."""
+    STABLE_RATE/w for the width w of :func:`spectral_width`; an explicit
+    rate, such as the 0.02 of runs made before that rule, is the rate of
+    every step."""
 
     steps: int
     learning_rate: float | None = None
@@ -96,24 +105,35 @@ class TrainResult:
     stopped_on: str = "step cap"  # or "certificate"
     learning_rate: float = math.nan  # the eta every step took
     energy_upper_bound: float = math.nan  # Gershgorin's G of the matrix
+    damping: float = math.nan  # eps of the winner's last step, if any
 
     @property
     def steps_taken(self) -> int:
         return len(self.energies) - 1
 
 
-def spectral_rate(h: HamiltonianMatrix, upper: float,
-                  ground_energy: float) -> float:
-    """eta = STABLE_RATE/(G - E0) for G = ``upper``, Gershgorin's bound on
-    the largest eigenvalue Emax, and E0 = ``ground_energy``. Since
-    G >= Emax, eta (Emax - E0) <= STABLE_RATE < 2, the step's stability
-    edge. A width H cannot resolve, G - E0 <= eps max(1, max|H|), takes
-    the rate of a width of max(1, max|H|): the zero matrix (every step is
-    zero) would give 1.8/0, and a subnormal width an overflow to inf."""
+def spectral_width(h: HamiltonianMatrix, upper: float,
+                   ground_energy: float) -> float:
+    """w = G - E0 for G = ``upper``, Gershgorin's bound on the largest
+    eigenvalue Emax, and E0 = ``ground_energy``. The default rate is
+    eta = STABLE_RATE/w: since G >= Emax, eta (Emax - E0) <= STABLE_RATE
+    < 2, the step's stability edge. A width H cannot resolve,
+    G - E0 <= eps max(1, max|H|), is taken as max(1, max|H|): the zero
+    matrix (every step is zero) would give 1.8/0, and a subnormal width an
+    overflow to inf."""
     width = upper - ground_energy
     if not width > np.finfo(float).eps * h.scale:
         width = h.scale
-    return STABLE_RATE / width
+    return width
+
+
+def damping(variances, width: float):
+    """Each member's eps = min(DAMPING, RESIDUAL_DAMPING sigma/w) for its
+    energy variance sigma^2 and the spectral width w, at least MIN_DAMPING.
+    The cap keeps every step with sigma/w >= DAMPING/RESIDUAL_DAMPING as it
+    was under a fixed DAMPING."""
+    return np.clip(RESIDUAL_DAMPING * np.sqrt(variances) / width,
+                   MIN_DAMPING, DAMPING)
 
 
 def rayleigh_energy(coeffs, h: HamiltonianMatrix) -> float:
@@ -135,14 +155,15 @@ def rayleigh_residual(coeffs, h: HamiltonianMatrix):
     return (hc - energy * c) / norm, float(energy)
 
 
-def _residuals(coeffs, h: HamiltonianMatrix, gram=None):
+def _residuals(coeffs, h: HamiltonianMatrix, gram=None, width=None):
     """Energies (R,), residuals y (R, B) and energy variances (R,).
 
     y is conjugated so that dE/dtheta = 2 Re(y @ dc/dtheta). Given the
     members' Gram matrices ``gram`` = J_s J_s^T (R, n, n) of dc/dtheta,
     with J_s = J for real coefficients and [Re J; Im J] for complex ones,
-    y instead makes 2 Re(y @ dc/dtheta) the natural-gradient step, and
-    ``gram`` is overwritten. One quotient per member: one fused over all
+    and the spectral ``width``, y instead makes 2 Re(y @ dc/dtheta) the
+    natural-gradient step of each member's :func:`damping`, and ``gram``
+    is overwritten. One quotient per member: one fused over all
     members rounds differently, and the steps amplify that into another
     trajectory.
     """
@@ -156,30 +177,33 @@ def _residuals(coeffs, h: HamiltonianMatrix, gram=None):
         variances[k] = np.vdot(residuals[k], residuals[k]).real * norms[k]
     if gram is None:
         return energies, np.conj(residuals, out=residuals), variances
-    return energies, _natural_step(coeffs, residuals, norms, gram), variances
+    steps = _natural_step(coeffs, residuals, norms, gram,
+                          damping(variances, width))
+    return energies, steps, variances
 
 
-def _natural_step(coeffs, residuals, norms, gram):
-    """y (R, B) with 2 Re(y @ J) = J~^T (J~ J~^T + DAMPING I)^-1 r.
+def _natural_step(coeffs, residuals, norms, gram, eps):
+    """y (R, B) with 2 Re(y @ J) = J~^T (J~ J~^T + eps I)^-1 r for each
+    member's damping eps (R,).
 
     J~ = P J/|c| is the Jacobian of u = c/|c| projected off c, with P the
     projector off u (and off iu in complex mode, the direction of the
     global phase), and r = (Hc - Ec)/|c| lies off them too. The solution x
-    of (P K P/|c|^2 + DAMPING I) x = r is then the one of
-    (K/|c|^2 + DAMPING I) x = r + Q mu that lies off Q = [u] (or [u, iu]),
+    of (P K P/|c|^2 + eps I) x = r is then the one of
+    (K/|c|^2 + eps I) x = r + Q mu that lies off Q = [u] (or [u, iu]),
     so it takes one solve with K = J_s J_s^T and no projected matrix, and
     J~^T x = J_s^T x/|c|.
     """
     u = coeffs / np.sqrt(norms)[:, None]
     columns = [residuals, u, 1j * u] if np.iscomplexobj(coeffs) \
         else [residuals, u]
-    # (K + |c|^2 DAMPING I) z = [residuals, Q], residuals = r/|c|; complex
+    # (K + |c|^2 eps I) z = [residuals, Q], residuals = r/|c|; complex
     # columns stack their real parts over their imaginary ones
     rhs = np.stack(columns, axis=-1)
     if np.iscomplexobj(rhs):
         rhs = np.concatenate([rhs.real, rhs.imag], axis=1)
     n = rhs.shape[1]
-    gram.reshape(len(gram), -1)[:, ::n + 1] += DAMPING * norms[:, None]
+    gram.reshape(len(gram), -1)[:, ::n + 1] += (eps * norms)[:, None]
     z = np.linalg.solve(gram, rhs)
     # z_r - Z_q mu, off Q
     qz = rhs[:, :, 1:].swapaxes(-1, -2) @ z  # (R, m, 1 + m)
@@ -217,17 +241,17 @@ class MlpAnsatz:
                                     self.features)
         return neural.output_to_coefficient(out)
 
-    def energy_gradient(self, thetas, h: HamiltonianMatrix, natural=False):
+    def energy_gradient(self, thetas, h: HamiltonianMatrix, width=None):
         """Energies (R,), dE/dtheta (R, P), coefficients (R, B) and energy
         variances (R,) of the members' parameters (R, P), from one network
-        pass over all. With ``natural``, the natural-gradient step replaces
-        dE/dtheta."""
+        pass over all. Given the spectral ``width``, the natural-gradient
+        step replaces dE/dtheta."""
         params = self._template.with_flat(thetas)
         out, cache = neural.mlp_forward(params, self.features)
         c = neural.output_to_coefficient(out)
-        gram = neural.coefficient_gram(params, cache, c) if natural \
-            else None
-        energies, y, variances = _residuals(c, h, gram)
+        gram = None if width is None \
+            else neural.coefficient_gram(params, cache, c)
+        energies, y, variances = _residuals(c, h, gram, width)
         yc = y * c
         if self.complex_mode:
             upstream = np.stack([2.0 * yc.real, -2.0 * yc.imag], axis=-1)
@@ -263,19 +287,19 @@ class CircuitAnsatz:
         return qc.weights(self.kind, qc.finite_values(thetas), self.features,
                           self.complex_mode)
 
-    def energy_gradient(self, thetas, h: HamiltonianMatrix, natural=False):
+    def energy_gradient(self, thetas, h: HamiltonianMatrix, width=None):
         """Energies (R,), dE/dtheta (R, P), coefficients (R, B) and energy
         variances (R,) of the members' parameters (R, P), from one kernel
-        call. With ``natural``, the natural-gradient step replaces
-        dE/dtheta."""
+        call. Given the spectral ``width``, the natural-gradient step
+        replaces dE/dtheta."""
         c, jac = qc.weights_and_jacobian(self.kind, qc.finite_values(thetas),
                                          self.features, self.complex_mode)
         gram = None
-        if natural:
+        if width is not None:
             rows = jac if not self.complex_mode else np.concatenate(
                 [jac.real, jac.imag], axis=1)
             gram = rows @ rows.swapaxes(-1, -2)
-        energies, y, variances = _residuals(c, h, gram)
+        energies, y, variances = _residuals(c, h, gram, width)
         # a stacked matmul rounds as each member's y @ J; einsum does not
         grad = 2.0 * (y[:, None] @ jac)[:, 0].real
         return energies, grad, c, variances
@@ -295,9 +319,10 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
     variances are recorded, checked, kept if best and bounded by the same
     code. Every iterate but the last comes from one ``energy_gradient``
     call and moves the (R, P) parameters by theta -= min(eta, MAX_STEP/|d|)
-    d for each member's step d; eta is ``cfg.learning_rate``, or, if that
-    is None, :func:`spectral_rate` of the Gershgorin bound G and the
-    ground energy E0. The last one comes from ``coefficients`` and takes
+    d for each member's step d, damped by its :func:`damping` of the width
+    w = :func:`spectral_width` of the Gershgorin bound G and the ground
+    energy E0; eta is ``cfg.learning_rate``, or, if that is None,
+    STABLE_RATE/w. The last one comes from ``coefficients`` and takes
     no step: it is iterate ``cfg.steps``, or the one after the first
     iterate where some member's energy E and variance sigma^2 give E < ell
     and sigma^2/(ell - E) <= CERTIFIED_GAP. E0 and ell are the energy and
@@ -309,8 +334,8 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
     lowest seed on a tie. The result's Temple bound is the highest one of
     any iterate. If any member's energy turns non-finite,
     ``TrainingDiverged`` carries the trace of the lowest-index such member,
-    up to and including that energy. The result records eta and G.
-    Deterministic for a fixed config.
+    up to and including that energy. The result records eta, G and the
+    damping of the winner's last step. Deterministic for a fixed config.
     """
     if not h.is_real and not ansatz.complex_mode:
         raise ValueError("complex Hamiltonian needs a complex-mode ansatz")
@@ -318,15 +343,17 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
         ground = ground_state(h)
     excited_lower = ground.excited_lower
     upper = gershgorin_upper_bound(h)
+    width = spectral_width(h, upper, ground.energy)
     eta = cfg.learning_rate
     if eta is None:
-        eta = spectral_rate(h, upper, ground.energy)
+        eta = STABLE_RATE / width
     seeds = range(cfg.seed, cfg.seed + cfg.restarts)
     theta = np.array([ansatz.initial_vector(np.random.default_rng(seed))
                       for seed in seeds])
     energies = np.empty((cfg.restarts, cfg.steps + 1))
     best_energy, best_theta = np.full(cfg.restarts, np.inf), theta.copy()
     best_variance = np.full(cfg.restarts, np.nan)
+    eps = np.full(cfg.restarts, np.nan)  # each member's last damping
     bound, stopped_on = -math.inf, "step cap"
     for step in range(cfg.steps + 1):
         last = step == cfg.steps or stopped_on == "certificate"
@@ -334,7 +361,7 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
             energy, _, variance = _residuals(ansatz.coefficients(theta), h)
         else:
             energy, direction, _, variance = ansatz.energy_gradient(
-                theta, h, natural=True)
+                theta, h, width=width)
         energies[:, step] = energy
         certified = False
         for k, (e, v, best) in enumerate(zip(
@@ -353,6 +380,7 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
             certified |= gap <= CERTIFIED_GAP
         if last:
             break
+        eps = damping(variance, width)
         rate = [min(eta, MAX_STEP / size) if size else eta
                 for size in np.linalg.norm(direction, axis=1).tolist()]
         direction *= np.array(rate)[:, None]
@@ -363,7 +391,8 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
     return TrainResult(best_theta[win], energies[win, :step + 1],
                        seeds[win], float(best_energy[win]),
                        float(best_variance[win]), float(bound),
-                       float(excited_lower), stopped_on, eta, upper)
+                       float(excited_lower), stopped_on, eta, upper,
+                       float(eps[win]))
 
 
 def layer_study(kind: str, layer_counts, h: HamiltonianMatrix,

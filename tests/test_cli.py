@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from bosehub import circuit as qc
 from bosehub import cli, neural
+from bosehub.variational import DAMPING, MIN_DAMPING
 
 
 def run(capsys, *argv):
@@ -217,6 +218,8 @@ def test_train_summary_records_the_rate_and_the_bound(lr, tmp_path, capsys):
     # interaction energy 50 plus its one hop, sqrt(10), in the 26 classes
     upper = results["energy_upper_bound"]
     assert upper == pytest.approx(50.0 + math.sqrt(10.0), abs=1e-12)
+    # the damping of the last step never exceeds its cap
+    assert 0.0 < results["damping"] <= DAMPING
     if lr is None:
         assert doc["config"]["learning_rate"] is None
         assert results["learning_rate"] == 1.8 / (
@@ -228,18 +231,21 @@ def test_train_summary_records_the_rate_and_the_bound(lr, tmp_path, capsys):
 
 def test_train_on_a_spectrum_of_zero_width(tmp_path, capsys):
     # t = 0 and U = 0 give the zero matrix: G = E0 = 0, every state is a
-    # ground state and the run certifies at its first iterate
+    # ground state, sigma = 0, and the run certifies at its first iterate
     out = tmp_path / "artifacts"
-    code, stdout, err = run(capsys, "train", "--ansatz", "quat", "--t", "0",
-                            "--U", "0", "--out-dir", str(out))
-    assert (code, err) == (0, "")
-    assert stdout.splitlines()[0] == "0.00000"
-    results = json.loads((out / "quat_U0_summary.json").read_text())[
-        "results"]
-    assert results["energy_upper_bound"] == 0.0
-    assert math.isfinite(results["learning_rate"])
-    assert results["learning_rate"] > 0.0
-    assert results["stopped_on"] == "certificate"
+    for ansatz in ("quat", "nn"):
+        code, stdout, err = run(capsys, "train", "--ansatz", ansatz, "--t",
+                                "0", "--U", "0", "--out-dir", str(out))
+        assert (code, err) == (0, "")
+        assert stdout.splitlines()[0] == "0.00000"
+        results = json.loads(
+            (out / f"{ansatz}_U0_summary.json").read_text())["results"]
+        assert results["energy_upper_bound"] == 0.0
+        assert math.isfinite(results["learning_rate"])
+        assert results["learning_rate"] > 0.0
+        assert results["stopped_on"] == "certificate"
+        # its one step took the least damping instead of a singular solve
+        assert 0.0 < results["damping"] == MIN_DAMPING
 
 
 def test_train_compressed_rejects_feature_count(tmp_path, capsys):

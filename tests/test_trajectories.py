@@ -4,10 +4,12 @@
 as ``float.hex`` and the SHA-256 of the winning parameters' comma-joined
 ``float.hex`` strings. Each case is pinned twice: at the explicit rate
 eta = 0.02, the rate of every run before the spectral rule (key ``name``),
-and at the default spectral rate (key ``name + " spectral"``). The values
-were recorded with one and with two OpenBLAS threads (identical), so a
+and at the default spectral rate (key ``name + " spectral"``). Every step
+takes the residual damping of ``variational.damping``; the values were
+recorded with it, with one and with two OpenBLAS threads (identical), so a
 change to the training step that claims to be bit-identical must leave them
-as they are.
+as they are. The complex cases never leave the damping's cap within their
+40 steps, so their pins are also those of the old fixed damping.
 """
 import hashlib
 import json

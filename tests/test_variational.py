@@ -12,6 +12,8 @@ from bosehub.variational import (
     CERTIFIED_GAP,
     DAMPING,
     MAX_STEP,
+    MIN_DAMPING,
+    RESIDUAL_DAMPING,
     STABLE_RATE,
     CircuitAnsatz,
     MlpAnsatz,
@@ -21,7 +23,7 @@ from bosehub.variational import (
     layer_study,
     rayleigh_energy,
     rayleigh_residual,
-    spectral_rate,
+    spectral_width,
     train,
     write_trace_csv,
 )
@@ -148,9 +150,10 @@ def test_complex_mlp_energy_gradient_vs_fd(reduced26, rng):
                                         rel=1e-5, abs=1e-8)
 
 
-def _textbook_step(c, jac, h):
-    """J~^T (J~ J~^T + DAMPING I)^-1 r and |r|^2 with J~ = (I - u u^H)
-    J/|c| and r = (H - E) u, real and imaginary parts stacked."""
+def _textbook_step(c, jac, h, width):
+    """J~^T (J~ J~^T + eps I)^-1 r, |r|^2 and eps, with J~ = (I - u u^H)
+    J/|c|, r = (H - E) u, real and imaginary parts stacked, and
+    eps = min(DAMPING, RESIDUAL_DAMPING |r|/width)."""
     u = c / np.linalg.norm(c)
     energy = np.vdot(u, h.matrix @ u).real
     r = h.matrix @ u - energy * u
@@ -158,8 +161,9 @@ def _textbook_step(c, jac, h):
     if np.iscomplexobj(jt):
         jt = np.concatenate([jt.real, jt.imag])
         r = np.concatenate([r.real, r.imag])
-    step = jt.T @ np.linalg.solve(jt @ jt.T + DAMPING * np.eye(len(jt)), r)
-    return step, r @ r
+    eps = min(DAMPING, RESIDUAL_DAMPING * np.sqrt(r @ r) / width)
+    step = jt.T @ np.linalg.solve(jt @ jt.T + eps * np.eye(len(jt)), r)
+    return step, r @ r, eps
 
 
 def _network_jacobian(ansatz, theta):
@@ -195,8 +199,17 @@ def test_natural_step_is_the_textbook_formula(kind, complex_mode, phi,
         ansatz = CircuitAnsatz(h, kind, 3, complex_mode=complex_mode)
         thetas = np.array([qc.init_params(kind, 3, rng, 1.0).values
                            for _ in range(2)])
+    # without a width, the same method returns dE/dtheta, in the same
+    # four-value shape
+    energies_plain, _, c_plain, variances_plain = ansatz.energy_gradient(
+        thetas, h)
+    # a width that puts the member of the larger variance above the damping
+    # cap and the other one below it, by the same factor
+    width = RESIDUAL_DAMPING * np.sqrt(np.sqrt(np.prod(variances_plain))) \
+        / DAMPING
     energies, steps, c, variances = ansatz.energy_gradient(thetas, h,
-                                                           natural=True)
+                                                           width=width)
+    damped = []
     for k, theta in enumerate(thetas):
         if kind == "nn":
             ck, jac = _network_jacobian(ansatz, theta)
@@ -204,14 +217,12 @@ def test_natural_step_is_the_textbook_formula(kind, complex_mode, phi,
             ck, jac = qc.weights_and_jacobian(kind, theta, ansatz.features,
                                               complex_mode)
         np.testing.assert_allclose(c[k], ck, rtol=1e-14)
-        step, variance = _textbook_step(ck, jac, h)
+        step, variance, eps = _textbook_step(ck, jac, h, width)
         assert np.abs(steps[k] - step).max() <= 1e-10 * np.abs(step).max()
         assert variances[k] == pytest.approx(variance, rel=1e-12)
         assert energies[k] == rayleigh_energy(ck, h)
-    # called without natural, the same method still returns dE/dtheta,
-    # in the same four-value shape
-    energies_plain, _, c_plain, variances_plain = ansatz.energy_gradient(
-        thetas, h)
+        damped.append(eps)
+    assert sorted(damped)[0] < DAMPING == sorted(damped)[1]
     assert np.array_equal(energies_plain, energies)
     assert np.array_equal(c_plain, c)
     assert np.array_equal(variances_plain, variances)
@@ -361,7 +372,7 @@ def test_the_default_rate_is_inside_the_stability_edge(name):
     # with U >= 0 the diagonal is non-negative, and G is the largest row
     # sum of |H|, bit for bit: the shift power iteration always took
     assert upper == np.max(np.sum(np.abs(h.matrix), axis=1))
-    eta = spectral_rate(h, upper, ground_state(h).energy)
+    eta = STABLE_RATE / spectral_width(h, upper, ground_state(h).energy)
     assert 0.0 < eta < np.inf
     if upper > e0:
         # a step multiplies excited component k by 1 - eta (E_k - E0)
@@ -379,6 +390,8 @@ def test_a_spectrum_of_zero_width_takes_a_finite_rate(u, reduced26):
     result = train(CircuitAnsatz(h, "quat", 2), h, TrainConfig(steps=5))
     assert (result.learning_rate, result.energy_upper_bound) == (
         STABLE_RATE, upper)
+    # sigma = 0 (or subnormal) takes the least damping, not a singular solve
+    assert 0.0 < result.damping == MIN_DAMPING
     assert result.final_energy == pytest.approx(0.0, abs=1e-300)
     assert result.stopped_on == "certificate"
 
@@ -406,7 +419,7 @@ def test_divergence_aborts_with_trace(h_reduced):
         def initial_vector(self, rng):
             return np.zeros(2)
 
-        def energy_gradient(self, thetas, hh, natural=False):
+        def energy_gradient(self, thetas, hh, width=None):
             energies = np.where(thetas[:, 0] != 0, np.nan, 1.0)
             return (energies, np.ones_like(thetas),
                     np.ones((len(thetas), hh.dim)), np.ones(len(thetas)))
@@ -434,7 +447,7 @@ class _Scripted:
     def initial_vector(self, rng):
         return np.zeros(2)
 
-    def energy_gradient(self, thetas, hh, natural=False):
+    def energy_gradient(self, thetas, hh, width=None):
         self.calls += 1
         energies = np.array(self.script(self.calls), dtype=float)
         return (energies, np.ones_like(thetas),
@@ -455,9 +468,9 @@ def test_each_member_keeps_its_own_best_iterate(h_reduced):
         def initial_vector(self, rng):
             return rng.uniform(-1.0, 1.0, 2)
 
-        def energy_gradient(self, thetas, hh, natural=False):
+        def energy_gradient(self, thetas, hh, width=None):
             seen.append(thetas.copy())
-            return super().energy_gradient(thetas, hh, natural)
+            return super().energy_gradient(thetas, hh, width)
 
     result = train(Recording(lambda call: script.get(call, [-4.0, -4.0])), h,
                    TrainConfig(steps=5, seed=0, restarts=2))
@@ -494,8 +507,8 @@ def test_divergence_at_the_final_step_ends_the_trace(h_reduced, energy,
     h = h_reduced(U=5.0)
 
     class NanAtTheEnd(_Scripted):
-        def energy_gradient(self, thetas, hh, natural=False):
-            out = super().energy_gradient(thetas, hh, natural)
+        def energy_gradient(self, thetas, hh, width=None):
+            out = super().energy_gradient(thetas, hh, width)
             return (*out[:3], np.full(len(thetas), variance))
 
         def coefficients(self, thetas):
@@ -522,8 +535,8 @@ class _Recorder:
     def initial_vector(self, rng):
         return self.ansatz.initial_vector(rng)
 
-    def energy_gradient(self, thetas, h, natural=False):
-        out = self.ansatz.energy_gradient(thetas, h, natural)
+    def energy_gradient(self, thetas, h, width=None):
+        out = self.ansatz.energy_gradient(thetas, h, width)
         self.thetas.append(thetas.copy())
         self.energies.append(out[0].copy())
         return out
@@ -534,16 +547,17 @@ class _Recorder:
         return self.final
 
 
-def _single_start(ansatz, h, seed, steps, excited_lower, eta):
+def _single_start(ansatz, h, seed, steps, excited_lower, eta, width):
     """One start trained on its own: the capped natural-gradient update of
-    rate ``eta`` written out, on a population of one, for ``steps`` steps.
+    rate ``eta`` and spectral ``width`` written out, on a population of one,
+    for ``steps`` steps.
     Returns its energy trace, every iterate, and the first step whose energy
     carries Temple's certificate (None if none does)."""
     theta = ansatz.initial_vector(np.random.default_rng(seed))
     energies, thetas, certified = [], [], None
     for step in range(1, steps + 1):
         energy, d, _, variance = ansatz.energy_gradient(theta[None], h,
-                                                        natural=True)
+                                                        width=width)
         energies.append(energy[0])
         thetas.append(theta)
         rate = min(eta, MAX_STEP / np.sqrt(np.square(d[0]).sum()))
@@ -577,9 +591,11 @@ def _check_members(ansatz, h, seed, restarts, steps):
     recorder = _Recorder(ansatz)
     result = train(recorder, h, TrainConfig(steps=steps, seed=seed,
                                             restarts=restarts))
-    ell = ground_state(h).excited_lower
-    singles = [_single_start(ansatz, h, seed + r, steps, ell,
-                             result.learning_rate)
+    ground = ground_state(h)
+    width = spectral_width(h, gershgorin_upper_bound(h), ground.energy)
+    singles = [_single_start(ansatz, h, seed + r, steps,
+                             ground.excited_lower, result.learning_rate,
+                             width)
                for r in range(restarts)]
     certified = [s[2] for s in singles if s[2] is not None]
     taken = min(certified, default=steps)

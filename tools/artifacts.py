@@ -76,6 +76,9 @@ COMMANDS = {
                          "--out-dir", "train_nn_complex"],
     "train_nn_full": ["train", "--ansatz", "nn", "--U", "5", "--basis",
                       "full", "--steps", "40", "--out-dir", "train_nn_full"],
+    # the network baseline on all 252 states, run to its certificate
+    "train_nn_full_u2": ["train", "--ansatz", "nn", "--U", "2", "--basis",
+                         "full", "--out-dir", "train_nn_full_u2"],
     "train_nn_raw": ["train", "--ansatz", "nn", "--U", "5", "--raw-features",
                      "--out-dir", "train_nn_raw"],
     "train_quat_raw": ["train", "--ansatz", "quat", "--U", "5",
