@@ -4,7 +4,8 @@
 def write_csv(path, header, rows) -> None:
     """``header`` and ``rows`` as comma-joined ``str()`` fields, lines ending
     in \\r\\n: what ``csv.writer`` writes for fields that need no quoting,
-    which no field of these tables does."""
-    lines = [",".join(map(str, row)) + "\r\n" for row in (header, *rows)]
+    which no field of these tables does. Every row has one field per
+    header field."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write("".join([line % tuple(row) for row in (header, *rows)]))

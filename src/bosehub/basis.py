@@ -86,7 +86,10 @@ class BasisDescriptor:
 
     @cached_property
     def _representatives(self) -> np.ndarray:
-        reps = self.states[np.unique(self.class_of, return_index=True)[1]]
+        c = self.class_of
+        first = np.full(self.dim, len(c))
+        np.minimum.at(first, c, np.arange(len(c)))
+        reps = self.states[first]
         reps.setflags(write=False)
         return reps
 

@@ -40,11 +40,14 @@ DEFAULT_BOSONS = 5
 DEFAULT_LAYERS = 6
 
 
+# --config and the command words, read before the parser is built
+_BOOTSTRAP = argparse.ArgumentParser(add_help=False)
+_BOOTSTRAP.add_argument("--config", type=Path, default=None)
+_BOOTSTRAP.add_argument("command", nargs="*")
+
+
 def main(argv=None) -> int:
-    bootstrap = argparse.ArgumentParser(add_help=False)
-    bootstrap.add_argument("--config", type=Path, default=None)
-    bootstrap.add_argument("command", nargs="*")
-    known, _ = bootstrap.parse_known_args(argv)
+    known, _ = _BOOTSTRAP.parse_known_args(argv)
     try:
         config = json.loads(known.config.read_text()) if known.config else {}
         if not isinstance(config, dict):
@@ -54,7 +57,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: config file {known.config}: {exc}", file=sys.stderr)
         return 1
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _Reparse:  # the full parser prints the message and exits
+        args = _build_parser(config, None).parse_args(argv)
     if args.command is None and not args.check:
         parser.print_help()
         return 2
@@ -174,13 +180,40 @@ def _commands() -> tuple:
     )
 
 
+class _Reparse(Exception):
+    """Raised by a _LeanParser that would print a help or usage message."""
+
+
+class _LeanParser(argparse.ArgumentParser):
+    """A parser that holds only the running command, so its help and usage
+    messages would list only that one: it prints none of them, but raises
+    _Reparse for the full parser to print."""
+
+    def print_help(self, *args, **kwargs):
+        raise _Reparse
+
+    print_usage = error = exit = print_help
+
+
 def _build_parser(config: dict | None = None,
                   command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser with ``config``'s defaults. Every subcommand
-    is listed, but only the options of the commands that ``command`` ("exact",
-    "study", "study noise") names are added (None: all of them); a config
-    key must be an option of some command."""
-    parser = argparse.ArgumentParser(
+    """The command-line parser with ``config``'s defaults. Where the words
+    of ``command`` ("exact", "study noise") begin with a command's name, it
+    is a _LeanParser that holds only that command; otherwise (None, "study",
+    an unknown word) it holds every command. A config key must be an option
+    of some command."""
+    config = config or {}
+    for key in config:
+        if key not in _OPTIONS:
+            raise ValueError(f"key {key!r} is no option of any command")
+    words = command.split() if command else []
+    commands = _commands()
+    named = [name.split() for name, _, func, _ in commands
+             if func and name.split() == words[:len(name.split())]]
+    if named:  # the command and the study group it belongs to
+        commands = [c for c in commands
+                    if c[0].split() == named[0][:len(c[0].split())]]
+    parser = (_LeanParser if named else argparse.ArgumentParser)(
         prog="bosehub",
         description="Bose-Hubbard ground states: exact, neural and "
                     "single-qubit variational pipelines.")
@@ -189,20 +222,10 @@ def _build_parser(config: dict | None = None,
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file of flag defaults, overridden by "
                              "explicit flags")
-    config = config or {}
-    for key in config:
-        if key not in _OPTIONS:
-            raise ValueError(f"key {key!r} is no option of any command")
-    words = command.split() if command else []
     groups = {"": parser.add_subparsers(dest="command")}
-    for name, help, func, items in _commands():
+    for name, help, func, items in commands:
         group, _, leaf = name.rpartition(" ")
-        if group not in groups:
-            continue  # a study, and the command is another one
         p = groups[group].add_parser(leaf, help=help)
-        path = name.split()
-        if path[:len(words)] != words[:len(path)]:
-            continue
         if func is None:
             groups[name] = p.add_subparsers(dest="study_kind", required=True)
             continue

@@ -245,7 +245,7 @@ def ground_state(h: HamiltonianMatrix) -> GroundState:
     # the Rayleigh quotient, not the Ritz value, whose round-off has either
     # sign: on the t=0 spectrum (ground energy 0) a negative one prints as
     # -0.00000
-    energy = float(np.real(np.vdot(vec, hv)))
+    energy = float(np.vdot(vec, hv).real)
     residual = np.linalg.norm(hv - energy * vec)
     if not residual <= RESIDUAL_TOL * scale * m.shape[0]:
         raise DiagonalizationError(
@@ -282,15 +282,19 @@ def _lanczos(m: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
     q = np.random.default_rng(0).standard_normal(n).astype(m.dtype)
     basis = np.empty((min(n, 32), n), m.dtype)
     basis[0] = q / np.linalg.norm(q)
+    # |w| as np.linalg.norm computes it, without its dispatch
+    norm = np.linalg.norm if np.iscomplexobj(m) \
+        else lambda w: math.sqrt(w @ w)
     alpha, beta = [], []
     checks, skipped, due = [], [], 3
     for k in range(n):
         w = m @ basis[k]
-        alpha.append(np.real(np.vdot(basis[k], w)))
+        alpha.append(np.vdot(basis[k], w).real)
         krylov = basis[:k + 1]
+        adjoint = krylov.conj()  # the array itself when it is real
         for _ in range(2):
-            w -= (krylov.conj() @ w) @ krylov
-        beta.append(np.linalg.norm(w))
+            w -= (adjoint @ w) @ krylov
+        beta.append(norm(w))
         if k + 1 == n or k == due or beta[-1] <= tol:
             values, y, residual = _ritz(alpha, beta, k)
             if k + 1 == n or residual <= tol:
@@ -306,7 +310,7 @@ def _lanczos(m: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
             skipped.append(k)
         if k + 1 == len(basis):
             basis = np.concatenate([basis, np.empty_like(basis)])[:n]
-        basis[k + 1] = w / beta[-1]
+        np.divide(w, beta[-1], out=basis[k + 1])
     vec = y[:, 0] @ basis[:k + 1]
     excited_lower = values[1] - abs(beta[k] * y[k, 1]) if k else math.inf
     return vec / np.linalg.norm(vec), k + 1, float(excited_lower)

@@ -8,6 +8,7 @@ output (the ground state has uniform sign), e^{x0 + i x1} for two.
 """
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -33,24 +34,18 @@ class MlpParams:
 
     def __post_init__(self):
         lead, size = self.flat.shape[:-1], self.flat.shape[-1]
-        if size != self.n_params:
-            raise ValueError(f"expected {self.n_params} values, got {size}")
-        self.hidden = []
-        pos = 0
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            end = pos + fan_in * fan_out
-            self.hidden.append((
-                self.flat[..., pos:end].reshape(lead + (fan_in, fan_out)),
-                self.flat[..., end:end + fan_out]))
-            pos = end + fan_out
-        self.output = self.flat[..., pos:].reshape(
+        layers, start, count = _layout(tuple(self.sizes), self.n_outputs)
+        if size != count:
+            raise ValueError(f"expected {count} values, got {size}")
+        self.hidden = [
+            (self.flat[..., pos:end].reshape(lead + shape),
+             self.flat[..., end:stop]) for pos, end, stop, shape in layers]
+        self.output = self.flat[..., start:].reshape(
             lead + (self.sizes[-1], self.n_outputs))
 
     @property
     def n_params(self) -> int:
-        s = self.sizes
-        return sum((a + 1) * b for a, b in zip(s, s[1:])) \
-            + s[-1] * self.n_outputs
+        return _layout(tuple(self.sizes), self.n_outputs)[2]
 
     @classmethod
     def initialize(cls, sizes=(6, 64, 32), outputs: int = 1, rng=0,
@@ -78,6 +73,19 @@ class MlpParams:
         flat = np.asarray(flat, dtype=float).view()
         flat.flags.writeable = False
         return MlpParams(self.sizes, self.n_outputs, flat)
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(sizes: tuple, n_outputs: int):
+    """Where each block of a network's flat parameters lies, computed once
+    per shape: (weight start, bias start, bias end, weight shape) of each
+    hidden layer, the output matrix's start and the parameter count."""
+    layers, pos = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = pos + fan_in * fan_out
+        layers.append((pos, end, end + fan_out, (fan_in, fan_out)))
+        pos = end + fan_out
+    return tuple(layers), pos, pos + sizes[-1] * n_outputs
 
 
 def mlp_forward(params: MlpParams, features):

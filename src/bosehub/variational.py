@@ -156,16 +156,16 @@ def rayleigh_residual(coeffs, h: HamiltonianMatrix):
 
 
 def _residuals(coeffs, h: HamiltonianMatrix, gram=None, width=None):
-    """Energies (R,), residuals y (R, B) and energy variances (R,).
+    """Energies (R,), residuals y (R, B), energy variances (R,) and None.
 
     y is conjugated so that dE/dtheta = 2 Re(y @ dc/dtheta). Given the
     members' Gram matrices ``gram`` = J_s J_s^T (R, n, n) of dc/dtheta,
     with J_s = J for real coefficients and [Re J; Im J] for complex ones,
     and the spectral ``width``, y instead makes 2 Re(y @ dc/dtheta) the
-    natural-gradient step of each member's :func:`damping`, and ``gram``
-    is overwritten. One quotient per member: one fused over all
-    members rounds differently, and the steps amplify that into another
-    trajectory.
+    natural-gradient step of each member's :func:`damping`, which takes
+    None's place, and ``gram`` is overwritten. One quotient per member: one
+    fused over all members rounds differently, and the steps amplify that
+    into another trajectory.
     """
     energies = np.empty(len(coeffs))
     variances = np.empty(len(coeffs))
@@ -176,10 +176,10 @@ def _residuals(coeffs, h: HamiltonianMatrix, gram=None, width=None):
         norms[k] = np.vdot(c, c).real
         variances[k] = np.vdot(residuals[k], residuals[k]).real * norms[k]
     if gram is None:
-        return energies, np.conj(residuals, out=residuals), variances
-    steps = _natural_step(coeffs, residuals, norms, gram,
-                          damping(variances, width))
-    return energies, steps, variances
+        return energies, np.conj(residuals, out=residuals), variances, None
+    eps = damping(variances, width)
+    steps = _natural_step(coeffs, residuals, norms, gram, eps)
+    return energies, steps, variances, eps
 
 
 def _natural_step(coeffs, residuals, norms, gram, eps):
@@ -242,23 +242,24 @@ class MlpAnsatz:
         return neural.output_to_coefficient(out)
 
     def energy_gradient(self, thetas, h: HamiltonianMatrix, width=None):
-        """Energies (R,), dE/dtheta (R, P), coefficients (R, B) and energy
-        variances (R,) of the members' parameters (R, P), from one network
-        pass over all. Given the spectral ``width``, the natural-gradient
-        step replaces dE/dtheta."""
+        """Energies (R,), dE/dtheta (R, P), coefficients (R, B), energy
+        variances (R,) and None for the members' parameters (R, P), from
+        one network pass over all. Given the spectral ``width``, the
+        natural-gradient step replaces dE/dtheta, and its dampings (R,)
+        replace None."""
         params = self._template.with_flat(thetas)
         out, cache = neural.mlp_forward(params, self.features)
         c = neural.output_to_coefficient(out)
         gram = None if width is None \
             else neural.coefficient_gram(params, cache, c)
-        energies, y, variances = _residuals(c, h, gram, width)
+        energies, y, variances, eps = _residuals(c, h, gram, width)
         yc = y * c
         if self.complex_mode:
             upstream = np.stack([2.0 * yc.real, -2.0 * yc.imag], axis=-1)
         else:
             upstream = (2.0 * yc)[..., None]
         grad = neural.mlp_backward(params, cache, upstream)
-        return energies, grad, c, variances
+        return energies, grad, c, variances, eps
 
     def export(self, theta) -> str:
         return neural.to_json(self._template.with_flat(theta))
@@ -288,10 +289,10 @@ class CircuitAnsatz:
                           self.complex_mode)
 
     def energy_gradient(self, thetas, h: HamiltonianMatrix, width=None):
-        """Energies (R,), dE/dtheta (R, P), coefficients (R, B) and energy
-        variances (R,) of the members' parameters (R, P), from one kernel
-        call. Given the spectral ``width``, the natural-gradient step
-        replaces dE/dtheta."""
+        """Energies (R,), dE/dtheta (R, P), coefficients (R, B), energy
+        variances (R,) and None for the members' parameters (R, P), from
+        one kernel call. Given the spectral ``width``, the natural-gradient
+        step replaces dE/dtheta, and its dampings (R,) replace None."""
         c, jac = qc.weights_and_jacobian(self.kind, qc.finite_values(thetas),
                                          self.features, self.complex_mode)
         gram = None
@@ -299,10 +300,10 @@ class CircuitAnsatz:
             rows = jac if not self.complex_mode else np.concatenate(
                 [jac.real, jac.imag], axis=1)
             gram = rows @ rows.swapaxes(-1, -2)
-        energies, y, variances = _residuals(c, h, gram, width)
+        energies, y, variances, eps = _residuals(c, h, gram, width)
         # a stacked matmul rounds as each member's y @ J; einsum does not
         grad = 2.0 * (y[:, None] @ jac)[:, 0].real
-        return energies, grad, c, variances
+        return energies, grad, c, variances, eps
 
     def export(self, theta) -> str:
         return qc.to_json(
@@ -319,10 +320,10 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
     variances are recorded, checked, kept if best and bounded by the same
     code. Every iterate but the last comes from one ``energy_gradient``
     call and moves the (R, P) parameters by theta -= min(eta, MAX_STEP/|d|)
-    d for each member's step d, damped by its :func:`damping` of the width
-    w = :func:`spectral_width` of the Gershgorin bound G and the ground
-    energy E0; eta is ``cfg.learning_rate``, or, if that is None,
-    STABLE_RATE/w. The last one comes from ``coefficients`` and takes
+    d for each member's step d, damped by the :func:`damping` that the call
+    returns, of the width w = :func:`spectral_width` of the Gershgorin
+    bound G and the ground energy E0; eta is ``cfg.learning_rate``, or, if
+    that is None, STABLE_RATE/w. The last one comes from ``coefficients`` and takes
     no step: it is iterate ``cfg.steps``, or the one after the first
     iterate where some member's energy E and variance sigma^2 give E < ell
     and sigma^2/(ell - E) <= CERTIFIED_GAP. E0 and ell are the energy and
@@ -358,9 +359,9 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
     for step in range(cfg.steps + 1):
         last = step == cfg.steps or stopped_on == "certificate"
         if last:
-            energy, _, variance = _residuals(ansatz.coefficients(theta), h)
+            energy, _, variance, _ = _residuals(ansatz.coefficients(theta), h)
         else:
-            energy, direction, _, variance = ansatz.energy_gradient(
+            energy, direction, _, variance, eps = ansatz.energy_gradient(
                 theta, h, width=width)
         energies[:, step] = energy
         certified = False
@@ -380,7 +381,6 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
             certified |= gap <= CERTIFIED_GAP
         if last:
             break
-        eps = damping(variance, width)
         rate = [min(eta, MAX_STEP / size) if size else eta
                 for size in np.linalg.norm(direction, axis=1).tolist()]
         direction *= np.array(rate)[:, None]

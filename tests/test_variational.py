@@ -200,15 +200,16 @@ def test_natural_step_is_the_textbook_formula(kind, complex_mode, phi,
         thetas = np.array([qc.init_params(kind, 3, rng, 1.0).values
                            for _ in range(2)])
     # without a width, the same method returns dE/dtheta, in the same
-    # four-value shape
-    energies_plain, _, c_plain, variances_plain = ansatz.energy_gradient(
-        thetas, h)
+    # five-value shape, with no damping
+    energies_plain, _, c_plain, variances_plain, none = \
+        ansatz.energy_gradient(thetas, h)
+    assert none is None
     # a width that puts the member of the larger variance above the damping
     # cap and the other one below it, by the same factor
     width = RESIDUAL_DAMPING * np.sqrt(np.sqrt(np.prod(variances_plain))) \
         / DAMPING
-    energies, steps, c, variances = ansatz.energy_gradient(thetas, h,
-                                                           width=width)
+    energies, steps, c, variances, dampings = ansatz.energy_gradient(
+        thetas, h, width=width)
     damped = []
     for k, theta in enumerate(thetas):
         if kind == "nn":
@@ -222,6 +223,7 @@ def test_natural_step_is_the_textbook_formula(kind, complex_mode, phi,
         assert variances[k] == pytest.approx(variance, rel=1e-12)
         assert energies[k] == rayleigh_energy(ck, h)
         damped.append(eps)
+        assert dampings[k] == pytest.approx(eps, rel=1e-12)
     assert sorted(damped)[0] < DAMPING == sorted(damped)[1]
     assert np.array_equal(energies_plain, energies)
     assert np.array_equal(c_plain, c)
@@ -278,7 +280,7 @@ def test_circuit_ansatz_checks_its_layout_once(h_reduced, monkeypatch):
 
     monkeypatch.setattr(qc, "param_count", recheck)
     monkeypatch.setattr(qc, "_check_matrix", recheck)
-    energy, _, c, _ = ansatz.energy_gradient(theta, h)
+    energy, _, c, _, _ = ansatz.energy_gradient(theta, h)
     np.testing.assert_array_equal(ansatz.coefficients(theta), c)
     assert energy[0] == rayleigh_energy(c[0], h)
     bad = theta.copy()
@@ -422,7 +424,8 @@ def test_divergence_aborts_with_trace(h_reduced):
         def energy_gradient(self, thetas, hh, width=None):
             energies = np.where(thetas[:, 0] != 0, np.nan, 1.0)
             return (energies, np.ones_like(thetas),
-                    np.ones((len(thetas), hh.dim)), np.ones(len(thetas)))
+                    np.ones((len(thetas), hh.dim)), np.ones(len(thetas)),
+                    np.full(len(thetas), np.nan))
 
         def coefficients(self, thetas):
             return np.ones((len(thetas), h.dim))
@@ -436,8 +439,8 @@ def test_divergence_aborts_with_trace(h_reduced):
 
 class _Scripted:
     """Members whose energies on the ``call``-th step are ``script(call)``,
-    with a variance of 1 that certifies no energy; every member's final
-    energy is the uniform vector's."""
+    with a variance of 1 that certifies no energy and a NaN damping; every
+    member's final energy is the uniform vector's."""
 
     complex_mode = False
 
@@ -451,7 +454,8 @@ class _Scripted:
         self.calls += 1
         energies = np.array(self.script(self.calls), dtype=float)
         return (energies, np.ones_like(thetas),
-                np.ones((len(thetas), hh.dim)), np.ones(len(thetas)))
+                np.ones((len(thetas), hh.dim)), np.ones(len(thetas)),
+                np.full(len(thetas), np.nan))
 
     def coefficients(self, thetas):
         return np.ones((len(thetas), 26))
@@ -509,7 +513,7 @@ def test_divergence_at_the_final_step_ends_the_trace(h_reduced, energy,
     class NanAtTheEnd(_Scripted):
         def energy_gradient(self, thetas, hh, width=None):
             out = super().energy_gradient(thetas, hh, width)
-            return (*out[:3], np.full(len(thetas), variance))
+            return (*out[:3], np.full(len(thetas), variance), out[4])
 
         def coefficients(self, thetas):
             return np.full((len(thetas), 26), np.nan)
@@ -556,8 +560,8 @@ def _single_start(ansatz, h, seed, steps, excited_lower, eta, width):
     theta = ansatz.initial_vector(np.random.default_rng(seed))
     energies, thetas, certified = [], [], None
     for step in range(1, steps + 1):
-        energy, d, _, variance = ansatz.energy_gradient(theta[None], h,
-                                                        width=width)
+        energy, d, _, variance, _ = ansatz.energy_gradient(theta[None], h,
+                                                           width=width)
         energies.append(energy[0])
         thetas.append(theta)
         rate = min(eta, MAX_STEP / np.sqrt(np.square(d[0]).sum()))
@@ -655,7 +659,7 @@ def test_network_population_is_one_forward_and_one_backward_pass(
             calls.append(_name)
             return _real(*args)
         monkeypatch.setattr(neural, name, spy)
-    energies, grads, c, variances = ansatz.energy_gradient(thetas, h)
+    energies, grads, c, variances, _ = ansatz.energy_gradient(thetas, h)
     assert calls == ["mlp_forward", "mlp_backward"]
     assert energies.shape == (3,) and grads.shape == thetas.shape
     assert c.shape == (3, h.dim) and variances.shape == (3,)

@@ -7,10 +7,11 @@ Run from anywhere inside the repository. The parent commit is exported with
 ``git archive`` and the working tree's files are copied, as
 ``tools/pairs.py`` does, each into a fresh temporary directory that is
 removed afterwards. ``COMMANDS`` is then run once per side, one command after
-another, with ``OPENBLAS_NUM_THREADS=N`` (default 1) and the side's own
-``src/`` on ``PYTHONPATH``. Every command runs in the side's output
+another, with ``OPENBLAS_NUM_THREADS=N`` (default 1), ``COLUMNS=80`` and the
+side's own ``src/`` on ``PYTHONPATH``. Every command runs in the side's output
 directory, so the paths it prints and the files it writes are the same on
-both sides; its stdout, stderr and exit status go to ``<name>.log``.
+both sides; its stdout, stderr and exit status go to ``<name>.log``, which
+for the help and usage-error commands holds the CLI's messages.
 
 Every file of the two output directories is compared byte for byte. The
 script prints each file that differs or exists on one side only and exits
@@ -116,6 +117,21 @@ COMMANDS = {
         "noise-run", "--checkpoint", CKPT.format(5), "--U", "5",
         "--mode", "postselected-corrected"],
     "check": ["--check"],
+    # help and usage errors: the messages the full parser prints
+    "help": ["--help"],
+    "help_exact": ["--help", "exact"],
+    "exact_help": ["exact", "--help"],
+    "train_help": ["train", "--help"],
+    "study_help": ["study", "--help"],
+    "study_noise_help": ["study", "noise", "--help"],
+    "no_command": [],
+    "unknown_command": ["bogus", "--U", "5"],
+    "bad_top_level_flag": ["--bogus", "exact", "--U", "5"],
+    "bad_value": ["exact", "--U", "abc"],
+    "bad_choice": ["train", "--ansatz", "bogus", "--U", "5"],
+    "extra_argument": ["exact", "--U", "5", "extra"],
+    "study_without_kind": ["study"],
+    "unknown_study": ["study", "bogus"],
 }
 
 
@@ -123,8 +139,9 @@ def run_commands(side: Path, threads: int) -> Path:
     """Run every command in ``side``/out against ``side``/tree."""
     out = side / "out"
     out.mkdir()
+    # COLUMNS fixes the width argparse wraps its messages to
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-           "PYTHONPATH": str(side / "tree" / "src")}
+           "PYTHONPATH": str(side / "tree" / "src"), "COLUMNS": "80"}
     for name, argv in COMMANDS.items():
         proc = subprocess.run([sys.executable, "-m", "bosehub.cli", *argv],
                               cwd=out, env=env, capture_output=True,
