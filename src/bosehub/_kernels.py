@@ -59,7 +59,7 @@ the same order.
 Kernel contract: ``(p0, sx, dp0, dsx) = circuit_batch(kind, values,
 features, want_grad, want_sx)`` where ``p0`` is P(0)=|amp0|^2 per batch row,
 ``sx`` the sigma_x expectation on the same final state, and ``dp0``/``dsx``
-their exact derivatives with respect to every flat parameter (zeros without
+their exact derivatives with respect to every flat parameter (None without
 ``want_grad``). sigma_x is computed only on request: without ``want_sx``,
 ``sx`` and ``dsx`` are None and a gradient call forms the one Jacobian
 ``dp0`` (a real-mode training step needs no more). ``values`` is one
@@ -264,8 +264,8 @@ def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
     """Evaluate R circuits on B feature rows and (optionally) their Jacobians.
 
     ``values`` is (P,) for R = 1 or (R, P). Returns ``(p0, sx, dp0, dsx)``
-    with shapes (R·B,), (R·B,), (R·B, P), (R·B, P), member-major; ``sx``
-    and ``dsx`` are None without ``want_sx``.
+    with shapes (R·B,), (R·B,), (R·B, P), (R·B, P), member-major; what
+    ``want_grad`` and ``want_sx`` do not ask for is None.
     """
     values = np.asarray(values, dtype=np.float64)
     values = values[None] if values.ndim == 1 else values
@@ -287,8 +287,7 @@ def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
                   out=theta.reshape(R * layers, g * B))
     p0, sx, dtheta = _sweep(plan, theta, want_grad, want_sx)
     if dtheta is None:
-        shape = (R * B, P)
-        return p0, sx, np.zeros(shape), np.zeros(shape) if want_sx else None
+        return p0, sx, None, None
     # d/dvalue_p = sum over the layer's gates k of dtheta_k block[k, b, p],
     # in one product: the derivatives times feeds, summed in gate order,
     # then the row's factor. Every column but the compressed bias's has one

@@ -7,8 +7,8 @@ layer of M features applies M/3 such unitaries in order. The "quat" circuit
 folds all features into one variable y = w.x + b per layer and applies
 Rz(2y) followed by Ry(2*phi), the rotation angle phi acting like an
 activation function. ``_kernels`` holds both layer layouts and evaluates
-every circuit; this module validates parameters and features, shapes the
-kernel's outputs into weights, and serializes parameters.
+every circuit; this module checks one circuit's parameters and features,
+shapes the kernel's outputs into weights, and serializes parameters.
 
 The circuit output used as a wave-function weight is P(0) = (1+<sigma_z>)/2.
 For complex coefficients the same final state also supplies <sigma_x> and the
@@ -28,9 +28,8 @@ _FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Flat layer-major variational parameters of one circuit (P,), or of a
-    population of R circuits of the same shape (R, P); each layer holds
-    ``_kernels.layer_size(kind, n_features)`` values."""
+    """Flat layer-major variational parameters of one circuit, (P,); each
+    layer holds ``_kernels.layer_size(kind, n_features)`` values."""
 
     kind: str
     layers: int
@@ -39,21 +38,19 @@ class CircuitParams:
 
     def __post_init__(self):
         expected = param_count(self.kind, self.layers, self.n_features)
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if values.ndim > 2:
-            raise ValueError(f"values must be (P,) or (R, P), got "
-                             f"{values.shape}")
+        values = finite_values(self.values)
+        if values.ndim != 1:
+            raise ValueError(f"values must be (P,), got {values.shape}")
         object.__setattr__(self, "values", values)
-        if values.shape[-1] != expected:
+        if values.size != expected:
             raise ValueError(
                 f"{self.kind} with {self.layers} layers of {self.n_features} "
-                f"features needs {expected} values, got {values.shape[-1]}"
+                f"features needs {expected} values, got {values.size}"
             )
-        finite_values(values)
 
     @property
     def n_params(self) -> int:
-        return self.values.shape[-1]
+        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -76,23 +73,23 @@ class ShotResult:
 
 def weight_of(params: CircuitParams, features) -> float:
     """Wave-function weight P(0) = (1+<sigma_z>)/2 of the prepared state."""
-    return float(batch_weights(params, _check_features(params, features))[0])
+    return float(batch_weights(params, np.reshape(features, (1, -1)))[0])
 
 
 def complex_weight_of(params: CircuitParams, features) -> complex:
     """Complex weight P(0) * exp(i*pi*<sigma_x>), both on the same state."""
     return complex(batch_complex_weights(
-        params, _check_features(params, features))[0])
+        params, np.reshape(features, (1, -1)))[0])
 
 
 def gradient(params: CircuitParams, features) -> np.ndarray:
     """Exact dP(0)/dtheta for every flat parameter (closed-form kernel)."""
     return batch_weights_and_jacobian(
-        params, _check_features(params, features))[1][0]
+        params, np.reshape(features, (1, -1)))[1][0]
 
 
 def batch_weights(params: CircuitParams, features_matrix) -> np.ndarray:
-    """P(0) for every feature row: (B,), or (R, B) for a population."""
+    """P(0) for every feature row, (B,)."""
     return weights(params.kind, params.values,
                    _check_matrix(params, features_matrix))
 
@@ -109,7 +106,7 @@ def batch_weights_and_jacobian(params: CircuitParams, features_matrix,
 
     Real mode returns (c, J) with c = P(0) per row and J[b, k] = dc_b/dtheta_k.
     Complex mode returns the complex weights P(0)*exp(i*pi*<sigma_x>) and the
-    matching complex Jacobian. A population adds a leading member axis.
+    matching complex Jacobian.
     """
     return weights_and_jacobian(params.kind, params.values,
                                 _check_matrix(params, features_matrix),
@@ -120,10 +117,10 @@ def weights(kind: str, values: np.ndarray, X: np.ndarray,
             complex_mode: bool = False) -> np.ndarray:
     """``batch_weights`` (or, in complex mode, ``batch_complex_weights``) on
     inputs the caller has checked: finite float ``values`` (P,) or (R, P) in
-    ``kind``'s layout for the (B, nf) float features ``X``. The kernel
-    computes <sigma_x> only in complex mode."""
+    ``kind``'s layout for the (B, nf) float features ``X``, giving (B,) or
+    (R, B). The kernel computes <sigma_x> only in complex mode."""
     p0, sx, _, _ = _rows(kind, values, X, False, complex_mode)
-    return p0 * np.exp(1j * np.pi * sx) if complex_mode else p0
+    return _complex(p0, sx)[0] if complex_mode else p0
 
 
 def weights_and_jacobian(kind: str, values: np.ndarray, X: np.ndarray,
@@ -133,25 +130,25 @@ def weights_and_jacobian(kind: str, values: np.ndarray, X: np.ndarray,
     p0, sx, dp0, dsx = _rows(kind, values, X, True, complex_mode)
     if not complex_mode:
         return p0, dp0
+    c, phase = _complex(p0, sx)
+    return c, phase[..., None] * (dp0 + 1j * np.pi * p0[..., None] * dsx)
+
+
+def _complex(p0, sx):
+    """The complex coefficients P(0) * exp(i*pi*<sigma_x>) and their phases."""
     phase = np.exp(1j * np.pi * sx)
-    c = p0 * phase
-    jac = phase[..., None] * (dp0 + 1j * np.pi * p0[..., None] * dsx)
-    return c, jac
+    return p0 * phase, phase
 
 
 def _rows(kind: str, values: np.ndarray, X: np.ndarray, want_grad: bool,
           want_sx: bool):
-    """The kernel's rows as (B,) and (B, P), or (R, B) and (R, B, P); the
-    sigma_x outputs are None without ``want_sx``. The package's one call
+    """The kernel's outputs as (B,) and (B, P), or (R, B) and (R, B, P);
+    what the kernel did not compute stays None. The package's one call
     into ``_kernels.circuit_batch``."""
-    p0, sx, dp0, dsx = _kernels.circuit_batch(kind, values, X, want_grad,
-                                              want_sx)
     rows = values.shape[:-1] + (X.shape[0],)
-    jac = rows + (values.shape[-1],)
-    if not want_sx:
-        return p0.reshape(rows), None, dp0.reshape(jac), None
-    return (p0.reshape(rows), sx.reshape(rows), dp0.reshape(jac),
-            dsx.reshape(jac))
+    return [None if out is None else out.reshape(rows + out.shape[1:])
+            for out in _kernels.circuit_batch(kind, values, X, want_grad,
+                                              want_sx)]
 
 
 def sample(params: CircuitParams, features, shots: int, rng) -> ShotResult:
@@ -190,21 +187,8 @@ def from_json(text: str) -> CircuitParams:
         raise ValueError("not a circuit parameter document")
     if data.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported version {data.get('version')}")
-    return CircuitParams(data["kind"], data["layers"],
-                         np.array(data["values"], dtype=float),
+    return CircuitParams(data["kind"], data["layers"], data["values"],
                          data["n_features"])
-
-
-def _check_features(params: CircuitParams, features) -> np.ndarray:
-    """One circuit's features as the (1, nf) row the batch functions take."""
-    if params.values.ndim != 1:
-        raise ValueError("a population of circuits takes the batch functions")
-    x = np.asarray(features, dtype=float).reshape(1, -1)
-    if x.size != params.n_features:
-        raise ValueError(
-            f"expected {params.n_features} features, got {x.size}"
-        )
-    return x
 
 
 def param_count(kind: str, layers: int, n_features: int) -> int:

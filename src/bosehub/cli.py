@@ -116,7 +116,7 @@ _OPTIONS = {
                   "of every step", bound="> 0"),
     "restarts": _Option("--restarts", int, 1, bound=">= 1"),
     "complex_mode": _Option("--complex", bool, False, help="complex "
-                            "coefficients (required when phi != 0)"),
+                            "coefficients (implied by a nonzero --phi)"),
     "raw_features": _Option("--raw-features", bool, False, help="feed "
                             "occupations without mean subtraction"),
     "layers": _Option("--layers", int, help=f"circuit layers (default "
@@ -373,22 +373,26 @@ def _circuit_layers(args) -> int | None:
     return DEFAULT_LAYERS if args.layers is None else args.layers
 
 
-def _read_checkpoint(path) -> qc.CircuitParams:
-    """The circuit a ``--checkpoint`` file holds; a file that cannot be read
-    or is not a circuit document fails naming the option and the path."""
+def _read_checkpoint(path, sites: int) -> qc.CircuitParams:
+    """The circuit of ``sites`` features a ``--checkpoint`` file holds; any
+    other file fails naming the option and the path."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"--checkpoint {path}: cannot read it "
                          f"({exc.strerror or exc})") from None
     try:
-        return qc.from_json(text)
+        params = qc.from_json(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"--checkpoint {path}: not JSON ({exc})") from None
     except KeyError as exc:
         raise ValueError(f"--checkpoint {path}: no {exc} field") from None
     except (ValueError, TypeError) as exc:
         raise ValueError(f"--checkpoint {path}: {exc}") from None
+    if params.n_features != sites:
+        raise ValueError(f"--checkpoint {path}: a circuit of "
+                         f"{params.n_features} features, but --sites is {sites}")
+    return params
 
 
 def _train_config(args) -> tuple[vr.TrainConfig, bool]:
@@ -511,7 +515,7 @@ def cmd_study_layers(args) -> int:
 
 def cmd_study_shots(args) -> int:
     grid = _comma_list(args, "grid")
-    params = _read_checkpoint(args.checkpoint)
+    params = _read_checkpoint(args.checkpoint, args.sites)
     h = _resolve_hamiltonian(args)
     rows = ro.shot_study(params, h, grid, trials=args.trials, seed=args.seed)
     for shots, median, std in rows:
@@ -528,7 +532,7 @@ def cmd_study_noise(args) -> int:
                    else [args.checkpoint])
     if len(checkpoints) != len(u_values):
         raise ValueError("need one checkpoint per U value")
-    circuits = [_read_checkpoint(path) for path in checkpoints]
+    circuits = [_read_checkpoint(path, args.sites) for path in checkpoints]
     modes = _comma_list(args, "modes", ro.CorrectionMode, "modes of " +
                         ", ".join(m.value for m in ro.CorrectionMode))
     device = _noise_device(args)
@@ -566,7 +570,7 @@ def cmd_study_noise(args) -> int:
 
 
 def cmd_noise_run(args) -> int:
-    params = _read_checkpoint(args.checkpoint)
+    params = _read_checkpoint(args.checkpoint, args.sites)
     device = _noise_device(args)
     h = _resolve_hamiltonian(args)
     _noise_layout(args, h.dim)

@@ -173,8 +173,9 @@ def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
     """Evaluate R circuits on B feature rows and (optionally) their Jacobians.
 
     ``values`` is (P,) for R = 1 or (R, P). Returns ``(p0, sx, dp0, dsx)``
-    with shapes (R·B,), (R·B,), (R·B, P), (R·B, P), member-major; ``sx``
-    and ``dsx`` are None without ``want_sx``.
+    with shapes (R·B,), (R·B,), (R·B, P), (R·B, P), member-major; ``dp0``
+    and ``dsx`` are None without ``want_grad``, ``sx`` and ``dsx`` without
+    ``want_sx``.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -187,8 +188,7 @@ def circuit_batch(kind: str, values: np.ndarray, features: np.ndarray,
     p0, sx, dtheta = _sweep(plan, theta.reshape(R * B, layers * g),
                             want_grad, want_sx)
     if dtheta is None:
-        shape = (R * B, P)
-        return p0, sx, np.zeros(shape), np.zeros(shape) if want_sx else None
+        return p0, sx, None, None
     # einsum('rbklg,bgp->rbklp', dtheta, block) over each layer's gates
     k = dtheta.shape[1]
     jac = dtheta.reshape(R, B, k, layers, g) @ block_j

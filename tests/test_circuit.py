@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -268,9 +269,11 @@ def test_params_validation():
 
 
 def test_params_reject_values_of_three_axes():
-    with pytest.raises(ValueError, match="^values must be \\(P,\\) or "
-                                         "\\(R, P\\), got \\(1, 1, 8\\)$"):
-        qc.CircuitParams("quat", 1, np.zeros((1, 1, 8)))
+    # one CircuitParams is one circuit: a population (R, P) is refused too
+    for shape in ((1, 1, 8), (2, 8), (1, 8)):
+        with pytest.raises(ValueError, match="^values must be \\(P,\\), got "
+                                             + re.escape(str(shape)) + "$"):
+            qc.CircuitParams("quat", 1, np.zeros(shape))
 
 
 def test_params_compressed_feature_count_rule():
@@ -294,8 +297,11 @@ def test_negative_layer_count_rejected():
 
 def test_feature_arity_checked():
     params = qc.init_params("compressed", 2, 0)
-    with pytest.raises(ValueError):
-        qc.weight_of(params, np.ones(5))
+    for entry in (qc.weight_of, qc.complex_weight_of, qc.gradient):
+        for size in (5, 7):
+            with pytest.raises(ValueError,
+                               match="^expected 6 feature columns, got"):
+                entry(params, np.ones(size))
 
 
 def test_batch_entry_points_check_the_feature_columns():
@@ -313,15 +319,6 @@ def test_shot_result_checks():
     for count0 in (-1, 11):
         with pytest.raises(ValueError, match="^count0 out of range$"):
             qc.ShotResult(10, count0)
-
-
-@pytest.mark.parametrize("entry", [qc.weight_of, qc.complex_weight_of,
-                                   qc.gradient])
-def test_one_circuit_entry_points_reject_a_population(entry):
-    values = qc.init_params("quat", 2, 0).values
-    params = qc.CircuitParams("quat", 2, np.stack([values, 2 * values]))
-    with pytest.raises(ValueError, match="population"):
-        entry(params, np.ones(6))
 
 
 # --- serialization -------------------------------------------------------------

@@ -519,6 +519,26 @@ def test_a_bad_checkpoint_fails_before_any_work(command, content, reason,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["study", "shots", "--out", "out.csv"],
+    ["study", "noise", "--out", "out.csv", "--calibration-out", "cal.csv"],
+    ["noise-run"]], ids=["study shots", "study noise", "noise-run"])
+def test_a_checkpoint_of_other_features_than_sites_fails_before_any_work(
+        command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "ckpt.json"
+    path.write_text(qc.to_json(qc.init_params("compressed", 2, 0)))
+    with mock.patch.object(cli, "_noise_device", side_effect=AssertionError(
+            "built the device")), mock.patch.object(
+            cli, "_basis", side_effect=AssertionError("built the basis")):
+        code, stdout, err = run(capsys, *command, "--checkpoint", str(path),
+                                "--U", "5", "--sites", "9", "--bosons", "2")
+    assert code == 1 and stdout == ""
+    assert err == (f"error: --checkpoint {path}: a circuit of 6 features, "
+                   "but --sites is 9\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+
 def test_study_noise_rejects_zero_trials(tmp_path, capsys):
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(qc.to_json(qc.CircuitParams("compressed", 1,
@@ -653,9 +673,11 @@ def test_noise_commands_size_the_layout_by_the_basis(tmp_path, capsys):
 def test_noise_commands_check_the_device_holds_the_layout(command, flags,
                                                           message, tmp_path,
                                                           capsys):
+    # a circuit of --sites features, so that the checkpoint fits the model
+    sites = int(flags[flags.index("--sites") + 1]) if "--sites" in flags else 6
     ckpt = tmp_path / "ckpt.json"
-    ckpt.write_text(qc.to_json(qc.CircuitParams("compressed", 1,
-                                                np.zeros(7))))
+    ckpt.write_text(qc.to_json(qc.init_params("quat", 1, 0,
+                                              n_features=sites)))
     argv = [*command.split(), "--checkpoint", str(ckpt), "--U", "5", *flags]
     if command == "study noise":
         argv += ["--out", str(tmp_path / "noise.csv")]

@@ -34,12 +34,14 @@ def test_matches_scalar_oracle(kind, layers):
     params, X = _case(kind, layers)
     states = [run_circuit(params, x) for x in X]
     for want_grad in (False, True):
-        p0, sx, _, _ = _kernels.circuit_batch(kind, params.values, X,
-                                              want_grad)
+        p0, sx, dp0, dsx = _kernels.circuit_batch(kind, params.values, X,
+                                                  want_grad)
         np.testing.assert_allclose(p0, [st.prob0 for st in states],
                                    atol=1e-12, rtol=0)
         np.testing.assert_allclose(sx, [st.sigma_x for st in states],
                                    atol=1e-12, rtol=0)
+        # no Jacobian is formed unless asked for
+        assert (dp0 is None) == (dsx is None) == (not want_grad)
 
 
 @pytest.mark.parametrize("kind,layers", CASES)
@@ -129,17 +131,23 @@ def test_population_rows_equal_single_calls(kind, layers, want_grad, want_sx):
     pop = _kernels.circuit_batch(kind, values, X, want_grad, want_sx)
     # rows come back flattened member-major: member r holds rows 11r..11r+10
     assert pop[0].shape == (33,)
-    assert pop[2].shape == (33, values.shape[1])
+    if want_grad:
+        assert pop[2].shape == (33, values.shape[1])
+    else:
+        # no Jacobian without want_grad, not even a zero-filled one
+        assert pop[2] is None and pop[3] is None
     if want_sx:
         assert pop[1].shape == (33,)
-        assert pop[3].shape == (33, values.shape[1])
+        if want_grad:
+            assert pop[3].shape == (33, values.shape[1])
     else:
         # sigma_x off: p0 and dp0 are the full call's, bit for bit
         assert pop[1] is None and pop[3] is None
         full = _kernels.circuit_batch(kind, values, X, want_grad, True)
         assert pop[0].tobytes() == full[0].tobytes()
-        assert np.ascontiguousarray(pop[2]).tobytes() == \
-            np.ascontiguousarray(full[2]).tobytes()
+        if want_grad:
+            assert np.ascontiguousarray(pop[2]).tobytes() == \
+                np.ascontiguousarray(full[2]).tobytes()
     for r, member in enumerate(values):
         single = _kernels.circuit_batch(kind, member, X, want_grad, want_sx)
         for got, want in zip(pop, single):

@@ -132,6 +132,10 @@ COMMANDS = {
     "extra_argument": ["exact", "--U", "5", "extra"],
     "study_without_kind": ["study"],
     "unknown_study": ["study", "bogus"],
+    # a 6-feature checkpoint for a 9-site model
+    "checkpoint_sites_mismatch": ["study", "shots", "--sites", "9",
+                                  "--bosons", "2", "--checkpoint",
+                                  CKPT.format(5), "--U", "5"],
 }
 
 
