@@ -76,7 +76,7 @@ def main(argv=None) -> int:
 
 # One command-line option. ``type`` is int, float, str, Path, bool (a
 # switch) or the tuple of a str option's choices. ``bound`` is the rule a
-# number meets beyond its type (">= 1", "> 0"); a float must also be
+# number meets beyond its type (">= 0", ">= 1"); a float must also be
 # finite, except the error rates, whose rule needs both of them. A
 # ``required`` option must be given, by a flag or the config file.
 _Option = namedtuple("_Option", "flag type default help bound nargs required",
@@ -107,13 +107,6 @@ _OPTIONS = {
     "steps": _Option("--steps", int, help="the most steps before a "
                      "certified stop; default: 1500 for nn, 1200 for "
                      "circuits, 2400 in complex mode", bound=">= 0"),
-    "lr": _Option("--lr", float, help="eta, the rate of each "
-                  "natural-gradient step; default: "
-                  f"{vr.STABLE_RATE:g}/(G - E0), with G Gershgorin's bound "
-                  "on the largest eigenvalue Emax and E0 the ground energy, "
-                  "inside the stability edge eta (Emax - E0) < 2; an "
-                  "explicit value, such as the old fixed 0.02, is the rate "
-                  "of every step", bound="> 0"),
     "restarts": _Option("--restarts", int, 1, bound=">= 1"),
     "complex_mode": _Option("--complex", bool, False, help="complex "
                             "coefficients (implied by a nonzero --phi)"),
@@ -149,7 +142,7 @@ def _commands() -> tuple:
     _OPTIONS, or a key and the fields that differ for this command. Built on
     each call, so a ``cmd_*`` patched on this module is the one run."""
     seeded = ("sites", "bosons", "seed")
-    training = ("t", "U", "steps", "lr", "restarts", "phi", "complex_mode",
+    training = ("t", "U", "steps", "restarts", "phi", "complex_mode",
                 "raw_features")
     return (
         ("basis", "enumerate and dump a basis", cmd_basis,
@@ -275,10 +268,9 @@ def _check_values(args) -> None:
         elif option.bound == _ERROR_RANGE:  # _noise_device checks the range
             ok, rule = type(value) in (int, float), "a number"
         else:  # no bool, and no float for an int
-            op, low = (option.bound or ">= -inf").split()
+            low = float((option.bound or ">= -inf").split()[1])
             ok = (type(value) in (int, kind) and abs(value) < math.inf
-                  and (value >= float(low) if op == ">=" else
-                       value > float(low)))
+                  and value >= low)
             rule = " ".join(filter(None, (
                 "an integer" if kind is int else "a finite number",
                 option.bound)))
@@ -293,14 +285,14 @@ def _resolve_hamiltonian(args) -> HamiltonianMatrix:
     kind, orientation, phi = (getattr(args, dest, _OPTIONS[dest].default)
                               for dest in ("basis", "orientation", "phi"))
     params = ModelParams(args.t, args.U, args.sites, args.bosons, phi)
+    kind = basis_mod.BasisKind(kind)
+    if phi != 0.0 and kind is not basis_mod.BasisKind.REDUCED:
+        raise ValueError("the deformed model lives in the reduced basis")
     descriptor = _basis(args, kind)
     if phi != 0.0:
-        if basis_mod.BasisKind(kind) is not basis_mod.BasisKind.REDUCED:
-            raise ValueError("the deformed model lives in the reduced basis")
         return build_deformed(params, descriptor, orientation)
-    if basis_mod.BasisKind(kind) is basis_mod.BasisKind.FULL:
-        return build_full(params, descriptor)
-    return build_reduced(params, descriptor)
+    build = build_full if kind is basis_mod.BasisKind.FULL else build_reduced
+    return build(params, descriptor)
 
 
 def _basis(args, kind="reduced",
@@ -403,7 +395,7 @@ def _train_config(args) -> tuple[vr.TrainConfig, bool]:
     steps = args.steps
     if steps is None:
         steps = 2400 if complex_mode else 1500 if args.ansatz == "nn" else 1200
-    return vr.TrainConfig(steps=steps, learning_rate=args.lr, seed=args.seed,
+    return vr.TrainConfig(steps=steps, seed=args.seed,
                           restarts=args.restarts), complex_mode
 
 
@@ -474,8 +466,7 @@ def cmd_train(args) -> int:
             "layers": layers,
             "t": args.t, "U": args.U, "phi": args.phi,
             "complex": complex_mode,
-            "steps": cfg.steps, "learning_rate": cfg.learning_rate,
-            "seed": args.seed, "restarts": args.restarts,
+            "steps": cfg.steps, "seed": args.seed, "restarts": args.restarts,
         }, {
             "final_energy": result.final_energy,
             "exact_energy": exact,

@@ -11,7 +11,7 @@ A step is stochastic reconfiguration (Sorella, Phys. Rev. Lett. 80, 4558
 With J~ the Jacobian of c/|c| projected off c, and r = (Hc - Ec)/|c|, the
 parameters move by -eta J~^T (J~ J~^T + eps I)^-1 r, a B x B solve per
 member (2B x 2B in complex mode, real and imaginary parts stacked), with the
-step's length capped at MAX_STEP. By default eta = STABLE_RATE/(G - E0),
+step's length capped at MAX_STEP. The rate is eta = STABLE_RATE/(G - E0),
 with G the Gershgorin bound on the largest eigenvalue and E0 the ground
 energy: in the linear regime a step multiplies each excited component k by
 1 - eta (E_k - E0), which is stable only while eta (Emax - E0) < 2. The
@@ -51,8 +51,8 @@ from .hamiltonian import (GroundState, HamiltonianMatrix,
 # The natural-gradient step: the most damping added to the projected
 # class-space Gram matrix, eps (G - E0)/sigma below that cap, the least
 # damping (so that sigma = 0 never reaches a singular solve), the cap on a
-# step's length in parameter space, eta (G - E0) of the default rate (below
-# the stability edge 2) and the gap between an energy and its Temple bound
+# step's length in parameter space, eta (G - E0) of every step (below the
+# stability edge 2) and the gap between an energy and its Temple bound
 # that stops training.
 DAMPING = 1e-3
 RESIDUAL_DAMPING = 0.05
@@ -71,22 +71,15 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     """Natural-gradient settings shared by every ansatz: at most ``steps``
-    steps, each of rate ``learning_rate`` (eta). None, the default, takes
-    STABLE_RATE/w for the width w of :func:`spectral_width`; an explicit
-    rate, such as the 0.02 of runs made before that rule, is the rate of
-    every step."""
+    steps, from ``restarts`` members seeded ``seed, seed+1, ...``."""
 
     steps: int
-    learning_rate: float | None = None
     seed: int = 0
     restarts: int = 1
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.learning_rate is not None and \
-                not 0.0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -115,7 +108,7 @@ class TrainResult:
 def spectral_width(h: HamiltonianMatrix, upper: float,
                    ground_energy: float) -> float:
     """w = G - E0 for G = ``upper``, Gershgorin's bound on the largest
-    eigenvalue Emax, and E0 = ``ground_energy``. The default rate is
+    eigenvalue Emax, and E0 = ``ground_energy``. Every step's rate is
     eta = STABLE_RATE/w: since G >= Emax, eta (Emax - E0) <= STABLE_RATE
     < 2, the step's stability edge. A width H cannot resolve,
     G - E0 <= eps max(1, max|H|), is taken as max(1, max|H|): the zero
@@ -322,11 +315,11 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
     call and moves the (R, P) parameters by theta -= min(eta, MAX_STEP/|d|)
     d for each member's step d, damped by the :func:`damping` that the call
     returns, of the width w = :func:`spectral_width` of the Gershgorin
-    bound G and the ground energy E0; eta is ``cfg.learning_rate``, or, if
-    that is None, STABLE_RATE/w. The last one comes from ``coefficients`` and takes
-    no step: it is iterate ``cfg.steps``, or the one after the first
-    iterate where some member's energy E and variance sigma^2 give E < ell
-    and sigma^2/(ell - E) <= CERTIFIED_GAP. E0 and ell are the energy and
+    bound G and the ground energy E0, and eta = STABLE_RATE/w. The last one
+    comes from ``coefficients`` and takes no step: it is iterate
+    ``cfg.steps``, or the one after the first iterate where some member's
+    energy E and variance sigma^2 give E < ell and
+    sigma^2/(ell - E) <= CERTIFIED_GAP. E0 and ell are the energy and
     ``excited_lower`` of ``ground``, by default ``ground_state(h)``. Each
     member follows the trajectory it would follow alone.
 
@@ -345,9 +338,7 @@ def train(ansatz, h: HamiltonianMatrix, cfg: TrainConfig,
     excited_lower = ground.excited_lower
     upper = gershgorin_upper_bound(h)
     width = spectral_width(h, upper, ground.energy)
-    eta = cfg.learning_rate
-    if eta is None:
-        eta = STABLE_RATE / width
+    eta = STABLE_RATE / width
     seeds = range(cfg.seed, cfg.seed + cfg.restarts)
     theta = np.array([ansatz.initial_vector(np.random.default_rng(seed))
                       for seed in seeds])

@@ -97,7 +97,7 @@ def test_criterion_3_neural_baseline(hams, exact_energies):
     finals = {}
     for u in U_GRID:
         result = train(MlpAnsatz(hams[u]), hams[u],
-                       TrainConfig(steps=1500, learning_rate=0.02, seed=0))
+                       TrainConfig(steps=1500, seed=0))
         finals[u] = result.final_energy
         worst = max(worst, abs(result.final_energy - exact_energies[u]))
     elapsed = time.perf_counter() - start

@@ -2,14 +2,13 @@
 
 ``trajectories.json`` holds, per case, every entry of ``TrainResult.energies``
 as ``float.hex`` and the SHA-256 of the winning parameters' comma-joined
-``float.hex`` strings. Each case is pinned twice: at the explicit rate
-eta = 0.02, the rate of every run before the spectral rule (key ``name``),
-and at the default spectral rate (key ``name + " spectral"``). Every step
-takes the residual damping of ``variational.damping``; the values were
-recorded with it, with one and with two OpenBLAS threads (identical), so a
-change to the training step that claims to be bit-identical must leave them
-as they are. The complex cases never leave the damping's cap within their
-40 steps, so their pins are also those of the old fixed damping.
+``float.hex`` strings, trained at the rate eta = STABLE_RATE/(G - E0) of
+``variational.train``. Every step takes the residual damping of
+``variational.damping``; the values were recorded with it, with one and
+with two OpenBLAS threads (identical), so a change to the training step
+that claims to be bit-identical must leave them as they are. The complex
+cases never leave the damping's cap within their 40 steps, so their pins
+are also those of the old fixed damping.
 """
 import hashlib
 import json
@@ -39,14 +38,14 @@ CASES = {
 }
 
 
-def trajectory(name, reduced26, learning_rate):
-    """The pin of case ``name`` trained at ``learning_rate``."""
+def trajectory(name, reduced26):
+    """The pin of case ``name``."""
     make, u, phi, restarts = CASES[name]
     params = ModelParams(1.0, u, 6, 5, phi)
     h = (build_deformed(params, reduced26) if phi
          else build_reduced(params, reduced26))
-    result = train(make(h), h, TrainConfig(
-        steps=STEPS, learning_rate=learning_rate, seed=0, restarts=restarts))
+    result = train(make(h), h, TrainConfig(steps=STEPS, seed=0,
+                                           restarts=restarts))
     theta = ",".join(float(x).hex() for x in result.theta)
     return {"seed": result.seed,
             "energies": [float(e).hex() for e in result.energies],
@@ -54,10 +53,5 @@ def trajectory(name, reduced26, learning_rate):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_trajectory_is_pinned(name, reduced26):
-    assert trajectory(name, reduced26, 0.02) == PINS[name]
-
-
-@pytest.mark.parametrize("name", CASES)
 def test_spectral_rate_trajectory_is_pinned(name, reduced26):
-    assert trajectory(name, reduced26, None) == PINS[f"{name} spectral"]
+    assert trajectory(name, reduced26) == PINS[name]

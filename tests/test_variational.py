@@ -342,13 +342,6 @@ def test_restarts_never_hurt(h_reduced):
     assert multi.final_energy <= single.final_energy + 1e-12
 
 
-@pytest.mark.parametrize("lr", [0.0, -0.02, np.nan, np.inf])
-def test_config_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
-    with pytest.raises(ValueError, match="learning_rate must be finite and "
-                                         "positive"):
-        TrainConfig(steps=5, learning_rate=lr)
-
-
 # name -> a function that builds the Hamiltonian of that name
 SPECTRA = {
     **{f"6/5 U={u:g}": lambda u=u: build_reduced(

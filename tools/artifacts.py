@@ -84,10 +84,6 @@ COMMANDS = {
                      "--out-dir", "train_nn_raw"],
     "train_quat_raw": ["train", "--ansatz", "quat", "--U", "5",
                        "--raw-features", "--out-dir", "train_quat_raw"],
-    "train_nn_lr": ["train", "--ansatz", "nn", "--U", "5", "--lr", "0.02",
-                    "--out-dir", "train_nn_lr"],
-    "train_quat_lr": ["train", "--ansatz", "quat", "--U", "5", "--lr", "0.02",
-                      "--out-dir", "train_quat_lr"],
     "study_layers": ["study", "layers", "--ansatz", "quat", "--U", "5",
                      "--layer-grid", "3,4", "--steps", "300",
                      "--out", "layers.csv"],
@@ -132,6 +128,11 @@ COMMANDS = {
     "extra_argument": ["exact", "--U", "5", "extra"],
     "study_without_kind": ["study"],
     "unknown_study": ["study", "bogus"],
+    # the step rate comes from the spectrum; there is no flag for it
+    "train_lr": ["train", "--ansatz", "quat", "--U", "5", "--lr", "0.02"],
+    # the basis rule, checked before a 927 GiB basis is counted
+    "exact_deformed_full_12_10": ["exact", "--sites", "12", "--bosons", "10",
+                                  "--basis", "full", "--phi", "1", "--U", "5"],
     # a 6-feature checkpoint for a 9-site model
     "checkpoint_sites_mismatch": ["study", "shots", "--sites", "9",
                                   "--bosons", "2", "--checkpoint",
