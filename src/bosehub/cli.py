@@ -3,7 +3,9 @@
 Every table and figure of the study maps to one invocation emitting CSV/JSON
 artifacts; every command that trains or samples is deterministic for a fixed
 --seed (default from the BOSEHUB_SEED environment variable). Energies echo
-with 5 decimals; files carry full precision.
+with 5 decimals; files carry full precision. A command imports only the
+modules it runs: ``exact`` and ``basis`` load no circuit, network, training
+or readout code.
 """
 from __future__ import annotations
 
@@ -14,14 +16,12 @@ import os
 import sys
 from collections import namedtuple
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from . import basis as basis_mod
-from . import circuit as qc
-from . import readout as ro
-from . import variational as vr
 from ._table import write_csv
 from .hamiltonian import (
     HamiltonianMatrix,
@@ -34,6 +34,11 @@ from .hamiltonian import (
     write_ground_state_csv,
     write_matrix_coo,
 )
+
+if TYPE_CHECKING:  # each command imports what it runs
+    from . import circuit as qc
+    from . import readout as ro
+    from . import variational as vr
 
 DEFAULT_SITES = 6
 DEFAULT_BOSONS = 5
@@ -121,14 +126,14 @@ _OPTIONS = {
     "trials": _Option("--trials", int, 100, bound=">= 1"),
     "modes": _Option("--modes", str,
                      "uncorrected,corrected,postselected-corrected"),
-    "mode": _Option("--mode", tuple(m.value for m in ro.CorrectionMode),
-                    "corrected"),
+    # readout.CorrectionMode's values, in its order
+    "mode": _Option("--mode", ("uncorrected", "corrected", "postselected",
+                               "postselected-corrected"), "corrected"),
     "shots": _Option("--shots", int, 20000, bound=">= 1"),
-    "qubits": _Option("--qubits", int, ro.DEFAULT_QUBITS, bound=">= 1"),
-    "error_min": _Option("--error-min", float, ro.DEFAULT_ERROR_RANGE[0],
-                         bound=_ERROR_RANGE),
-    "error_max": _Option("--error-max", float, ro.DEFAULT_ERROR_RANGE[1],
-                         bound=_ERROR_RANGE),
+    # the device readout documents
+    "qubits": _Option("--qubits", int, 125, bound=">= 1"),
+    "error_min": _Option("--error-min", float, 0.005, bound=_ERROR_RANGE),
+    "error_max": _Option("--error-max", float, 0.05, bound=_ERROR_RANGE),
     "calibration_out": _Option(
         "--calibration-out", Path, help="write an independent calibration "
         "of every qubit at --shots/--seed; its selected column is what that "
@@ -368,6 +373,8 @@ def _circuit_layers(args) -> int | None:
 def _read_checkpoint(path, sites: int) -> qc.CircuitParams:
     """The circuit of ``sites`` features a ``--checkpoint`` file holds; any
     other file fails naming the option and the path."""
+    from . import circuit as qc
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -391,6 +398,8 @@ def _train_config(args) -> tuple[vr.TrainConfig, bool]:
     """The training settings and complex mode, which --complex or a nonzero
     --phi turns on; --steps, the step cap, defaults to 1500 for the
     network, 1200 for a circuit and 2400 in complex mode."""
+    from . import variational as vr
+
     complex_mode = args.complex_mode or args.phi != 0.0
     steps = args.steps
     if steps is None:
@@ -417,6 +426,8 @@ def _comma_list(args, name: str, convert=int, what: str = "integers") -> list:
 def _noise_device(args) -> ro.SimulatedDevice:
     """The simulated device of --qubits qubits with flip rates in
     [--error-min, --error-max], checked before any basis is built."""
+    from . import readout as ro
+
     low, high = args.error_min, args.error_max
     if not 0.0 <= low <= high < 0.5:
         raise ValueError(f"--error-min and --error-max need {_ERROR_RANGE}, "
@@ -428,6 +439,8 @@ def _noise_device(args) -> ro.SimulatedDevice:
 def _noise_layout(args, dim: int) -> None:
     """Refuse a readout that cannot measure all ``dim`` basis classes but
     the pinned anchor on replica qubits of the --qubits qubits."""
+    from . import readout as ro
+
     if dim < 2:
         raise ValueError("a noisy readout needs 2 or more basis classes, "
                          "since one is pinned")
@@ -439,6 +452,8 @@ def _noise_layout(args, dim: int) -> None:
 
 
 def cmd_train(args) -> int:
+    from . import variational as vr
+
     layers = _circuit_layers(args)
     cfg, complex_mode = _train_config(args)
     h = _resolve_hamiltonian(args)
@@ -488,6 +503,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_study_layers(args) -> int:
+    from . import variational as vr
+
     cfg, complex_mode = _train_config(args)
     counts = _comma_list(args, "layer_grid")
     if min(counts) < 0:
@@ -505,6 +522,8 @@ def cmd_study_layers(args) -> int:
 
 
 def cmd_study_shots(args) -> int:
+    from . import readout as ro
+
     grid = _comma_list(args, "grid")
     params = _read_checkpoint(args.checkpoint, args.sites)
     h = _resolve_hamiltonian(args)
@@ -518,6 +537,10 @@ def cmd_study_shots(args) -> int:
 
 
 def cmd_study_noise(args) -> int:
+    from . import circuit as qc
+    from . import readout as ro
+    from . import variational as vr
+
     u_values = _comma_list(args, "U", float, "numbers")
     checkpoints = (args.checkpoint if isinstance(args.checkpoint, list)
                    else [args.checkpoint])
@@ -561,6 +584,8 @@ def cmd_study_noise(args) -> int:
 
 
 def cmd_noise_run(args) -> int:
+    from . import readout as ro
+
     params = _read_checkpoint(args.checkpoint, args.sites)
     device = _noise_device(args)
     h = _resolve_hamiltonian(args)
@@ -573,6 +598,8 @@ def cmd_noise_run(args) -> int:
 
 def run_oracle_checks() -> list[str]:
     """Cross-validate the core numerics; prints one pass/fail line each."""
+    from . import circuit as qc
+
     failures = []
 
     def check(name: str, ok: bool, detail: str = ""):

@@ -7,9 +7,12 @@ that true state j is recorded as i. Calibration estimates P from prepared
 and tr(P~)/2 >= 1 ranks qubits (1 means perfect readout). The hardware
 layout is reproduced: each of the 25 non-anchor coefficients is measured on
 5 replica qubits, so five wave functions come out of one run and the best
-qubit per coefficient can be postselected. The model is tensored per qubit
-(Bravyi et al., Phys. Rev. A 103, 042605 (2021)): calibration, data and
-inversion are one array operation each over all qubits.
+qubit per coefficient can be postselected. The study's device has those 125
+qubits, each flipping with rates drawn uniformly from [0.005, 0.05]; the
+command line's --qubits, --error-min and --error-max default to them. The
+model is tensored per qubit (Bravyi et al., Phys. Rev. A 103, 042605
+(2021)): calibration, data and inversion are one array operation each over
+all qubits.
 """
 from __future__ import annotations
 
@@ -27,9 +30,7 @@ from .variational import rayleigh_energy
 
 log = logging.getLogger(__name__)
 
-DEFAULT_QUBITS = 125
 REPLICAS = 5
-DEFAULT_ERROR_RANGE = (0.005, 0.05)
 SHOT_BLOCK = 1024  # trials per binomial draw in shot_study: O(block x classes)
 
 
@@ -116,8 +117,7 @@ class SimulatedDevice:
                            ConfusionMatrix(*rates.reshape(4, -1)))
 
     @classmethod
-    def random(cls, n_qubits: int = DEFAULT_QUBITS,
-               error_range: tuple[float, float] = DEFAULT_ERROR_RANGE,
+    def random(cls, n_qubits: int, error_range: tuple[float, float],
                seed: int = 0) -> "SimulatedDevice":
         """Flip rates drawn uniformly per qubit and direction."""
         rates = np.random.default_rng(seed).uniform(*error_range, (n_qubits, 2))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from bosehub import circuit as qc
 from bosehub import cli, neural
+from bosehub import readout as ro
 from bosehub.variational import DAMPING, MIN_DAMPING
 
 
@@ -1231,3 +1232,47 @@ def test_error_range_fails_before_any_basis(command, tmp_path, capsys,
                             str(ckpt), "--U", "5", "--error-min", "nan")
     assert (code, stdout) == (1, "")
     assert err.startswith("error: --error-min and --error-max need ")
+
+
+# A fresh interpreter, since pytest's own process has imported every module.
+# The "basis" command runs in the same process as "exact".
+_LOADED_SCRIPT = """\
+import contextlib, io, json, sys
+from bosehub.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        assert main(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argvs, absent", [
+    ([["exact", "--U", "5"], ["basis", "--kind", "full"]],
+     ("circuit", "_kernels", "neural", "variational", "readout")),
+    ([["train", "--ansatz", "quat", "--U", "5", "--steps", "0"]],
+     ("readout",)),
+], ids=["exact and basis", "train"])
+def test_a_command_loads_only_the_modules_it_runs(argvs, absent):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT,
+                           json.dumps(argvs)], env=env, check=True,
+                          capture_output=True, text=True)
+    loaded = set(json.loads(done.stdout))
+    assert "bosehub.hamiltonian" in loaded
+    assert {f"bosehub.{name}" for name in absent} & loaded == set()
+
+
+def test_the_option_table_holds_the_readout_values():
+    options = cli._OPTIONS
+    assert options["mode"].type == tuple(m.value for m in ro.CorrectionMode)
+    # the replica layout of the reference basis, which readout documents
+    dim = cli.basis_mod.reduced_basis(cli.DEFAULT_SITES,
+                                      cli.DEFAULT_BOSONS).dim
+    qubits = options["qubits"].default
+    assert qubits == (dim - 1) * ro.REPLICAS
+    low, high = options["error_min"].default, options["error_max"].default
+    doc = " ".join(ro.__doc__.split())
+    assert f"has those {qubits} qubits" in doc
+    assert f"drawn uniformly from [{low!r}, {high!r}]" in doc
